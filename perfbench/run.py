@@ -219,7 +219,8 @@ def main(argv):
         # reports fused_speedup) for all of them.
         rep = run_rep(binary, args.workload, args.seed, rep_traced, not reps, trace_out)
         reps.append(rep)
-        shown = {k: v for k, v in rep.metrics.items() if k in END_TO_END or k == "e2e_s"}
+        shown = {k: v for k, v in rep.metrics.items()
+                 if k in END_TO_END or k.startswith("wall.") or k in ("e2e_s", "slowdown")}
         print(f"repetition {len(reps) - 1}{' (traced)' if rep_traced else ''}: "
               f"HFUSE_SEARCH_THREADS={rep.search_threads} "
               + " ".join(f"{k}={v:.6g}" for k, v in shown.items()), file=sys.stderr)

@@ -15,6 +15,7 @@
 //! 1 when any operation failed, 2 on bad arguments. `perfbench/run.py`
 //! drives repetitions of this binary and aggregates them.
 
+mod clock;
 mod procfs;
 mod stats;
 mod trace;

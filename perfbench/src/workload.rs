@@ -33,6 +33,7 @@ use hfuse_kernels::{AnyBenchmark, Benchmark, PairSpec};
 use thread_ir::spill::apply_register_bound;
 use thread_ir::{lower_kernel, lower_kernel_unoptimized, KernelIr};
 
+use crate::clock::{Meter, Timed};
 use crate::procfs;
 use crate::stats::{geomean, median};
 use crate::trace::{check_nesting, Layer, Tracer};
@@ -308,19 +309,28 @@ fn prepare(plan: &Plan) -> Prepared {
     }
 }
 
-/// Runs `prepare(plan)`, adding its time to `setups`.
-fn timed_prepare(plan: &Plan, setups: &mut Vec<f64>) -> Prepared {
-    let t = Instant::now();
-    let p = prepare(plan);
-    setups.push(t.elapsed().as_secs_f64());
-    p
-}
-
-/// Times `n` set-ups, one alive at a time, as a user would have it.
-fn time_setups(plan: &Plan, n: usize, setups: &mut Vec<f64>) {
-    for _ in 0..n {
-        drop(timed_prepare(plan, setups));
-    }
+/// Sets up `n` times, one set-up alive at a time as a user would have it,
+/// adds each one's time to `setups`, and returns the last set-up.
+fn time_setups(plan: &Plan, n: usize, meter: &mut Meter, setups: &mut Vec<Timed>) -> Prepared {
+    let ((walls, last), batch) = meter.time(|| {
+        let mut walls = Vec::with_capacity(n);
+        let mut last = None;
+        for _ in 0..n {
+            drop(last.take());
+            let t = Instant::now();
+            last = Some(prepare(plan));
+            walls.push(t.elapsed().as_secs_f64());
+        }
+        (walls, last.expect("one set-up at least"))
+    });
+    // The set-ups are too short to probe around one by one; they share
+    // their batch's scale.
+    let scale = batch.scaled_s / batch.wall_s;
+    setups.extend(walls.into_iter().map(|wall_s| Timed {
+        wall_s,
+        scaled_s: wall_s * scale,
+    }));
+    last
 }
 
 /// Runs one repetition of `plan`; with `traced`, also replays every step
@@ -331,15 +341,15 @@ fn time_setups(plan: &Plan, n: usize, setups: &mut Vec<f64>) {
 pub fn run_rep(plan: &Plan, traced: bool, check_winners: bool) -> Rep {
     let mut rep = Rep::default();
     let mut tr = Tracer::new(traced);
+    let mut meter = Meter::new();
 
     let mut setups = Vec::with_capacity(2 * SETUPS_PER_END);
-    time_setups(plan, SETUPS_PER_END - 1, &mut setups);
-    let mut p = timed_prepare(plan, &mut setups);
+    let mut p = time_setups(plan, SETUPS_PER_END, &mut meter, &mut setups);
 
     let cache0 = analysis_cache_stats();
-    let searched = search_phase(plan, &p, check_winners, &mut tr, &mut rep);
+    let searched = search_phase(plan, &p, check_winners, &mut meter, &mut tr, &mut rep);
     let cache1 = analysis_cache_stats();
-    let compiled = compile_passes(plan, &mut p, &mut tr, &mut rep);
+    let compiled = compile_passes(plan, &mut p, &mut meter, &mut tr, &mut rep);
     let cache2 = analysis_cache_stats();
 
     let hits = |c: hfuse_analysis::AnalysisCacheStats| c.hits + c.range_hits;
@@ -353,12 +363,6 @@ pub fn run_rep(plan: &Plan, traced: bool, check_winners: bool) -> Rep {
         misses(cache2) - misses(cache1),
     ));
 
-    rep.set("search_s", searched.wall_s);
-    rep.set("compile_s", compiled.cold_s);
-    rep.set("recompile_s", compiled.edit_s);
-    // The timed part of the repetition; traced minus untraced is the
-    // tracing overhead.
-    rep.set("e2e_s", searched.wall_s + compiled.cold_s + compiled.edit_s);
     rep.set("winner_cycles", searched.winner_cycles as f64);
     if check_winners {
         match geomean(&searched.speedups) {
@@ -376,8 +380,25 @@ pub fn run_rep(plan: &Plan, traced: bool, check_winners: bool) -> Rep {
     }
     // After the peak was read, so that these set-ups, alive next to `p`,
     // leave it as the workload made it.
-    time_setups(plan, SETUPS_PER_END, &mut setups);
-    rep.set("setup_s", median(&setups).expect("set-ups were timed"));
+    drop(time_setups(plan, SETUPS_PER_END, &mut meter, &mut setups));
+
+    // Every time is reported scaled to the reference speed, and as
+    // measured under `wall.`. `e2e_s` is the timed part of the repetition;
+    // traced minus untraced is the tracing overhead.
+    let mut e2e = searched.took;
+    e2e += compiled.cold;
+    e2e += compiled.edit;
+    for (name, t) in [
+        ("setup_s", median_timed(&setups)),
+        ("search_s", searched.took),
+        ("compile_s", compiled.cold),
+        ("recompile_s", compiled.edit),
+        ("e2e_s", e2e),
+    ] {
+        rep.set(name, t.scaled_s);
+        rep.set(&format!("wall.{name}"), t.wall_s);
+    }
+    rep.set("slowdown", meter.median_slowdown());
     rep.signature = format!("{}|{}", searched.signature, compiled.signature);
 
     if traced {
@@ -391,7 +412,7 @@ pub fn run_rep(plan: &Plan, traced: bool, check_winners: bool) -> Rep {
 
 #[derive(Default)]
 struct Searched {
-    wall_s: f64,
+    took: Timed,
     winner_cycles: u64,
     speedups: Vec<f64>,
     signature: String,
@@ -405,6 +426,7 @@ fn search_phase(
     plan: &Plan,
     p: &Prepared,
     check_winners: bool,
+    meter: &mut Meter,
     tr: &mut Tracer,
     rep: &mut Rep,
 ) -> Searched {
@@ -420,9 +442,9 @@ fn search_phase(
         let (ka, kb) = (s.add_fusion_input(in1), s.add_fusion_input(in2));
 
         rep.attempted += 1;
-        let t = Instant::now();
-        let report = tr.time("search.winner", Layer::Search, || s.search_winner(ka, kb));
-        out.wall_s += t.elapsed().as_secs_f64();
+        let (report, took) =
+            meter.time(|| tr.time("search.winner", Layer::Search, || s.search_winner(ka, kb)));
+        out.took += took;
         let report = match report {
             Ok(r) => r,
             Err(e) => {
@@ -682,23 +704,50 @@ fn replay_search_steps(
 }
 
 struct Compiled {
-    cold_s: f64,
-    edit_s: f64,
+    cold: Timed,
+    edit: Timed,
     signature: String,
+}
+
+/// The medians of the wall and of the scaled times.
+fn median_timed(t: &[Timed]) -> Timed {
+    let of = |f: fn(&Timed) -> f64| median(&t.iter().map(f).collect::<Vec<_>>());
+    Timed {
+        wall_s: of(|t| t.wall_s).expect("one time at least"),
+        scaled_s: of(|t| t.scaled_s).expect("one time at least"),
+    }
 }
 
 /// Runs `plan.compile_passes` timed compile passes, the first through `p`'s
 /// session and the others through fresh ones, and reports the median
 /// times. With more than one, an untimed pass first warms the process-wide
 /// analysis cache, so that every timed pass finds it in the same state.
-fn compile_passes(plan: &Plan, p: &mut Prepared, tr: &mut Tracer, rep: &mut Rep) -> Compiled {
+fn compile_passes(
+    plan: &Plan,
+    p: &mut Prepared,
+    meter: &mut Meter,
+    tr: &mut Tracer,
+    rep: &mut Rep,
+) -> Compiled {
     if plan.compile_passes > 1 {
-        compile_phase(plan, &mut prepare(plan), &mut Tracer::new(false), rep);
+        compile_phase(
+            plan,
+            &mut prepare(plan),
+            meter,
+            &mut Tracer::new(false),
+            rep,
+        );
     }
-    let first = compile_phase(plan, p, tr, rep);
-    let (mut cold, mut edit) = (vec![first.cold_s], vec![first.edit_s]);
+    let first = compile_phase(plan, p, meter, tr, rep);
+    let (mut cold, mut edit) = (vec![first.cold], vec![first.edit]);
     for _ in 1..plan.compile_passes {
-        let c = compile_phase(plan, &mut prepare(plan), &mut Tracer::new(false), rep);
+        let c = compile_phase(
+            plan,
+            &mut prepare(plan),
+            meter,
+            &mut Tracer::new(false),
+            rep,
+        );
         rep.check(if c.signature == first.signature {
             Ok(())
         } else {
@@ -707,12 +756,12 @@ fn compile_passes(plan: &Plan, p: &mut Prepared, tr: &mut Tracer, rep: &mut Rep)
                 c.signature, first.signature
             ))
         });
-        cold.push(c.cold_s);
-        edit.push(c.edit_s);
+        cold.push(c.cold);
+        edit.push(c.edit);
     }
     Compiled {
-        cold_s: median(&cold).expect("one pass at least"),
-        edit_s: median(&edit).expect("one pass at least"),
+        cold: median_timed(&cold),
+        edit: median_timed(&edit),
         signature: first.signature,
     }
 }
@@ -843,7 +892,13 @@ fn constant_edit(src: &str, constant: u32) -> String {
 
 /// The cold pass and the edit pass through one `Session`, then the checks
 /// of everything they produced.
-fn compile_phase(plan: &Plan, p: &mut Prepared, tr: &mut Tracer, rep: &mut Rep) -> Compiled {
+fn compile_phase(
+    plan: &Plan,
+    p: &mut Prepared,
+    meter: &mut Meter,
+    tr: &mut Tracer,
+    rep: &mut Rep,
+) -> Compiled {
     let mut c = Compiler {
         plan,
         cfg: GpuConfig::pascal_like(),
@@ -855,42 +910,42 @@ fn compile_phase(plan: &Plan, p: &mut Prepared, tr: &mut Tracer, rep: &mut Rep) 
     let mut sweep_failures = Vec::new();
 
     let span = tr.begin("compile.cold", Layer::Bench);
-    let t = Instant::now();
-    for pair in 0..plan.compile_pairs.len() {
-        rep.attempted += 1;
-        if let Err(e) = c.sweep_pair(s, pair) {
-            sweep_failures.push(e);
+    let ((), cold) = meter.time(|| {
+        for pair in 0..plan.compile_pairs.len() {
+            rep.attempted += 1;
+            if let Err(e) = c.sweep_pair(s, pair) {
+                sweep_failures.push(e);
+            }
         }
-    }
-    let cold_s = t.elapsed().as_secs_f64();
+    });
     tr.end(span);
     let cold_candidates = c.produced.len();
 
     let span = tr.begin("compile.edit", Layer::Bench);
     let mut edits = Vec::new();
-    let t = Instant::now();
-    for &k in &plan.edit_order {
-        let id = c.id(k);
-        let pairs: Vec<usize> = pairs_with(&plan.compile_pairs, k).collect();
-        let before = s.stats();
-        s.set_kernel_source(id, format!("{0}{1}{0}", plan.whitespace, p.sources[k]));
-        for &pair in &pairs {
-            rep.attempted += 1;
-            if let Err(e) = c.sweep_pair(s, pair) {
-                sweep_failures.push(e);
+    let ((), edit) = meter.time(|| {
+        for &k in &plan.edit_order {
+            let id = c.id(k);
+            let pairs: Vec<usize> = pairs_with(&plan.compile_pairs, k).collect();
+            let before = s.stats();
+            s.set_kernel_source(id, format!("{0}{1}{0}", plan.whitespace, p.sources[k]));
+            for &pair in &pairs {
+                rep.attempted += 1;
+                if let Err(e) = c.sweep_pair(s, pair) {
+                    sweep_failures.push(e);
+                }
             }
-        }
-        let mid = s.stats();
-        s.set_kernel_source(id, constant_edit(&p.sources[k], plan.constant));
-        for &pair in &pairs {
-            rep.attempted += 1;
-            if let Err(e) = c.sweep_pair(s, pair) {
-                sweep_failures.push(e);
+            let mid = s.stats();
+            s.set_kernel_source(id, constant_edit(&p.sources[k], plan.constant));
+            for &pair in &pairs {
+                rep.attempted += 1;
+                if let Err(e) = c.sweep_pair(s, pair) {
+                    sweep_failures.push(e);
+                }
             }
+            edits.push((k, pairs, before, mid, s.stats()));
         }
-        edits.push((k, pairs, before, mid, s.stats()));
-    }
-    let edit_s = t.elapsed().as_secs_f64();
+    });
     tr.end(span);
 
     rep.failures.extend(sweep_failures);
@@ -920,8 +975,8 @@ fn compile_phase(plan: &Plan, p: &mut Prepared, tr: &mut Tracer, rep: &mut Rep) 
         plan.edit_order.len()
     ));
     Compiled {
-        cold_s,
-        edit_s,
+        cold,
+        edit,
         signature: format!(
             "compiled {cold_candidates}+{} candidates, {insts} insts, {spilled} spilled",
             c.produced.len() - cold_candidates
