@@ -19,7 +19,7 @@ use thread_ir::lower_kernel;
 use thread_ir::spill::apply_register_bound;
 
 use crate::remap::{decl_i32, ThreadRemap};
-use crate::search::{legacy_scores, no_model_by_env, no_prune_by_env, profile_jobs, ProfileJob};
+use crate::search::{legacy_scores, profile_jobs, ProfileJob};
 use crate::search::{FusionInput, HfuseError, SearchOptions};
 
 /// Maximum member kernels: PTX has 16 barrier ids and fusion assigns one
@@ -364,8 +364,9 @@ pub const MAX_MULTI_PARTITIONS: usize = 64;
 /// `opts.granularity` when all members are tunable, the native block sizes
 /// otherwise), profile each candidate with and without the generalized
 /// register bound, and return the fastest. Profiling reuses the pairwise
-/// search's branch-and-bound machinery (best-first order under a shared
-/// cycle budget) and its `HFUSE_SEARCH_NO_PRUNE` escape hatch.
+/// search's two-phase branch-and-bound schedule (an unbudgeted best-first
+/// front, then one fixed cycle budget for the rest), so the report is
+/// identical at any worker count.
 ///
 /// # Errors
 ///
@@ -388,8 +389,6 @@ pub fn search_multi_fusion_config(
         ));
     }
     let cfg = base.config().clone();
-    let prune = opts.prune && !no_prune_by_env();
-    let model_filter = opts.model_filter && !no_model_by_env();
     let mut nregs = Vec::with_capacity(inputs.len());
     for inp in inputs {
         nregs.push(lower_kernel(&inp.kernel)?.reg_pressure());
@@ -482,7 +481,7 @@ pub fn search_multi_fusion_config(
     // Model ranking: one native measurement per member kernel, then each
     // candidate is scored over its `Σ_i I_i[c] / d_i` dynamic mix (the
     // N-kernel generalization of the pairwise model).
-    let scores = if model_filter {
+    let scores = if opts.model_filter {
         let mut issues = Vec::with_capacity(inputs.len());
         for inp in inputs {
             issues.push(
@@ -521,8 +520,7 @@ pub fn search_multi_fusion_config(
         &fused_args,
         grid,
         total_dyn_shared,
-        prune,
-        model_filter,
+        opts.prune,
         &scores,
     );
 

@@ -10,7 +10,7 @@
 //! `b0 = min(b1, b2, SMShMem/ShMem(F), SMNThreads/d0)` — i.e. capped so the
 //! fused kernel can keep as many resident blocks as the originals.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -87,27 +87,27 @@ pub struct SearchOptions {
     pub d0: u32,
     /// Partition step (the paper uses 128).
     pub granularity: u32,
-    /// Branch-and-bound pruning: profile candidates best-first (ordered by
-    /// the analytic cost estimate) under a shared cycle budget, so losing
-    /// candidates abort as soon as they exceed the best cycle count seen
-    /// so far. The chosen best candidate, its cycles, and the cycles of
-    /// every *surviving* (non-pruned) candidate are identical to the
-    /// exhaustive search; only which losers get cut short — and at what
-    /// clock — can vary with thread timing. `HFUSE_SEARCH_NO_PRUNE=1`
-    /// forces exhaustive profiling regardless of this flag.
+    /// Branch-and-bound pruning: profile candidates best-first, the front
+    /// (the top-[`MODEL_TOP_K`] unique programs plus near-ties within
+    /// [`MODEL_MARGIN`]) without a budget and every other candidate at one
+    /// fixed budget, the front's best completed cycle count, so losers
+    /// abort as soon as they exceed it. The chosen best candidate, its
+    /// cycles, and the cycles of every *surviving* (non-pruned) candidate
+    /// are identical to the exhaustive search, and the whole report —
+    /// which losers get cut short, and at what clock — is a pure function
+    /// of the inputs and options, whatever the worker count. `false` (the
+    /// CLI's `--no-prune`) profiles every candidate to completion.
     pub prune: bool,
     /// Calibrated analytic pre-filter: rank candidates with the
     /// per-latency-class model ([`gpu_sim::model_estimate`]) instead of the
-    /// single-weight cost estimate, profile the model's top candidates (and
-    /// every near-tie the model cannot separate within a confidence margin)
-    /// without a budget, and let the rest budget-abort against the best
-    /// completed cycle count. Because an abort requires the simulated clock
-    /// to strictly exceed a *completed* run's cycles, the winner and every
-    /// surviving candidate stay bit-identical to the exhaustive search
-    /// regardless of model quality — the model only decides how early
-    /// losers stop burning simulator cycles. `HFUSE_SEARCH_NO_MODEL=1` (or
-    /// the CLI's `--no-model-filter`) restores the legacy cost-estimate
-    /// ordering.
+    /// single-weight cost estimate. The ranking decides which candidates
+    /// form the unbudgeted front (see [`prune`](Self::prune)); because an
+    /// abort requires the simulated clock to strictly exceed a *completed*
+    /// run's cycles, the winner and every surviving candidate stay
+    /// bit-identical to the exhaustive search regardless of model quality —
+    /// the model only decides how early losers stop burning simulator
+    /// cycles. `false` (the CLI's `--no-model-filter`) ranks by the legacy
+    /// cost estimate.
     pub model_filter: bool,
 }
 
@@ -142,8 +142,10 @@ pub struct SearchCandidate {
     /// Achieved occupancy (%). Zero for pruned candidates.
     pub occupancy: f64,
     /// `Some(clock)` when the profile run was budget-aborted at that
-    /// simulated cycle (branch-and-bound pruning); `None` when the
-    /// candidate was profiled to completion.
+    /// simulated cycle (branch-and-bound pruning): the first clock past the
+    /// fixed budget, the front's best completed cycle count, so it depends
+    /// only on the inputs and options. `None` when the candidate was
+    /// profiled to completion.
     pub pruned_at: Option<u64>,
     /// Static ranking score this candidate was ordered by: the calibrated
     /// analytic model estimate when model filtering is active, the legacy
@@ -341,19 +343,6 @@ pub(crate) fn weighted_inst_cost(ir: &KernelIr) -> u64 {
     w + 8 * ir.spilled_regs.len() as u64
 }
 
-/// `HFUSE_SEARCH_NO_PRUNE` (set to anything but `0`) forces exhaustive
-/// profiling regardless of [`SearchOptions::prune`] — the escape hatch for
-/// byte-identical reproductions of the unpruned search.
-pub(crate) fn no_prune_by_env() -> bool {
-    gpu_sim::env::search_no_prune()
-}
-
-/// `HFUSE_SEARCH_NO_MODEL` disables the calibrated analytic pre-filter
-/// regardless of [`SearchOptions::model_filter`].
-pub(crate) fn no_model_by_env() -> bool {
-    gpu_sim::env::search_no_model()
-}
-
 /// Resolves the profiling worker count from the `HFUSE_SEARCH_THREADS`
 /// value (parsed centrally by [`gpu_sim::env::search_threads`]). An
 /// explicit numeric override is honored as-is (with a floor of one worker)
@@ -376,12 +365,12 @@ pub(crate) struct ProfileJob {
     pub(crate) d0: u32,
 }
 
-/// Confidence margin of the analytic pre-filter: candidates whose model
-/// score is within this factor of the best score are "near-ties" the model
-/// cannot separate, and are profiled without a budget.
+/// Confidence margin of the ranking: candidates whose score is within this
+/// factor of the best score are "near-ties" the ranking cannot separate,
+/// and join the front that profiles without a budget.
 pub const MODEL_MARGIN: f64 = 1.10;
 
-/// Minimum number of top-ranked candidates the pre-filter always profiles
+/// Minimum number of top-ranked unique programs the search always profiles
 /// without a budget, regardless of margin (the winner and its register-bound
 /// sibling in the common case).
 pub const MODEL_TOP_K: usize = 2;
@@ -408,23 +397,24 @@ pub(crate) fn legacy_scores(
         .collect()
 }
 
-/// Profiles every job, best-first with branch-and-bound pruning when
-/// `prune` is set, and returns outcomes aligned with the input order.
+/// Profiles every job and returns outcomes aligned with the input order.
 ///
-/// Jobs are profiled in ascending `scores` order — the calibrated analytic
-/// model ([`gpu_sim::model_estimate`]) when the caller runs with the model
-/// filter, the legacy [`legacy_scores`] otherwise. The best completed cycle
-/// count is shared across workers through an `AtomicU64` and used as the
-/// abort budget for every subsequent run. With `model_filter` set, the
-/// model's top-[`MODEL_TOP_K`] candidates — plus every near-tie within
-/// [`MODEL_MARGIN`] of the best score — are *exempt* and profile with an
-/// infinite budget. Because a run whose true cycle count is at most the
-/// budget always completes with its exact unbudgeted result, and the
-/// budget is only ever lowered to a completed run's cycle count, the
-/// minimum — and therefore the winner and every surviving candidate's
-/// cycles — is independent of profiling order, thread timing, and model
-/// quality; only *which* losers get cut short can vary.
-#[allow(clippy::too_many_arguments)]
+/// Jobs are profiled in ascending `scores` order (the calibrated analytic
+/// model or the legacy [`legacy_scores`], whichever the caller ranked
+/// with) in two phases:
+///
+/// 1. **The front** — the top-[`MODEL_TOP_K`] unique programs plus every
+///    near-tie within [`MODEL_MARGIN`] of the best score — profiles
+///    without a budget. With `prune` off, every job is in the front.
+/// 2. **Every other job** profiles at one fixed budget: the fewest cycles
+///    among the front's completed runs.
+///
+/// A run whose true cycle count is at most its budget completes with its
+/// exact unbudgeted result, and the budget is a completed run's cycle
+/// count, so the winner and every surviving candidate's cycles equal the
+/// exhaustive search's. Each budget depends only on the inputs, never on
+/// which worker finished first, so the whole result — every abort clock
+/// included — is identical at any `HFUSE_SEARCH_THREADS` worker count.
 pub(crate) fn profile_jobs(
     base: &Gpu,
     jobs: &[ProfileJob],
@@ -432,7 +422,6 @@ pub(crate) fn profile_jobs(
     grid_dim: u32,
     dynamic_shared_bytes: u32,
     prune: bool,
-    model_filter: bool,
     scores: &[u64],
 ) -> Vec<Result<SearchCandidate, HfuseError>> {
     debug_assert_eq!(scores.len(), jobs.len());
@@ -458,34 +447,29 @@ pub(crate) fn profile_jobs(
     let mut order: Vec<usize> = (0..jobs.len()).filter(|&i| canon[i] == i).collect();
     order.sort_by_key(|&i| (scores[i], i));
 
-    // Model-exempt candidates: profiled with an infinite budget, so their
-    // results are exactly the exhaustive ones, and (being scheduled first)
-    // they establish a tight budget for everyone else. Ranks are over
-    // unique programs, so the top-k are k *distinct* candidates.
-    let mut exempt = vec![false; jobs.len()];
-    if prune && model_filter && !order.is_empty() {
-        let best_score = scores[order[0]];
-        for (rank, &i) in order.iter().enumerate() {
-            let near_tie =
-                best_score != u64::MAX && (scores[i] as f64) <= best_score as f64 * MODEL_MARGIN;
-            if rank < MODEL_TOP_K || near_tie {
-                exempt[i] = true;
-            }
-        }
-    }
+    // The front is a prefix of `order`: ranks are over unique programs, so
+    // the top-k are k *distinct* candidates, and near-ties sort first.
+    let front_len = if prune {
+        let best_score = order.first().map_or(u64::MAX, |&i| scores[i]);
+        order
+            .iter()
+            .enumerate()
+            .take_while(|&(rank, &i)| {
+                rank < MODEL_TOP_K
+                    || (best_score != u64::MAX
+                        && (scores[i] as f64) <= best_score as f64 * MODEL_MARGIN)
+            })
+            .count()
+    } else {
+        order.len()
+    };
+    let (front, rest) = order.split_at(front_len);
 
-    // `HFUSE_SEARCH_THREADS` overrides the worker count (useful both to
-    // force the parallel path on single-core CI and to raise or cap it on
-    // shared machines).
     let threads = worker_threads(gpu_sim::env::search_threads());
-    let mut slots: Vec<Option<Result<SearchCandidate, HfuseError>>> =
-        (0..jobs.len()).map(|_| None).collect();
-    if threads <= 1 || jobs.len() <= 1 {
-        let mut best = u64::MAX;
-        for &i in &order {
+    let profile = |budget: u64| {
+        move |&i: &usize| {
             let job = &jobs[i];
-            let budget = if !prune || exempt[i] { u64::MAX } else { best };
-            let r = profile_fused(
+            profile_fused(
                 base,
                 &job.ir,
                 args,
@@ -493,55 +477,23 @@ pub(crate) fn profile_jobs(
                 dynamic_shared_bytes,
                 job.d0,
                 budget,
-            );
-            if let Ok(c) = &r {
-                if c.pruned_at.is_none() {
-                    best = best.min(c.cycles);
-                }
-            }
-            slots[i] = Some(r);
+            )
         }
-    } else {
-        let next = AtomicUsize::new(0);
-        let best = AtomicU64::new(u64::MAX);
-        let (tx, rx) = std::sync::mpsc::channel();
-        std::thread::scope(|scope| {
-            for _ in 0..threads.min(jobs.len()) {
-                let tx = tx.clone();
-                let (order, next, best, exempt) = (&order, &next, &best, &exempt);
-                scope.spawn(move || loop {
-                    let k = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&i) = order.get(k) else { break };
-                    let job = &jobs[i];
-                    let budget = if !prune || exempt[i] {
-                        u64::MAX
-                    } else {
-                        best.load(Ordering::Relaxed)
-                    };
-                    let r = profile_fused(
-                        base,
-                        &job.ir,
-                        args,
-                        grid_dim,
-                        dynamic_shared_bytes,
-                        job.d0,
-                        budget,
-                    );
-                    if let Ok(c) = &r {
-                        if c.pruned_at.is_none() {
-                            best.fetch_min(c.cycles, Ordering::Relaxed);
-                        }
-                    }
-                    // Contention-free result collection: each outcome is
-                    // sent exactly once; no shared vector behind a lock.
-                    tx.send((i, r)).expect("receiver outlives the scope");
-                });
-            }
-            drop(tx);
-            for (i, r) in rx {
-                slots[i] = Some(r);
-            }
-        });
+    };
+    let front_results = parallel_map(threads, front, profile(u64::MAX));
+    let budget = front_results
+        .iter()
+        .filter_map(|r| r.as_ref().ok())
+        .map(|c| c.cycles)
+        .min()
+        .unwrap_or(u64::MAX);
+    let rest_results = parallel_map(threads, rest, profile(budget));
+
+    let mut slots: Vec<Option<Result<SearchCandidate, HfuseError>>> =
+        (0..jobs.len()).map(|_| None).collect();
+    let results = front_results.into_iter().chain(rest_results);
+    for (&i, r) in order.iter().zip(results) {
+        slots[i] = Some(r);
     }
     // Duplicates share their canonical program's result verbatim.
     for i in 0..jobs.len() {
@@ -560,6 +512,40 @@ pub(crate) fn profile_jobs(
             r
         })
         .collect()
+}
+
+/// Maps `f` over `items` on `threads` workers — the calling thread plus
+/// `threads - 1` scoped ones — that pull indices from a shared cursor and
+/// return each result with its index, so the output is in `items` order
+/// whichever worker ran what. One worker is the same loop on the calling
+/// thread.
+fn parallel_map<T: Sync, R: Send>(
+    threads: usize,
+    items: &[T],
+    f: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let k = next.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(k) else { break };
+            done.push((k, f(item)));
+        }
+        done
+    };
+    let mut done = std::thread::scope(|scope| {
+        let workers: Vec<_> = (1..threads.min(items.len()))
+            .map(|_| scope.spawn(work))
+            .collect();
+        let mut done = work();
+        for w in workers {
+            done.extend(w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+        }
+        done
+    });
+    done.sort_unstable_by_key(|&(k, _)| k);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 /// One compiled pairwise candidate: a `(d1, d2)` partition with or without
@@ -711,7 +697,6 @@ pub fn calibration_rows(
         fused_grid,
         fused_dyn_shared,
         false,
-        false,
         &scores,
     );
 
@@ -809,8 +794,6 @@ pub(crate) fn search_fusion_config_impl(
             in1.grid_dim, in2.grid_dim
         )));
     }
-    let prune = opts.prune && !no_prune_by_env();
-    let model_filter = opts.model_filter && !no_model_by_env();
     let compile_start = Instant::now();
     let nregs1 = lower_kernel(&in1.kernel)?.reg_pressure();
     let nregs2 = lower_kernel(&in2.kernel)?.reg_pressure();
@@ -818,9 +801,9 @@ pub(crate) fn search_fusion_config_impl(
     let partitions = sweep_partitions(in1, in2, opts);
 
     // Compile every candidate first (cheap), then profile them in parallel:
-    // each profile runs on its own clone of the device state, so candidates
-    // are fully independent and the result is deterministic regardless of
-    // thread scheduling.
+    // each profile runs on its own clone of the device state at a budget
+    // fixed before its phase starts, so the result is deterministic
+    // regardless of thread scheduling.
     let compiled = compile_candidates(&cfg, in1, in2, &partitions, nregs1, nregs2)?;
 
     // Shared profile inputs, computed once for the whole sweep.
@@ -838,7 +821,7 @@ pub(crate) fn search_fusion_config_impl(
         })
         .collect();
     let profile_start = Instant::now();
-    let scores = if model_filter {
+    let scores = if opts.model_filter {
         model_scores(base, in1, in2, &compiled, fused_grid, fused_dyn_shared)?
     } else {
         legacy_scores(&cfg, &jobs, fused_grid, fused_dyn_shared)
@@ -849,8 +832,7 @@ pub(crate) fn search_fusion_config_impl(
         &fused_args,
         fused_grid,
         fused_dyn_shared,
-        prune,
-        model_filter,
+        opts.prune,
         &scores,
     );
     let profile_ms = profile_start.elapsed().as_secs_f64() * 1e3;
@@ -1190,6 +1172,16 @@ mod tests {
         // back to the capped auto-detected default.
         assert!(worker_threads(None) >= 1);
         assert!(worker_threads(None) <= 8);
+    }
+
+    #[test]
+    fn parallel_map_keeps_item_order_at_any_worker_count() {
+        let items: Vec<u64> = (0..37).collect();
+        let expected: Vec<u64> = items.iter().map(|x| x * x).collect();
+        for threads in [1, 2, 8, 64] {
+            assert_eq!(parallel_map(threads, &items, |x| x * x), expected);
+        }
+        assert!(parallel_map(4, &[] as &[u64], |x| *x).is_empty());
     }
 
     #[test]

@@ -40,16 +40,8 @@ pub const HATCHES: &[Hatch] = &[
         what: "enable the race/barrier sanitizer on every device the process creates",
     },
     Hatch {
-        name: "HFUSE_SEARCH_NO_PRUNE",
-        what: "force exhaustive candidate profiling (no branch-and-bound budget aborts)",
-    },
-    Hatch {
-        name: "HFUSE_SEARCH_NO_MODEL",
-        what: "disable the calibrated analytic model pre-filter in the fusion search",
-    },
-    Hatch {
         name: "HFUSE_SEARCH_THREADS",
-        what: "profiling worker count (numeric; explicit values are honored as-is)",
+        what: "profiling worker count (numeric, honored as-is; moves wall time, never the report)",
     },
     Hatch {
         name: "HFUSE_FUZZ_NO_SANITIZE",
@@ -98,16 +90,6 @@ pub fn sim_no_vector() -> bool {
 /// `HFUSE_SANITIZE`: enable the sanitizer on every new device.
 pub fn sanitize() -> bool {
     flag("HFUSE_SANITIZE")
-}
-
-/// `HFUSE_SEARCH_NO_PRUNE`: force exhaustive profiling in the search.
-pub fn search_no_prune() -> bool {
-    flag("HFUSE_SEARCH_NO_PRUNE")
-}
-
-/// `HFUSE_SEARCH_NO_MODEL`: disable the analytic model pre-filter.
-pub fn search_no_model() -> bool {
-    flag("HFUSE_SEARCH_NO_MODEL")
 }
 
 /// `HFUSE_SEARCH_THREADS`: explicit profiling worker count.
@@ -167,8 +149,6 @@ mod tests {
             "HFUSE_SIM_NO_UNIFORM",
             "HFUSE_SIM_NO_VECTOR",
             "HFUSE_SANITIZE",
-            "HFUSE_SEARCH_NO_PRUNE",
-            "HFUSE_SEARCH_NO_MODEL",
             "HFUSE_SEARCH_THREADS",
             "HFUSE_FUZZ_NO_SANITIZE",
             "HFUSE_NO_STATIC_CHECK",

@@ -4,7 +4,7 @@
 //! * `wall_ms` — the shipped default: branch-and-bound pruning, the
 //!   calibrated analytic pre-filter, and the lane-vectorized interpreter.
 //!   This is the arm the CI `bench-regression` job gates.
-//! * `wall_ms_no_model` — pruning only (`HFUSE_SEARCH_NO_MODEL=1`): what
+//! * `wall_ms_no_model` — pruning only (`model_filter: false`): what
 //!   the search cost before the model filter existed.
 //! * `wall_ms_scalar` — the default search on the scalar one-lane-at-a-time
 //!   interpreter (`HFUSE_SIM_NO_VECTOR=1`): what vectorization buys.
@@ -44,7 +44,13 @@ struct PairResult {
     profile_ms: f64,
 }
 
-fn run_search(first: &str, second: &str, scale_second: f64, prune: bool) -> (SearchReport, f64) {
+fn run_search(
+    first: &str,
+    second: &str,
+    scale_second: f64,
+    prune: bool,
+    model_filter: bool,
+) -> (SearchReport, f64) {
     let mut gpu = Gpu::new(GpuConfig::pascal_like());
     let b1 = AnyBenchmark::by_name(first).expect("benchmark exists");
     let b2 = AnyBenchmark::by_name(second)
@@ -54,6 +60,7 @@ fn run_search(first: &str, second: &str, scale_second: f64, prune: bool) -> (Sea
     let in2 = b2.benchmark().fusion_input(gpu.memory_mut());
     let opts = SearchOptions {
         prune,
+        model_filter,
         ..SearchOptions::default()
     };
     let start = Instant::now();
@@ -133,25 +140,22 @@ fn main() {
 
         std::env::remove_var("HFUSE_SIM_NO_SKIP");
         std::env::remove_var("HFUSE_SIM_NO_VECTOR");
-        std::env::remove_var("HFUSE_SEARCH_NO_MODEL");
 
         // The shipped default: prune + model filter + vectorized lanes.
-        let (report, wall_ms) = run_search(first, second, scale_second, true);
+        let (report, wall_ms) = run_search(first, second, scale_second, true, true);
 
         // Pruning without the analytic pre-filter.
-        std::env::set_var("HFUSE_SEARCH_NO_MODEL", "1");
-        let (no_model, wall_ms_no_model) = run_search(first, second, scale_second, true);
-        std::env::remove_var("HFUSE_SEARCH_NO_MODEL");
+        let (no_model, wall_ms_no_model) = run_search(first, second, scale_second, true, false);
 
         // The default search on the scalar interpreter.
         std::env::set_var("HFUSE_SIM_NO_VECTOR", "1");
-        let (scalar, wall_ms_scalar) = run_search(first, second, scale_second, true);
+        let (scalar, wall_ms_scalar) = run_search(first, second, scale_second, true, true);
         std::env::remove_var("HFUSE_SIM_NO_VECTOR");
 
-        let (exhaustive, wall_ms_exhaustive) = run_search(first, second, scale_second, false);
+        let (exhaustive, wall_ms_exhaustive) = run_search(first, second, scale_second, false, true);
 
         std::env::set_var("HFUSE_SIM_NO_SKIP", "1");
-        let (naive_report, wall_ms_naive) = run_search(first, second, scale_second, false);
+        let (naive_report, wall_ms_naive) = run_search(first, second, scale_second, false, true);
         std::env::remove_var("HFUSE_SIM_NO_SKIP");
 
         // No arm may change the winner: not the model filter, not the

@@ -110,10 +110,9 @@ USAGE:
       Run the Fig. 6 configuration search on a built-in benchmark pair,
       e.g. `hfuse search Batchnorm+Hist`. Candidates are ranked by the
       calibrated analytic model and profiled best-first with
-      branch-and-bound pruning; --no-prune (or HFUSE_SEARCH_NO_PRUNE=1)
-      forces exhaustive profiling, --no-model-filter (or
-      HFUSE_SEARCH_NO_MODEL=1) falls back to the legacy cost-estimate
-      ordering. The winner is identical in every mode.
+      branch-and-bound pruning; --no-prune forces exhaustive profiling,
+      --no-model-filter falls back to the legacy cost-estimate ordering.
+      The winner is identical in every mode.
   hfuse bench <KERNEL> [--gpu pascal|volta]
       Profile one built-in benchmark kernel (a Fig. 8 row).
   hfuse bench --calibrate [--gpu pascal|volta]

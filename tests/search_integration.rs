@@ -143,25 +143,18 @@ fn search_report_carries_runnable_best_kernel() {
 
 #[test]
 fn search_is_deterministic_across_runs_and_threads() {
-    // With pruning, which losers get budget-aborted can vary with thread
-    // timing, but the winner, its cycles, and every surviving candidate's
-    // cycles are deterministic: candidates profile on independent clones of
-    // the device state, and a run whose true cycle count is within the
-    // budget always completes with its exact unbudgeted result.
+    // With pruning, every budget is fixed before its profiling phase
+    // starts (the front runs unbudgeted, the rest at the front's best), so
+    // the whole report — abort clocks of pruned losers included — is the
+    // same run to run. `tests/search_determinism.rs` checks the worker
+    // counts.
     let pair = &dl_pairs()[5];
     let (a, b) = (pair.first.scaled(0.25), pair.second.scaled(0.25));
     let (gpu, in1, in2) = inputs(&a, &b);
     let r1 = search_fusion_config(&gpu, &in1, &in2, SearchOptions::default()).expect("search 1");
     let r2 = search_fusion_config(&gpu, &in1, &in2, SearchOptions::default()).expect("search 2");
-    assert_eq!(r1.candidates.len(), r2.candidates.len());
-    for (c1, c2) in r1.candidates.iter().zip(&r2.candidates) {
-        assert_eq!((c1.d1, c1.d2, c1.reg_bound), (c2.d1, c2.d2, c2.reg_bound));
-        if c1.pruned_at.is_none() && c2.pruned_at.is_none() {
-            assert_eq!(c1, c2);
-        }
-    }
+    assert_eq!(r1.candidates, r2.candidates);
     assert_eq!(r1.best_idx, r2.best_idx);
-    assert_eq!(r1.best().cycles, r2.best().cycles);
     assert_eq!(r1.best_kernel, r2.best_kernel);
 }
 
@@ -183,28 +176,4 @@ fn exhaustive_search_is_byte_identical_across_runs() {
     assert_eq!(r1.candidates, r2.candidates);
     assert_eq!(r1.best_idx, r2.best_idx);
     assert_eq!(r1.best_kernel, r2.best_kernel);
-}
-
-#[test]
-fn parallel_search_path_matches_serial() {
-    // Force the scoped-thread pool even on single-core machines and check
-    // it produces the same winner and surviving cycle counts as the serial
-    // path (the pruned set may differ — see above).
-    let pair = &dl_pairs()[9];
-    let (a, b) = (pair.first.scaled(0.25), pair.second.scaled(0.25));
-    let (gpu, in1, in2) = inputs(&a, &b);
-    std::env::set_var("HFUSE_SEARCH_THREADS", "1");
-    let serial = search_fusion_config(&gpu, &in1, &in2, SearchOptions::default()).expect("serial");
-    std::env::set_var("HFUSE_SEARCH_THREADS", "4");
-    let parallel =
-        search_fusion_config(&gpu, &in1, &in2, SearchOptions::default()).expect("parallel");
-    std::env::remove_var("HFUSE_SEARCH_THREADS");
-    assert_eq!(serial.candidates.len(), parallel.candidates.len());
-    for (s, p) in serial.candidates.iter().zip(&parallel.candidates) {
-        if s.pruned_at.is_none() && p.pruned_at.is_none() {
-            assert_eq!(s, p);
-        }
-    }
-    assert_eq!(serial.best_idx, parallel.best_idx);
-    assert_eq!(serial.best().cycles, parallel.best().cycles);
 }
