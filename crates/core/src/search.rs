@@ -259,15 +259,6 @@ impl SearchReport {
     }
 }
 
-/// Compiles a fused kernel, optionally applying a register bound.
-fn compile_fused(fused: &FusedKernel, bound: Option<u32>) -> Result<KernelIr, HfuseError> {
-    let mut ir = lower_kernel(&fused.function)?;
-    if let Some(b) = bound {
-        apply_register_bound(&mut ir, b);
-    }
-    Ok(ir)
-}
-
 /// Profiles a compiled fused kernel on a fresh copy of the base device
 /// state, stopping early once the simulated clock exceeds `budget`. The
 /// argument list, grid, and shared-memory size are precomputed once by the
@@ -578,10 +569,11 @@ fn compile_candidates(
             continue;
         };
         let d0 = d1 + d2;
-        let ir = Arc::new(compile_fused(&fused, None)?);
+        let ir = Arc::new(lower_kernel(&fused.function)?);
         let shmem_fused = ir.shared_bytes(in1.dynamic_shared + in2.dynamic_shared);
         let r0 = register_bound(cfg, d1, nregs1, d2, nregs2, shmem_fused, d0);
-        let ir_capped = Arc::new(compile_fused(&fused, Some(r0))?);
+        let mut ir_capped = (*ir).clone();
+        apply_register_bound(&mut ir_capped, r0);
         compiled.push(Candidate {
             d1,
             d2,
@@ -594,7 +586,7 @@ fn compile_candidates(
             d2,
             bound: Some(r0),
             fused,
-            ir: ir_capped,
+            ir: Arc::new(ir_capped),
         });
     }
     Ok(compiled)

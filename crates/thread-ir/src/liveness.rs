@@ -89,15 +89,36 @@ impl RegSet {
         changed
     }
 
-    /// Iterates over the registers in the set.
+    /// `self |= other & !minus`, a word at a time; returns true if `self`
+    /// changed.
+    pub(crate) fn union_with_difference(&mut self, other: &RegSet, minus: &RegSet) -> bool {
+        let mut changed = false;
+        for ((a, b), m) in self.words.iter_mut().zip(&other.words).zip(&minus.words) {
+            let next = *a | (*b & !*m);
+            if next != *a {
+                *a = next;
+                changed = true;
+            }
+        }
+        changed
+    }
+
+    /// Removes every register.
+    pub(crate) fn clear(&mut self) {
+        self.words.fill(0);
+    }
+
+    /// Iterates over the registers in the set, in increasing order.
     pub fn iter(&self) -> impl Iterator<Item = Reg> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, w)| {
-            (0..64).filter_map(move |b| {
-                if w & (1 << b) != 0 {
-                    Some((wi * 64 + b) as Reg)
-                } else {
-                    None
+        self.words.iter().enumerate().flat_map(|(wi, &w)| {
+            let mut bits = w;
+            std::iter::from_fn(move || {
+                if bits == 0 {
+                    return None;
                 }
+                let b = bits.trailing_zeros();
+                bits &= bits - 1;
+                Some(wi as Reg * 64 + b)
             })
         })
     }
@@ -159,6 +180,7 @@ pub fn live_in_sets(kernel: &KernelIr) -> Vec<RegSet> {
     let n = insts.len();
     let mut live_in: Vec<RegSet> = vec![RegSet::new(kernel.num_regs); n];
     let mut srcs_buf: Vec<Reg> = Vec::with_capacity(3);
+    let mut out = RegSet::new(kernel.num_regs);
 
     // Iterate to a fixed point. Reverse order converges quickly on mostly
     // forward CFGs.
@@ -167,7 +189,7 @@ pub fn live_in_sets(kernel: &KernelIr) -> Vec<RegSet> {
         changed = false;
         for pc in (0..n).rev() {
             // live_out = union of successors' live_in
-            let mut out = RegSet::new(kernel.num_regs);
+            out.clear();
             for &s in successors(insts, pc).as_slice() {
                 out.union_with(&live_in[s]);
             }
@@ -181,7 +203,7 @@ pub fn live_in_sets(kernel: &KernelIr) -> Vec<RegSet> {
                 out.insert(s);
             }
             if out != live_in[pc] {
-                live_in[pc] = out;
+                std::mem::swap(&mut live_in[pc], &mut out);
                 changed = true;
             }
         }
@@ -232,6 +254,13 @@ pub fn pressure_excluding(kernel: &KernelIr, excluded: Option<&RegSet>) -> u32 {
         .map(|s| s.count_excluding(Some(&skip)))
         .max()
         .unwrap_or(0);
+    pressure_of_max_live(max_live)
+}
+
+/// The pressure of a kernel whose largest count of simultaneously live,
+/// counted registers is `max_live`: plus [`REG_OVERHEAD`], clamped to
+/// `[MIN_REGS, MAX_REGS]`.
+pub(crate) fn pressure_of_max_live(max_live: u32) -> u32 {
     (max_live + REG_OVERHEAD).clamp(MIN_REGS, MAX_REGS)
 }
 
@@ -251,9 +280,9 @@ pub struct RegStats {
     pub occurrences: u32,
 }
 
-/// Computes live-length and occurrence counts for every register.
-pub fn reg_stats(kernel: &KernelIr) -> Vec<RegStats> {
-    let live = live_in_sets(kernel);
+/// Computes live-length and occurrence counts for every register from the
+/// kernel's per-instruction live-in sets (see [`live_in_sets`]).
+pub fn reg_stats(kernel: &KernelIr, live: &[RegSet]) -> Vec<RegStats> {
     let mut stats: Vec<RegStats> = (0..kernel.num_regs)
         .map(|reg| RegStats {
             reg,
@@ -261,7 +290,7 @@ pub fn reg_stats(kernel: &KernelIr) -> Vec<RegStats> {
             occurrences: 0,
         })
         .collect();
-    for set in &live {
+    for set in live {
         for r in set.iter() {
             stats[r as usize].live_points += 1;
         }
@@ -292,6 +321,11 @@ mod tests {
         lower_kernel_unoptimized(&parse_kernel(src).expect("parse")).expect("lower")
     }
 
+    /// The registers `s` holds, probed one bit at a time.
+    fn probed(s: &RegSet, n: u32) -> Vec<Reg> {
+        (0..n).filter(|&r| s.contains(r)).collect()
+    }
+
     #[test]
     fn regset_basic_operations() {
         let mut s = RegSet::new(130);
@@ -304,6 +338,43 @@ mod tests {
         s.remove(0);
         assert_eq!(s.len(), 1);
         assert_eq!(s.iter().collect::<Vec<_>>(), vec![129]);
+
+        // Bits on both sides of every word edge, including the top bit of a
+        // word, which the set-bit walk must not shift past.
+        let edges = [0, 63, 64, 127, 129];
+        for &r in &edges {
+            s.insert(r);
+        }
+        assert_eq!(s.iter().collect::<Vec<_>>(), edges);
+        assert_eq!(s.iter().collect::<Vec<_>>(), probed(&s, 130));
+        assert_eq!(s.len(), edges.len() as u32);
+        s.clear();
+        assert!(s.is_empty());
+        assert_eq!(s.iter().next(), None);
+    }
+
+    #[test]
+    fn regset_union_with_difference() {
+        let n = 130;
+        let set = |regs: &[Reg]| {
+            let mut s = RegSet::new(n);
+            for &r in regs {
+                s.insert(r);
+            }
+            s
+        };
+        let uses = set(&[1, 64]);
+        let out = set(&[0, 1, 63, 64, 127, 129]);
+        let defs = set(&[0, 64, 127]);
+        let mut inn = uses.clone();
+        assert!(inn.union_with_difference(&out, &defs));
+        let expected: Vec<Reg> = (0..n)
+            .filter(|&r| uses.contains(r) || (out.contains(r) && !defs.contains(r)))
+            .collect();
+        assert_eq!(expected, vec![1, 63, 64, 129]);
+        assert_eq!(probed(&inn, n), expected);
+        assert_eq!(inn.iter().collect::<Vec<_>>(), expected);
+        assert!(!inn.union_with_difference(&out, &defs));
     }
 
     #[test]
@@ -367,7 +438,7 @@ mod tests {
     #[test]
     fn stats_track_occurrences() {
         let ir = lower("__global__ void k(int n) { n = n + n; }");
-        let stats = reg_stats(&ir);
+        let stats = reg_stats(&ir, &live_in_sets(&ir));
         // The register bound to `n` (param reg 0) is read twice and written.
         let n_stats = stats[0];
         assert!(n_stats.occurrences >= 3, "{n_stats:?}");
@@ -382,9 +453,8 @@ mod tests {
             }",
         );
         let base = pressure_excluding(&ir, None);
-        let live = live_in_sets(&ir);
         // Exclude the register with the longest live range.
-        let stats = reg_stats(&ir);
+        let stats = reg_stats(&ir, &live_in_sets(&ir));
         let longest = stats
             .iter()
             .max_by_key(|s| s.live_points)
@@ -394,6 +464,5 @@ mod tests {
         ex.insert(longest);
         let reduced = pressure_excluding(&ir, Some(&ex));
         assert!(reduced <= base, "{reduced} vs {base}");
-        let _ = live;
     }
 }

@@ -27,25 +27,35 @@ use crate::ir::{
     VoteKind,
 };
 
-/// Lowers a preprocessed kernel to IR and computes its register pressure.
+/// Lowers a preprocessed kernel to IR, optimizes it, and computes its
+/// register pressure.
 ///
 /// # Errors
 ///
 /// Returns [`FrontendError`] for constructs outside the dialect (unknown
 /// calls, non-constant array sizes, unsupported lvalues, undefined labels).
 pub fn lower_kernel(f: &Function) -> Result<KernelIr, FrontendError> {
-    let mut kernel = lower_kernel_unoptimized(f)?;
+    let mut kernel = lower_raw(f)?;
+    // `optimize` computes the pressure of the kernel it leaves.
     crate::opt::optimize(&mut kernel);
     Ok(kernel)
 }
 
 /// Lowers without running the optimizer (used by the optimizer's own tests
-/// and the optimization-ablation benches).
+/// and the optimization-ablation benches), and computes the register
+/// pressure of the raw lowering.
 ///
 /// # Errors
 ///
 /// Same as [`lower_kernel`].
 pub fn lower_kernel_unoptimized(f: &Function) -> Result<KernelIr, FrontendError> {
+    let mut kernel = lower_raw(f)?;
+    kernel.pressure = crate::liveness::register_pressure(&kernel);
+    Ok(kernel)
+}
+
+/// Lowers and verifies the kernel, leaving its pressure unset (0).
+fn lower_raw(f: &Function) -> Result<KernelIr, FrontendError> {
     let mut lw = Lowerer::new(&f.name);
     for (i, p) in f.params.iter().enumerate() {
         let reg = lw.fresh();
@@ -280,7 +290,7 @@ impl Lowerer {
                 _ => {}
             }
         }
-        let mut kernel = KernelIr {
+        let kernel = KernelIr {
             name: self.name,
             insts: self.insts,
             num_regs: self.next_reg,
@@ -292,7 +302,6 @@ impl Lowerer {
             spilled_regs: Vec::new(),
             pressure: 0,
         };
-        kernel.pressure = crate::liveness::register_pressure(&kernel);
         crate::verify::verify(&kernel).map_err(FrontendError::new)?;
         Ok(kernel)
     }

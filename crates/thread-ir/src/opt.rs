@@ -270,11 +270,7 @@ fn block_liveness(cfg: &Cfg, num_regs: u32) -> (Vec<RegSet>, Vec<RegSet>) {
             }
             // in = use | (out - def)
             let mut inn = ud[b].0.clone();
-            for r in out.iter() {
-                if !ud[b].1.contains(r) {
-                    inn.insert(r);
-                }
-            }
+            inn.union_with_difference(&out, &ud[b].1);
             if out != live_out[b] || inn != live_in[b] {
                 live_out[b] = out;
                 live_in[b] = inn;
@@ -637,13 +633,9 @@ fn local_cse(cfg: &mut Cfg, num_regs: u32) -> usize {
         let mut rename: HashMap<Reg, Reg> = HashMap::new();
 
         let mut out: Vec<Inst> = Vec::with_capacity(bb.insts.len());
-        let mut defined_later: RegSet = RegSet::new(num_regs);
-        // Precompute which regs are redefined after each point is not
-        // needed: liveness-out plus in-block subsequent uses are handled by
-        // keeping Movs when the dst is live-out OR used later in the block
-        // after a redefinition of the canonical — conservatively, keep a
-        // Mov when dst is live out of the block; in-block uses are renamed.
-        let _ = &mut defined_later;
+        // A redundant instruction whose destination is live out of the
+        // block stays as a Mov from the canonical register; in-block uses
+        // are renamed.
 
         for (pos, mut inst) in std::mem::take(&mut bb.insts).into_iter().enumerate() {
             // Apply operand renames.

@@ -7,9 +7,21 @@
 //! live in the register file of the interpreter), but the simulator charges
 //! a local-memory access for every use of a spilled register and a store for
 //! every definition — the same cost structure real spilling has.
+//!
+//! Liveness does not depend on which registers are spilled, so selection
+//! runs one liveness pass and then keeps, per program point, the count of
+//! live registers that are neither rematerializable nor spilled. Spilling a
+//! register decrements the points where it is live; the pressure after each
+//! choice is the largest count, found in the same sweep over the points.
+//! The cost is one dataflow fixpoint plus one sweep over the points per
+//! spilled register, and the result equals re-running
+//! [`pressure_excluding`](crate::liveness::pressure_excluding) after every
+//! choice.
 
 use crate::ir::KernelIr;
-use crate::liveness::{pressure_excluding, reg_stats, RegSet};
+use crate::liveness::{
+    live_in_sets, pressure_of_max_live, reg_stats, rematerializable_regs, RegSet, MIN_REGS,
+};
 
 /// Bytes of local memory reserved per spilled register.
 const SPILL_SLOT_BYTES: u32 = 8;
@@ -22,7 +34,7 @@ const SPILL_SLOT_BYTES: u32 = 8;
 /// number of registers spilled. If `bound` is already satisfied this is a
 /// no-op.
 pub fn apply_register_bound(kernel: &mut KernelIr, bound: u32) -> usize {
-    let bound = bound.max(crate::liveness::MIN_REGS);
+    let bound = bound.max(MIN_REGS);
     if kernel.reg_pressure() <= bound {
         return 0;
     }
@@ -30,8 +42,9 @@ pub fn apply_register_bound(kernel: &mut KernelIr, bound: u32) -> usize {
     // Rank candidates: lowest (occurrences / live_points) first. Constant
     // registers are already free (see `liveness::rematerializable_regs`),
     // so spilling them would not reduce pressure.
-    let cheap = crate::liveness::rematerializable_regs(kernel);
-    let mut candidates: Vec<_> = reg_stats(kernel)
+    let live = live_in_sets(kernel);
+    let cheap = rematerializable_regs(kernel);
+    let mut candidates: Vec<_> = reg_stats(kernel, &live)
         .into_iter()
         .filter(|s| s.live_points > 0 && !cheap.contains(s.reg))
         .collect();
@@ -43,19 +56,31 @@ pub fn apply_register_bound(kernel: &mut KernelIr, bound: u32) -> usize {
             .then(b.live_points.cmp(&a.live_points))
     });
 
+    // Live registers per point, excluding the cheap and the spilled ones.
+    let mut counts: Vec<u32> = live
+        .iter()
+        .map(|s| s.count_excluding(Some(&cheap)))
+        .collect();
+    let mut max_live = counts.iter().copied().max().unwrap_or(0);
     let mut spilled = RegSet::new(kernel.num_regs);
-    let mut count = 0;
     for cand in candidates {
-        if pressure_excluding(kernel, Some(&spilled)) <= bound {
+        if pressure_of_max_live(max_live) <= bound {
             break;
         }
         spilled.insert(cand.reg);
-        count += 1;
+        max_live = 0;
+        for (count, set) in counts.iter_mut().zip(&live) {
+            if set.contains(cand.reg) {
+                *count -= 1;
+            }
+            max_live = max_live.max(*count);
+        }
     }
 
+    let count = spilled.len();
     kernel.spilled_regs = spilled.iter().collect();
-    kernel.local_bytes += SPILL_SLOT_BYTES * count as u32;
-    kernel.pressure = pressure_excluding(kernel, Some(&spilled)).min(bound);
+    kernel.local_bytes += SPILL_SLOT_BYTES * count;
+    kernel.pressure = pressure_of_max_live(max_live).min(bound);
     count as usize
 }
 
@@ -128,7 +153,7 @@ mod tests {
     #[test]
     fn spilled_regs_have_long_live_ranges() {
         let mut k = wide_kernel();
-        let stats = reg_stats(&k);
+        let stats = reg_stats(&k, &live_in_sets(&k));
         let p = k.reg_pressure();
         apply_register_bound(&mut k, p - 4);
         // Every spilled register should be live somewhere.
