@@ -6,6 +6,11 @@
 //! meet again. Barriers park threads; the block releases them when the
 //! arrival count reaches the barrier's participation count.
 //!
+//! Control state is kept per warp: a padded PC row, an exited-lane mask, a
+//! parked-at-barrier mask and a converged PC (see [`BlockExec`] for the
+//! invariants), so [`BlockExec::peek_warp`] is a couple of mask tests for
+//! a converged warp and a branch-free min over one PC row otherwise.
+//!
 //! # Lane-vectorized execution
 //!
 //! Register state is stored structure-of-arrays: one contiguous `u64` row of
@@ -14,16 +19,20 @@
 //! loops over all 32 lanes under the group's active mask — every lane
 //! evaluates (the ALU helpers are total functions, so garbage values in
 //! inactive or padding lanes cannot fault) and a mask select decides whether
-//! the lane's destination slot is overwritten. The `(op, ty)` dispatch is
-//! hoisted out of the lane loop, so the compiler sees a tight
-//! auto-vectorizable kernel per instruction form.
+//! the lane's destination slot is overwritten. The `(op, ty)` pair is
+//! matched once per issue, and the lane loop is instantiated once per form
+//! (`bin_forms!`, `un_forms!`, `cast_forms!`), each instance calling the
+//! `#[inline]` [`alu`] helper with constant arguments: no per-lane dispatch,
+//! and [`alu`] stays the single source of the operations' semantics. The
+//! loops compute in place on the register file by index, 8 lanes at a time,
+//! so no register row is copied.
 //!
 //! Memory, shuffle, vote, and barrier instructions have per-lane side
 //! effects (loads, stores, sanitizer events) that must be reported in
-//! ascending lane order; they gather their operands through per-warp lane
-//! buffers and then walk the active lanes exactly like the scalar
-//! interpreter, so the sanitizer and barrier-epoch machinery see identical
-//! event streams in both modes.
+//! ascending lane order; they read their operands straight from the lane
+//! rows and walk the active lanes exactly like the scalar interpreter, so
+//! the sanitizer and barrier-epoch machinery see identical event streams in
+//! both modes.
 //!
 //! The pre-vectorization scalar interpreter (per-lane match-and-dispatch
 //! through [`alu`]) is kept as the reference path: `HFUSE_SIM_NO_VECTOR=1`
@@ -46,6 +55,9 @@ pub const WARP_SIZE: usize = 32;
 
 /// Sentinel in the per-thread barrier column: not parked at any barrier.
 const NO_BARRIER: u8 = u8::MAX;
+
+/// Sentinel in the per-warp converged-PC column: not known to be converged.
+const NO_PC: u32 = u32::MAX;
 
 /// What a warp can do next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -155,14 +167,98 @@ pub struct ExecOutcome {
     pub conflict_extra: u32,
 }
 
+/// Expands to a `match` over every `(op, ty)` binary form. Each arm binds
+/// `$f` to a closure calling [`alu::bin`] with that form's constant
+/// arguments and evaluates `$body`, so the masked lane loop is instantiated
+/// once per form with the ALU semantics folded in — no per-lane dispatch.
+macro_rules! bin_forms {
+    ($op:expr, $ty:expr, |$f:ident| $body:expr) => {
+        bin_forms!(@ty $op, $ty, |$f| $body;
+            [I32 U32 I64 U64 F32 F64];
+            [Add Sub Mul Div Rem Shl Shr And Or Xor Min Max Lt Le Gt Ge Eq Ne])
+    };
+    (@ty $op:expr, $ty:expr, |$f:ident| $body:expr; [$($t:ident)*]; $ops:tt) => {
+        match $ty {
+            $(ScalarTy::$t => bin_forms!(@op $op, $t, |$f| $body; $ops),)*
+        }
+    };
+    (@op $op:expr, $t:ident, |$f:ident| $body:expr; [$($o:ident)*]) => {
+        match $op {
+            $(BinIr::$o => {
+                let $f = |x: u64, y: u64| alu::bin(BinIr::$o, ScalarTy::$t, x, y);
+                $body
+            })*
+        }
+    };
+}
+
+/// [`bin_forms`] for the unary forms of [`alu::un`].
+macro_rules! un_forms {
+    ($op:expr, $ty:expr, |$f:ident| $body:expr) => {
+        un_forms!(@ty $op, $ty, |$f| $body;
+            [I32 U32 I64 U64 F32 F64];
+            [Neg Not BitNot Abs Sqrt Rsqrt Exp Log Popc Clz Brev])
+    };
+    (@ty $op:expr, $ty:expr, |$f:ident| $body:expr; [$($t:ident)*]; $ops:tt) => {
+        match $ty {
+            $(ScalarTy::$t => un_forms!(@op $op, $t, |$f| $body; $ops),)*
+        }
+    };
+    (@op $op:expr, $t:ident, |$f:ident| $body:expr; [$($o:ident)*]) => {
+        match $op {
+            $(UnIr::$o => {
+                let $f = |x: u64| alu::un(UnIr::$o, ScalarTy::$t, x);
+                $body
+            })*
+        }
+    };
+}
+
+/// [`bin_forms`] for the `(from, to)` conversions of [`alu::cast`].
+macro_rules! cast_forms {
+    ($from:expr, $to:expr, |$f:ident| $body:expr) => {
+        cast_forms!(@from $from, $to, |$f| $body;
+            [I32 U32 I64 U64 F32 F64];
+            [I32 U32 I64 U64 F32 F64])
+    };
+    (@from $from:expr, $to:expr, |$f:ident| $body:expr; [$($a:ident)*]; $tys:tt) => {
+        match $from {
+            $(ScalarTy::$a => cast_forms!(@to $a, $to, |$f| $body; $tys),)*
+        }
+    };
+    (@to $a:ident, $to:expr, |$f:ident| $body:expr; [$($b:ident)*]) => {
+        match $to {
+            $(ScalarTy::$b => {
+                let $f = |x: u64| alu::cast(ScalarTy::$a, ScalarTy::$b, x);
+                $body
+            })*
+        }
+    };
+}
+
 /// Execution state of one thread block, stored structure-of-arrays.
 ///
 /// The register file is one flat `u64` vector laid out
 /// `[warp][register][lane]` with every warp padded to [`WARP_SIZE`] lanes,
 /// so a `(warp, reg)` pair addresses one contiguous cache-aligned row of 32
-/// lane slots — the unit the vectorized interpreter operates on. Per-thread
-/// control state (PC, done, parked barrier) lives in parallel columns
-/// indexed by thread id.
+/// lane slots — the unit the vectorized interpreter operates on.
+///
+/// SIMT control state is warp-granular. Program counters live in one
+/// padded `[warp][lane]` column; exit and barrier state are two `u32` lane
+/// masks per warp, next to a converged PC. Three invariants hold at every
+/// issue boundary:
+///
+/// - the padding lanes of a partial last warp start (and stay) exited, so
+///   a warp is done exactly when its exited mask is all ones;
+/// - `parked ⊆ !exited`: only live lanes wait at a barrier (a group is
+///   drawn from runnable lanes, and `Ret` never runs on a parked lane);
+/// - a warp's converged PC, when not `NO_PC`, is the PC of every
+///   runnable lane (`!(exited | parked)`). Issuing a group that spans all
+///   runnable lanes sets it; any other PC write, and a barrier release
+///   (which makes lanes runnable again), clears it.
+///
+/// The per-lane barrier id column is consulted only when a barrier
+/// releases, to pick the parked lanes waiting on that id.
 #[derive(Debug, Clone)]
 pub struct BlockExec {
     /// Index of the owning launch within the run.
@@ -175,12 +271,19 @@ pub struct BlockExec {
     num_regs: usize,
     /// Per-thread local-memory bytes.
     local_stride: usize,
-    /// Per-thread program counters.
-    pc: Vec<usize>,
-    /// Per-thread exit flags.
-    done: Vec<bool>,
-    /// Per-thread parked-barrier id ([`NO_BARRIER`] when runnable).
+    /// Program counters, `warp * WARP_SIZE + lane` (padded to full warps).
+    pc: Vec<u32>,
+    /// Per-warp mask of exited lanes (padding lanes start set).
+    exited: Vec<u32>,
+    /// Per-warp mask of lanes parked at a barrier (a subset of the live
+    /// lanes).
+    parked: Vec<u32>,
+    /// Parked-barrier id per lane, `warp * WARP_SIZE + lane`; meaningful
+    /// only where the `parked` bit is set.
     waiting: Vec<u8>,
+    /// Per-warp PC shared by every runnable lane, or [`NO_PC`] when the
+    /// warp may be diverged — lets [`Self::peek_warp`] skip the PC row.
+    converged: Vec<u32>,
     /// SoA register lanes: `((warp * num_regs) + reg) * WARP_SIZE + lane`.
     regs: Vec<u64>,
     /// Per-thread local memory, flattened at `local_stride` bytes each.
@@ -199,15 +302,22 @@ impl BlockExec {
         let num_regs = kernel.num_regs as usize;
         let num_warps = n.div_ceil(WARP_SIZE);
         let local_stride = kernel.local_bytes as usize;
+        let mut exited = vec![0u32; num_warps];
+        let tail = n % WARP_SIZE;
+        if tail != 0 {
+            exited[num_warps - 1] = !0u32 << tail;
+        }
         BlockExec {
             launch_idx,
             block_idx,
             num_threads: n,
             num_regs,
             local_stride,
-            pc: vec![0; n],
-            done: vec![false; n],
-            waiting: vec![NO_BARRIER; n],
+            pc: vec![0; num_warps * WARP_SIZE],
+            exited,
+            parked: vec![0; num_warps],
+            waiting: vec![NO_BARRIER; num_warps * WARP_SIZE],
+            converged: vec![0; num_warps],
             regs: vec![0; num_warps * num_regs * WARP_SIZE],
             local: vec![0; n * local_stride],
             shared: vec![0; launch.shared_bytes_per_block() as usize],
@@ -217,22 +327,12 @@ impl BlockExec {
 
     /// Number of warps in the block.
     pub fn num_warps(&self) -> usize {
-        self.num_threads.div_ceil(WARP_SIZE)
+        self.exited.len()
     }
 
     /// True once every thread has exited.
     pub fn all_done(&self) -> bool {
-        self.done.iter().all(|&d| d)
-    }
-
-    /// Number of warps with at least one unfinished thread.
-    pub fn live_warps(&self) -> u32 {
-        (0..self.num_warps())
-            .filter(|&w| {
-                let (s, e) = self.warp_bounds(w);
-                self.done[s..e].iter().any(|&d| !d)
-            })
-            .count() as u32
+        self.exited.iter().all(|&m| m == !0)
     }
 
     /// `[start, end)` thread ids of a warp (`end` is clipped for the last,
@@ -249,15 +349,6 @@ impl BlockExec {
         (warp * self.num_regs + reg as usize) * WARP_SIZE
     }
 
-    /// The 32 lane slots of `(warp, reg)`.
-    #[inline(always)]
-    fn warp_reg(&self, warp: usize, reg: u32) -> &[u64; WARP_SIZE] {
-        let b = self.reg_base(warp, reg);
-        self.regs[b..b + WARP_SIZE]
-            .try_into()
-            .expect("lane row is WARP_SIZE long")
-    }
-
     /// Mutable 32 lane slots of `(warp, reg)`.
     #[inline(always)]
     fn warp_reg_mut(&mut self, warp: usize, reg: u32) -> &mut [u64; WARP_SIZE] {
@@ -267,11 +358,22 @@ impl BlockExec {
             .expect("lane row is WARP_SIZE long")
     }
 
-    /// Copy of the 32 lane slots of `(warp, reg)` — the gather buffer the
-    /// vectorized ops read through (also sidesteps `dst`/`src` aliasing).
+    /// The 32 program counters of `warp`.
     #[inline(always)]
-    fn warp_reg_copy(&self, warp: usize, reg: u32) -> [u64; WARP_SIZE] {
-        *self.warp_reg(warp, reg)
+    fn pc_row(&self, warp: usize) -> &[u32; WARP_SIZE] {
+        let b = warp * WARP_SIZE;
+        self.pc[b..b + WARP_SIZE]
+            .try_into()
+            .expect("pc row is WARP_SIZE long")
+    }
+
+    /// Mutable program counters of `warp`.
+    #[inline(always)]
+    fn pc_row_mut(&mut self, warp: usize) -> &mut [u32; WARP_SIZE] {
+        let b = warp * WARP_SIZE;
+        (&mut self.pc[b..b + WARP_SIZE])
+            .try_into()
+            .expect("pc row is WARP_SIZE long")
     }
 
     /// One thread's value of `reg` (scalar path and cross-warp helpers).
@@ -287,13 +389,30 @@ impl BlockExec {
         self.regs[i] = v;
     }
 
-    /// Advances the PC of every active lane to `next`.
+    /// Lanes of `warp` that neither exited nor wait at a barrier.
+    #[inline(always)]
+    fn runnable(&self, warp: usize) -> u32 {
+        !(self.exited[warp] | self.parked[warp])
+    }
+
+    /// Records whether `warp` stays converged after its group `mask` moved:
+    /// it does when the group spanned every runnable lane and all of them
+    /// went to `uniform` (`NO_PC` when they may differ).
+    #[inline(always)]
+    fn note_converged(&mut self, warp: usize, mask: u32, uniform: u32) {
+        self.converged[warp] = if mask == self.runnable(warp) {
+            uniform
+        } else {
+            NO_PC
+        };
+    }
+
+    /// Advances the PC of every active lane to `next`: a masked row fill.
     #[inline(always)]
     fn advance(&mut self, warp: usize, mask: u32, next: usize) {
-        let start = warp * WARP_SIZE;
-        for lane in (Lanes { mask }) {
-            self.pc[start + lane] = next;
-        }
+        let next = next as u32;
+        fill_masked(self.pc_row_mut(warp), mask, next);
+        self.note_converged(warp, mask, next);
     }
 
     /// Decodes the memory space a `Ld`/`St`/`Atom` at the group's PC will
@@ -314,33 +433,47 @@ impl BlockExec {
         Some(MemAddr(self.regs[self.reg_base(warp, addr_reg) + lane]).space())
     }
 
-    /// Finds the min-PC runnable group of a warp.
+    /// Finds the min-PC runnable group of a warp: two mask tests, then —
+    /// unless the warp is known converged — a branch-free min and compare
+    /// over the warp's PC row.
+    #[inline(always)]
     pub fn peek_warp(&self, warp: usize) -> WarpPeek {
-        let (start, end) = self.warp_bounds(warp);
-        let mut min_pc = usize::MAX;
-        let mut any_live = false;
-        for tid in start..end {
-            if self.done[tid] {
-                continue;
-            }
-            any_live = true;
-            if self.waiting[tid] == NO_BARRIER && self.pc[tid] < min_pc {
-                min_pc = self.pc[tid];
-            }
-        }
-        if !any_live {
+        let exited = self.exited[warp];
+        if exited == !0 {
             return WarpPeek::Done;
         }
-        if min_pc == usize::MAX {
+        let runnable = !(exited | self.parked[warp]);
+        if runnable == 0 {
             return WarpPeek::Blocked;
         }
-        let mut mask = 0u32;
-        for tid in start..end {
-            if !self.done[tid] && self.waiting[tid] == NO_BARRIER && self.pc[tid] == min_pc {
-                mask |= 1 << (tid - start);
-            }
+        let row = self.pc_row(warp);
+        let converged = self.converged[warp];
+        if converged != NO_PC {
+            debug_assert!(
+                (0..WARP_SIZE).all(|l| runnable & (1 << l) == 0 || row[l] == converged),
+                "warp {warp} marked converged at {converged} but diverged"
+            );
+            return WarpPeek::Exec {
+                pc: converged as usize,
+                mask: runnable,
+            };
         }
-        WarpPeek::Exec { pc: min_pc, mask }
+        let mut min_pc = u32::MAX;
+        for (l, &pc) in row.iter().enumerate() {
+            min_pc = min_pc.min(if runnable & (1 << l) != 0 {
+                pc
+            } else {
+                u32::MAX
+            });
+        }
+        let mut at_min = 0u32;
+        for (l, &pc) in row.iter().enumerate() {
+            at_min |= u32::from(pc == min_pc) << l;
+        }
+        WarpPeek::Exec {
+            pc: min_pc as usize,
+            mask: at_min & runnable,
+        }
     }
 
     /// Executes instruction `pc` for the lane group `mask` of `warp`,
@@ -427,8 +560,8 @@ impl BlockExec {
             }
             Inst::Mov { dst, src } => {
                 if prog.vector {
-                    let v = self.warp_reg_copy(warp, *src);
-                    lanewise1(self.warp_reg_mut(warp, *dst), &v, mask, |x| x);
+                    let (d, a) = (self.reg_base(warp, *dst), self.reg_base(warp, *src));
+                    lanes1(&mut self.regs, d, a, mask, |x| x);
                 } else {
                     for lane in lanes {
                         let tid = warp_start + lane;
@@ -441,12 +574,10 @@ impl BlockExec {
             }
             Inst::Bin { op, ty, dst, a, b } => {
                 if prog.vector {
-                    let (op, ty) = (*op, *ty);
-                    let va = self.warp_reg_copy(warp, *a);
-                    let vb = self.warp_reg_copy(warp, *b);
-                    lanewise2(self.warp_reg_mut(warp, *dst), &va, &vb, mask, |x, y| {
-                        alu::bin(op, ty, x, y)
-                    });
+                    let d = self.reg_base(warp, *dst);
+                    let (a, b) = (self.reg_base(warp, *a), self.reg_base(warp, *b));
+                    let regs = &mut self.regs;
+                    bin_forms!(*op, *ty, |f| lanes2(regs, d, a, b, mask, f));
                 } else {
                     for lane in lanes {
                         let tid = warp_start + lane;
@@ -467,11 +598,9 @@ impl BlockExec {
             }
             Inst::Un { op, ty, dst, a } => {
                 if prog.vector {
-                    let (op, ty) = (*op, *ty);
-                    let va = self.warp_reg_copy(warp, *a);
-                    lanewise1(self.warp_reg_mut(warp, *dst), &va, mask, |x| {
-                        alu::un(op, ty, x)
-                    });
+                    let (d, a) = (self.reg_base(warp, *dst), self.reg_base(warp, *a));
+                    let regs = &mut self.regs;
+                    un_forms!(*op, *ty, |f| lanes1(regs, d, a, mask, f));
                 } else {
                     for lane in lanes {
                         let tid = warp_start + lane;
@@ -488,11 +617,9 @@ impl BlockExec {
             }
             Inst::Cast { dst, src, from, to } => {
                 if prog.vector {
-                    let (from, to) = (*from, *to);
-                    let v = self.warp_reg_copy(warp, *src);
-                    lanewise1(self.warp_reg_mut(warp, *dst), &v, mask, |x| {
-                        alu::cast(from, to, x)
-                    });
+                    let (d, a) = (self.reg_base(warp, *dst), self.reg_base(warp, *src));
+                    let regs = &mut self.regs;
+                    cast_forms!(*from, *to, |f| lanes1(regs, d, a, mask, f));
                 } else {
                     for lane in lanes {
                         let tid = warp_start + lane;
@@ -511,10 +638,7 @@ impl BlockExec {
                     for (l, v) in vals.iter_mut().enumerate() {
                         *v = self.special_value(launch, *reg, warp_start + l);
                     }
-                    let d = self.warp_reg_mut(warp, *dst);
-                    for l in 0..WARP_SIZE {
-                        d[l] = if mask & (1 << l) != 0 { vals[l] } else { d[l] };
-                    }
+                    select_masked(self.warp_reg_mut(warp, *dst), mask, &vals);
                 } else {
                     for lane in lanes {
                         let tid = warp_start + lane;
@@ -562,17 +686,18 @@ impl BlockExec {
                 Ok(simple(IssueKind::Alu))
             }
             Inst::Ld { ty, dst, addr } => {
-                // Gather addresses through the per-warp lane buffer, then
-                // perform the actual loads (and sanitizer events) in
-                // ascending lane order — the same event stream as the
-                // scalar interpreter.
-                let addrs = self.warp_reg_copy(warp, *addr);
+                // Read addresses straight from the SoA row and perform the
+                // loads (and sanitizer events) in ascending lane order — the
+                // same event stream as the scalar interpreter. All loads
+                // land before any destination slot is written, so `dst`
+                // may alias `addr`.
+                let ab = self.reg_base(warp, *addr);
                 let mut vals = [0u64; WARP_SIZE];
                 let mut segs = SegmentSet::new();
                 let mut kind = IssueKind::SharedMem;
                 for lane in lanes {
                     let tid = warp_start + lane;
-                    let a = MemAddr(addrs[lane]);
+                    let a = MemAddr(self.regs[ab + lane]);
                     // Report out-of-bounds *before* the load faults, so the
                     // sanitizer's finding survives the aborted run.
                     if let Some(s) = san.as_deref_mut() {
@@ -596,10 +721,7 @@ impl BlockExec {
                         thread_ir::Space::Shared => {}
                     }
                 }
-                let d = self.warp_reg_mut(warp, *dst);
-                for l in 0..WARP_SIZE {
-                    d[l] = if mask & (1 << l) != 0 { vals[l] } else { d[l] };
-                }
+                select_masked(self.warp_reg_mut(warp, *dst), mask, &vals);
                 self.advance(warp, mask, pc + 1);
                 Ok(ExecOutcome {
                     kind,
@@ -608,13 +730,13 @@ impl BlockExec {
                 })
             }
             Inst::St { ty, addr, val } => {
-                let addrs = self.warp_reg_copy(warp, *addr);
-                let vals = self.warp_reg_copy(warp, *val);
+                let (ab, vb) = (self.reg_base(warp, *addr), self.reg_base(warp, *val));
                 let mut segs = SegmentSet::new();
                 let mut kind = IssueKind::SharedMem;
                 for lane in lanes {
                     let tid = warp_start + lane;
-                    let a = MemAddr(addrs[lane]);
+                    let a = MemAddr(self.regs[ab + lane]);
+                    let v = self.regs[vb + lane];
                     if let Some(s) = san.as_deref_mut() {
                         if let Some(limit) = self.alloc_limit(mem, a) {
                             let w = ty.size_bytes();
@@ -623,7 +745,7 @@ impl BlockExec {
                             }
                         }
                     }
-                    self.store(mem, tid, a, *ty, vals[lane])?;
+                    self.store(mem, tid, a, *ty, v)?;
                     if let Some(s) = san.as_deref_mut() {
                         s.on_access(&san_ctx, tid as u32, pc, a, ty.size_bytes(), true, false);
                     }
@@ -652,17 +774,16 @@ impl BlockExec {
             } => {
                 // Atomics are inherently serial per lane (lane i's store
                 // must be visible to lane j > i on the same address); only
-                // the operand gather and result scatter are vector-shaped.
-                let addrs = self.warp_reg_copy(warp, *addr);
-                let vals = self.warp_reg_copy(warp, *val);
+                // the result scatter is vector-shaped.
+                let (ab, vb) = (self.reg_base(warp, *addr), self.reg_base(warp, *val));
                 let mut olds = [0u64; WARP_SIZE];
                 let mut segs = SegmentSet::new();
                 let mut kind = IssueKind::SharedAtomic;
                 let mut sorted_addrs: Vec<u64> = Vec::new();
                 for lane in lanes {
                     let tid = warp_start + lane;
-                    let a = MemAddr(addrs[lane]);
-                    let v = vals[lane];
+                    let a = MemAddr(self.regs[ab + lane]);
+                    let v = self.regs[vb + lane];
                     if let Some(s) = san.as_deref_mut() {
                         if let Some(limit) = self.alloc_limit(mem, a) {
                             let w = ty.size_bytes();
@@ -688,10 +809,7 @@ impl BlockExec {
                         segs.insert(a, seg_bytes);
                     }
                 }
-                let d = self.warp_reg_mut(warp, *dst);
-                for l in 0..WARP_SIZE {
-                    d[l] = if mask & (1 << l) != 0 { olds[l] } else { d[l] };
-                }
+                select_masked(self.warp_reg_mut(warp, *dst), mask, &olds);
                 self.advance(warp, mask, pc + 1);
                 // Serialization cost: colliding addresses retry one by one.
                 sorted_addrs.sort_unstable();
@@ -709,19 +827,19 @@ impl BlockExec {
                 lane: lane_reg,
                 width,
             } => {
-                // The source row is read in full before any write (dst may
+                // Every lane's value is gathered before any write (dst may
                 // alias src); lanes past the block's thread count fall back
                 // to the reading lane's own value, mirroring out-of-range
                 // shuffle semantics.
-                let srcs = self.warp_reg_copy(warp, *src);
-                let ops = self.warp_reg_copy(warp, *lane_reg);
-                let wids = self.warp_reg_copy(warp, *width);
+                let sb = self.reg_base(warp, *src);
+                let ob = self.reg_base(warp, *lane_reg);
+                let wb = self.reg_base(warp, *width);
                 let (ws, we) = self.warp_bounds(warp);
                 let valid = we - ws;
                 let mut vals = [0u64; WARP_SIZE];
                 for lane in lanes {
-                    let operand = ops[lane] as u32;
-                    let w = (wids[lane] as u32).clamp(1, 32);
+                    let operand = self.regs[ob + lane] as u32;
+                    let w = (self.regs[wb + lane] as u32).clamp(1, 32);
                     let lane_u = lane as u32;
                     let src_lane = match kind {
                         ShflKind::Xor => lane_u ^ operand,
@@ -735,16 +853,14 @@ impl BlockExec {
                             }
                         }
                     };
-                    vals[lane] = if (src_lane as usize) < valid {
-                        srcs[src_lane as usize]
+                    let from = if (src_lane as usize) < valid {
+                        src_lane as usize
                     } else {
-                        srcs[lane]
+                        lane
                     };
+                    vals[lane] = self.regs[sb + from];
                 }
-                let d = self.warp_reg_mut(warp, *dst);
-                for l in 0..WARP_SIZE {
-                    d[l] = if mask & (1 << l) != 0 { vals[l] } else { d[l] };
-                }
+                select_masked(self.warp_reg_mut(warp, *dst), mask, &vals);
                 self.advance(warp, mask, pc + 1);
                 Ok(simple(IssueKind::Shuffle))
             }
@@ -753,12 +869,10 @@ impl BlockExec {
                 // CUDA `_sync` mask is evaluated and dropped at lowering;
                 // fused-kernel guards are warp-uniform so the group *is*
                 // the active mask).
-                let srcs = self.warp_reg_copy(warp, *src);
+                let sb = self.reg_base(warp, *src);
                 let mut ballot = 0u32;
                 for lane in lanes {
-                    if srcs[lane] != 0 {
-                        ballot |= 1 << lane;
-                    }
+                    ballot |= u32::from(self.regs[sb + lane] != 0) << lane;
                 }
                 let value = match kind {
                     VoteKind::Ballot => u64::from(ballot),
@@ -781,21 +895,33 @@ impl BlockExec {
                 let group_size = mask.count_ones();
                 let id8 = *id as u8;
                 for lane in lanes {
-                    let tid = warp_start + lane;
-                    self.waiting[tid] = id8;
-                    self.pc[tid] = pc + 1;
+                    self.waiting[warp_start + lane] = id8;
                 }
+                self.parked[warp] |= mask;
+                self.advance(warp, mask, pc + 1);
                 self.barrier_arrivals[*id as usize] += group_size;
                 if self.barrier_arrivals[*id as usize] >= expected {
                     self.barrier_arrivals[*id as usize] -= expected;
+                    // Release every parked lane waiting on this id, in
+                    // ascending thread order.
                     let collect = san.is_some();
                     let mut released: Vec<u32> = Vec::new();
-                    for tid in 0..self.num_threads {
-                        if self.waiting[tid] == id8 {
-                            self.waiting[tid] = NO_BARRIER;
-                            if collect {
-                                released.push(tid as u32);
+                    for w in 0..self.parked.len() {
+                        let mut freed = 0u32;
+                        for lane in (Lanes {
+                            mask: self.parked[w],
+                        }) {
+                            let tid = w * WARP_SIZE + lane;
+                            if self.waiting[tid] == id8 {
+                                freed |= 1 << lane;
+                                if collect {
+                                    released.push(tid as u32);
+                                }
                             }
+                        }
+                        if freed != 0 {
+                            self.parked[w] &= !freed;
+                            self.converged[w] = NO_PC;
                         }
                     }
                     if let Some(s) = san {
@@ -809,11 +935,25 @@ impl BlockExec {
                 if_zero,
                 target,
             } => {
-                let conds = self.warp_reg_copy(warp, *cond);
-                for lane in lanes {
-                    let taken = (conds[lane] == 0) == *if_zero;
-                    self.pc[warp_start + lane] = if taken { *target } else { pc + 1 };
+                let cb = self.reg_base(warp, *cond);
+                let conds: &[u64; WARP_SIZE] = self.regs[cb..cb + WARP_SIZE]
+                    .try_into()
+                    .expect("lane row is WARP_SIZE long");
+                let (taken_pc, next_pc) = (*target as u32, pc as u32 + 1);
+                let mut next = [0u32; WARP_SIZE];
+                let mut taken = 0u32;
+                for (l, (n, &c)) in next.iter_mut().zip(conds).enumerate() {
+                    let t = (c == 0) == *if_zero;
+                    *n = if t { taken_pc } else { next_pc };
+                    taken |= u32::from(t) << l;
                 }
+                let uniform = match taken & mask {
+                    0 => next_pc,
+                    t if t == mask => taken_pc,
+                    _ => NO_PC,
+                };
+                select_masked(self.pc_row_mut(warp), mask, &next);
+                self.note_converged(warp, mask, uniform);
                 Ok(simple(IssueKind::Control))
             }
             Inst::Jmp { target } => {
@@ -821,9 +961,7 @@ impl BlockExec {
                 Ok(simple(IssueKind::Control))
             }
             Inst::Ret => {
-                for lane in lanes {
-                    self.done[warp_start + lane] = true;
-                }
+                self.exited[warp] |= mask;
                 Ok(simple(IssueKind::Control))
             }
         }
@@ -832,9 +970,20 @@ impl BlockExec {
     /// True when every active lane of the group holds the same value in
     /// `reg`.
     fn lanes_uniform(&self, warp: usize, mask: u32, reg: u32) -> bool {
-        let row = self.warp_reg(warp, reg);
+        let b = self.reg_base(warp, reg);
+        let row: &[u64; WARP_SIZE] = self.regs[b..b + WARP_SIZE]
+            .try_into()
+            .expect("lane row is WARP_SIZE long");
         let v = row[mask.trailing_zeros() as usize];
-        Lanes { mask }.all(|lane| row[lane] == v)
+        // Branch-free within a chunk, early exit between chunks: divergent
+        // rows usually differ in the first chunk.
+        row.chunks_exact(CHUNK).enumerate().all(|(c, chunk)| {
+            let mut differs = 0u32;
+            for (i, &x) in chunk.iter().enumerate() {
+                differs |= u32::from(x != v) << i;
+            }
+            differs & (mask >> (c * CHUNK)) == 0
+        })
     }
 
     /// [`Self::lanes_uniform`] with a static shortcut: when dataflow already
@@ -1011,36 +1160,63 @@ impl BlockExec {
     }
 }
 
-/// Branch-free masked unary lane loop: every lane evaluates `f` (total on
-/// garbage inputs), a mask select keeps inactive destinations intact.
+/// Lanes per chunk of the in-place lane loops. A chunk's source slots are
+/// loaded before any of its destination slots is written, so the
+/// destination row may be a source row and each chunk still compiles to
+/// straight-line vector code.
+const CHUNK: usize = 8;
+
+/// Branch-free masked unary lane loop, in place on the SoA register file:
+/// lane `l` of the row at `d` becomes `f(regs[a + l])` where `mask` has
+/// bit `l`. Every lane evaluates `f` (total on garbage inputs); the mask
+/// select keeps inactive destinations intact. Lane `l` reads only slot `l`
+/// of its source row, so `d` may equal `a`.
 #[inline(always)]
-fn lanewise1(d: &mut [u64; WARP_SIZE], a: &[u64; WARP_SIZE], mask: u32, f: impl Fn(u64) -> u64) {
-    for l in 0..WARP_SIZE {
-        let v = f(a[l]);
-        d[l] = if mask & (1 << l) != 0 { v } else { d[l] };
+fn lanes1(regs: &mut [u64], d: usize, a: usize, mask: u32, f: impl Fn(u64) -> u64) {
+    assert!(d.max(a) + WARP_SIZE <= regs.len(), "lane row out of range");
+    for c in (0..WARP_SIZE).step_by(CHUNK) {
+        let x: [u64; CHUNK] = regs[a + c..a + c + CHUNK].try_into().expect("chunk");
+        let m = mask >> c;
+        let dst = &mut regs[d + c..d + c + CHUNK];
+        for i in 0..CHUNK {
+            let v = f(x[i]);
+            dst[i] = if m & (1 << i) != 0 { v } else { dst[i] };
+        }
     }
 }
 
-/// Branch-free masked binary lane loop (see [`lanewise1`]).
+/// Branch-free masked binary lane loop (see [`lanes1`]).
 #[inline(always)]
-fn lanewise2(
-    d: &mut [u64; WARP_SIZE],
-    a: &[u64; WARP_SIZE],
-    b: &[u64; WARP_SIZE],
-    mask: u32,
-    f: impl Fn(u64, u64) -> u64,
-) {
-    for l in 0..WARP_SIZE {
-        let v = f(a[l], b[l]);
-        d[l] = if mask & (1 << l) != 0 { v } else { d[l] };
+fn lanes2(regs: &mut [u64], d: usize, a: usize, b: usize, mask: u32, f: impl Fn(u64, u64) -> u64) {
+    assert!(
+        d.max(a).max(b) + WARP_SIZE <= regs.len(),
+        "lane row out of range"
+    );
+    for c in (0..WARP_SIZE).step_by(CHUNK) {
+        let x: [u64; CHUNK] = regs[a + c..a + c + CHUNK].try_into().expect("chunk");
+        let y: [u64; CHUNK] = regs[b + c..b + c + CHUNK].try_into().expect("chunk");
+        let m = mask >> c;
+        let dst = &mut regs[d + c..d + c + CHUNK];
+        for i in 0..CHUNK {
+            let v = f(x[i], y[i]);
+            dst[i] = if m & (1 << i) != 0 { v } else { dst[i] };
+        }
     }
 }
 
 /// Branch-free masked broadcast of one value into the active lanes.
 #[inline(always)]
-fn fill_masked(d: &mut [u64; WARP_SIZE], mask: u32, value: u64) {
+fn fill_masked<T: Copy>(d: &mut [T; WARP_SIZE], mask: u32, value: T) {
     for (l, slot) in d.iter_mut().enumerate() {
         *slot = if mask & (1 << l) != 0 { value } else { *slot };
+    }
+}
+
+/// Branch-free masked copy of per-lane values into the active lanes.
+#[inline(always)]
+fn select_masked<T: Copy>(d: &mut [T; WARP_SIZE], mask: u32, vals: &[T; WARP_SIZE]) {
+    for (l, (slot, &v)) in d.iter_mut().zip(vals).enumerate() {
+        *slot = if mask & (1 << l) != 0 { v } else { *slot };
     }
 }
 
@@ -1149,16 +1325,26 @@ mod tests {
         assert_eq!(d[2], 9);
         assert_eq!(d[3], 7);
 
-        let a = [3u64; WARP_SIZE];
-        let b = [4u64; WARP_SIZE];
-        let mut d = [0u64; WARP_SIZE];
-        lanewise2(&mut d, &a, &b, 0b10, |x, y| x + y);
-        assert_eq!(d[0], 0);
-        assert_eq!(d[1], 7);
+        // Rows of a three-register file: d = 0, a = 32, b = 64.
+        let mut regs = [[0u64; WARP_SIZE], [3; WARP_SIZE], [4; WARP_SIZE]].concat();
+        lanes2(&mut regs, 0, 32, 64, 0b10, |x, y| x + y);
+        assert_eq!(regs[0], 0);
+        assert_eq!(regs[1], 7);
+        assert_eq!(regs[2], 0);
 
-        let mut d = [1u64; WARP_SIZE];
-        lanewise1(&mut d, &a, 0xffff_ffff, |x| x * 2);
-        assert!(d.iter().all(|&v| v == 6));
+        lanes1(&mut regs, 0, 32, 0xffff_ffff, |x| x * 2);
+        assert!(regs[..WARP_SIZE].iter().all(|&v| v == 6));
+
+        // In place: destination row equals the source row.
+        lanes2(&mut regs, 32, 32, 64, 0b1, |x, y| x * y);
+        assert_eq!(regs[32], 12);
+        assert_eq!(regs[33], 3);
+
+        let mut d = [5u32; WARP_SIZE];
+        let mut vals = [0u32; WARP_SIZE];
+        vals[3] = 8;
+        select_masked(&mut d, 0b1000, &vals);
+        assert_eq!((d[2], d[3]), (5, 8));
     }
 
     #[test]

@@ -1017,11 +1017,11 @@ impl<'a> Engine<'a> {
                 sm.regs_used -= ctx.regs_per_block;
                 sm.shared_used -= ctx.shared_per_block;
                 sm.threads_used -= ctx.threads_per_block;
-                for ws in &block.warp_slots {
-                    sm.warps[*ws] = None;
-                    for sched in &mut sm.sched_warps {
-                        sched.retain(|x| x != ws);
-                    }
+                for &ws in &block.warp_slots {
+                    sm.warps[ws] = None;
+                }
+                for sched in &mut sm.sched_warps {
+                    sched.retain(|x| !block.warp_slots.contains(x));
                 }
                 self.launch_finish[block.launch_idx] =
                     self.launch_finish[block.launch_idx].max(cycle);
@@ -1035,6 +1035,12 @@ impl<'a> Engine<'a> {
 
     /// Attempts to issue one instruction on scheduler `sched` of SM
     /// `sm_idx`.
+    ///
+    /// Walks the scheduler's warps in round-robin order from `rr`. The
+    /// cheap gates — retired or done, parked at a barrier, scoreboard-
+    /// stalled until a known cycle — are tested inline; only a warp that
+    /// passes them reaches [`Self::try_issue_warp`]'s scoreboard and pipe
+    /// checks. The stall verdict is the first blocked warp's reason.
     fn issue_one(
         &mut self,
         memory: &mut GpuMemory,
@@ -1048,21 +1054,46 @@ impl<'a> Engine<'a> {
             return Ok(IssueResult::Stalled(StallReason::Other));
         }
         let mut first_block_reason: Option<StallReason> = None;
-        let start = self.sms[sm_idx].rr[sched] % n_warps;
-        for k in 0..n_warps {
-            let pos = (start + k) % n_warps;
-            let ws = self.sms[sm_idx].sched_warps[sched][pos];
-            let reason = match self.try_issue_warp(memory, san.as_deref_mut(), sm_idx, ws, now)? {
-                None => {
-                    // Issued: advance round-robin past this warp.
-                    let sm = &mut self.sms[sm_idx];
-                    sm.rr[sched] = (pos + 1) % n_warps.max(1);
-                    return Ok(IssueResult::Issued);
-                }
-                Some(r) => r,
+        let mut pos = self.sms[sm_idx].rr[sched] % n_warps;
+        for _ in 0..n_warps {
+            let sm = &self.sms[sm_idx];
+            let ws = sm.sched_warps[sched][pos];
+            let reason = match sm.warps[ws].as_ref() {
+                None => None,
+                Some(w) if w.done => None,
+                Some(w) => match w.peek {
+                    WarpPeek::Done => None,
+                    WarpPeek::Blocked => Some(StallReason::Sync),
+                    WarpPeek::Exec { .. } if w.stall_until > now => {
+                        self.scan_wakeup = self.scan_wakeup.min(w.stall_until);
+                        Some(w.stall_reason)
+                    }
+                    WarpPeek::Exec { pc, mask } => {
+                        let blocked = self.try_issue_warp(
+                            memory,
+                            san.as_deref_mut(),
+                            sm_idx,
+                            ws,
+                            pc,
+                            mask,
+                            now,
+                        )?;
+                        if blocked.is_none() {
+                            // Issued: advance round-robin past this warp.
+                            pos += 1;
+                            self.sms[sm_idx].rr[sched] = if pos == n_warps { 0 } else { pos };
+                            return Ok(IssueResult::Issued);
+                        }
+                        blocked
+                    }
+                },
             };
             if let Some(r) = reason {
                 first_block_reason.get_or_insert(r);
+            }
+            pos += 1;
+            if pos == n_warps {
+                pos = 0;
             }
         }
         Ok(IssueResult::Stalled(
@@ -1070,35 +1101,24 @@ impl<'a> Engine<'a> {
         ))
     }
 
-    /// Tries to issue the given warp. Returns:
-    /// * `Ok(None)` — issued,
-    /// * `Ok(Some(Some(reason)))` — live but blocked for `reason`,
-    /// * `Ok(Some(None))` — not a stall candidate (warp done).
-    #[allow(clippy::type_complexity)]
+    /// Tries to issue the min-PC group `(pc, mask)` of warp slot `ws`,
+    /// which has passed the scan's gates (live, not parked, not
+    /// scoreboard-stalled until a known cycle). Returns `Ok(None)` when
+    /// issued, `Ok(Some(reason))` when blocked by an operand or a memory
+    /// pipe.
+    #[allow(clippy::too_many_arguments)]
     fn try_issue_warp(
         &mut self,
         memory: &mut GpuMemory,
         san: Option<&mut Sanitizer>,
         sm_idx: usize,
         ws: usize,
+        pc: usize,
+        mask: u32,
         now: u64,
-    ) -> Result<Option<Option<StallReason>>, SimError> {
+    ) -> Result<Option<StallReason>, SimError> {
         let sm = &mut self.sms[sm_idx];
-        let Some(warp) = sm.warps[ws].as_mut() else {
-            return Ok(Some(None));
-        };
-        if warp.done {
-            return Ok(Some(None));
-        }
-        let (pc, mask) = match warp.peek {
-            WarpPeek::Done => return Ok(Some(None)),
-            WarpPeek::Blocked => return Ok(Some(Some(StallReason::Sync))),
-            WarpPeek::Exec { pc, mask } => (pc, mask),
-        };
-        if warp.stall_until > now {
-            self.scan_wakeup = self.scan_wakeup.min(warp.stall_until);
-            return Ok(Some(Some(warp.stall_reason)));
-        }
+        let warp = sm.warps[ws].as_mut().expect("gated warp exists");
         let block_slot = warp.block_slot;
         let launch_idx = sm.blocks[block_slot]
             .as_ref()
@@ -1129,7 +1149,7 @@ impl<'a> Engine<'a> {
                 StallReason::Exec
             };
             self.scan_wakeup = self.scan_wakeup.min(need);
-            return Ok(Some(Some(warp.stall_reason)));
+            return Ok(Some(warp.stall_reason));
         }
 
         // Structural hazards: the two memory pipelines.
@@ -1151,18 +1171,18 @@ impl<'a> Engine<'a> {
             // fast-forward treats those as events.
             if sm.global_pipe_free > now {
                 self.scan_wakeup = self.scan_wakeup.min(sm.global_pipe_free);
-                return Ok(Some(Some(StallReason::Memory)));
+                return Ok(Some(StallReason::Memory));
             }
             if sm.inflight >= self.cfg.mshrs_per_sm || self.dram_tokens <= 0 {
                 self.scan_cap_blocked = true;
-                return Ok(Some(Some(StallReason::Memory)));
+                return Ok(Some(StallReason::Memory));
             }
         }
         if uses_shared_pipe && sm.shared_pipe_free > now {
             // Shared-pipe serialization shows up as pipe-busy, not memory
             // dependency, matching nvprof's classification.
             self.scan_wakeup = self.scan_wakeup.min(sm.shared_pipe_free);
-            return Ok(Some(Some(StallReason::Exec)));
+            return Ok(Some(StallReason::Exec));
         }
 
         // Issue: execute functionally, then account timing.
@@ -1279,35 +1299,49 @@ impl<'a> Engine<'a> {
             .as_ref()
             .expect("issuing warp exists")
             .block_slot;
+        let SmState {
+            blocks,
+            warps,
+            live_warps_total,
+            ..
+        } = sm;
+        let block = blocks[block_slot].as_mut().expect("block resident");
         if matches!(outcome.kind, IssueKind::Barrier) {
-            let slots = sm.blocks[block_slot]
-                .as_ref()
-                .expect("block resident")
-                .warp_slots
-                .clone();
-            for other in slots {
-                Self::refresh_warp(sm, block_slot, other);
+            for &other in &block.warp_slots {
+                Self::refresh_warp(
+                    &block.exec,
+                    &mut block.live_warps,
+                    live_warps_total,
+                    warps[other].as_mut(),
+                );
             }
         } else {
-            Self::refresh_warp(sm, block_slot, ws);
+            Self::refresh_warp(
+                &block.exec,
+                &mut block.live_warps,
+                live_warps_total,
+                warps[ws].as_mut(),
+            );
         }
     }
 
-    fn refresh_warp(sm: &mut SmState, block_slot: usize, ws: usize) {
-        let block = sm.blocks[block_slot].as_ref().expect("block resident");
-        let warp_idx = match sm.warps[ws].as_ref() {
-            Some(w) => w.warp_idx,
-            None => return,
+    /// Re-peeks one warp of `exec`'s block and retires it from the live
+    /// counts the moment it is done.
+    fn refresh_warp(
+        exec: &BlockExec,
+        block_live: &mut u32,
+        sm_live: &mut u32,
+        warp: Option<&mut WarpSlot>,
+    ) {
+        let Some(warp) = warp else {
+            return;
         };
-        let peek = block.exec.peek_warp(warp_idx);
-        let warp = sm.warps[ws].as_mut().expect("checked Some");
-        let was_done = warp.done;
+        let peek = exec.peek_warp(warp.warp_idx);
         warp.peek = peek;
-        if peek == WarpPeek::Done && !was_done {
+        if peek == WarpPeek::Done && !warp.done {
             warp.done = true;
-            sm.live_warps_total -= 1;
-            let block = sm.blocks[block_slot].as_mut().expect("block resident");
-            block.live_warps -= 1;
+            *sm_live -= 1;
+            *block_live -= 1;
         }
     }
 }

@@ -24,6 +24,7 @@ fn canon_u32(v: u32) -> u64 {
 
 /// Executes a binary operation under `ty`. Integer division by zero
 /// yields 0 (PTX-like saturation instead of a fault).
+#[inline]
 pub fn bin(op: BinIr, ty: ScalarTy, a: u64, b: u64) -> u64 {
     match ty {
         ScalarTy::I32 => {
@@ -204,6 +205,7 @@ pub fn bin(op: BinIr, ty: ScalarTy, a: u64, b: u64) -> u64 {
 }
 
 /// Executes a unary operation under `ty`.
+#[inline]
 pub fn un(op: UnIr, ty: ScalarTy, a: u64) -> u64 {
     match op {
         UnIr::Not => u64::from(is_zero(ty, a)),
@@ -273,6 +275,7 @@ fn is_zero(ty: ScalarTy, a: u64) -> bool {
 }
 
 /// Numeric conversion between scalar types.
+#[inline]
 pub fn cast(from: ScalarTy, to: ScalarTy, v: u64) -> u64 {
     // Decode to a wide intermediate.
     enum Wide {

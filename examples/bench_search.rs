@@ -7,7 +7,10 @@
 //! * `wall_ms_no_model` — pruning only (`model_filter: false`): what
 //!   the search cost before the model filter existed.
 //! * `wall_ms_scalar` — the default search on the scalar one-lane-at-a-time
-//!   interpreter (`HFUSE_SIM_NO_VECTOR=1`): what vectorization buys.
+//!   interpreter (`HFUSE_SIM_NO_VECTOR=1`): what the per-form in-place lane
+//!   loops buy over per-lane `alu` dispatch. Both arms share the
+//!   warp-granular control state, issue scan and memory-op paths, so the
+//!   gap is the register-pure instructions' lane loops alone.
 //! * `wall_ms_exhaustive` — no pruning, no filter (`prune: false`).
 //! * `wall_ms_naive` — exhaustive on the naive single-step simulator loop
 //!   (`HFUSE_SIM_NO_SKIP=1`): the original reference cost.
@@ -17,7 +20,9 @@
 //!
 //! With `--enforce-baseline`, the committed `BENCH_search.json` is read
 //! before being overwritten and the run exits nonzero if any pair's
-//! `wall_ms` regressed by more than 20% — the CI perf gate.
+//! `wall_ms` regressed by more than 20%, or if any pair's `sim_cycles`
+//! (the winner's simulated cycles, deterministic) differs from the
+//! baseline at all — the CI perf gate.
 //!
 //! Dependency-free (plain `std::time::Instant`); run with:
 //! `cargo run --release --example bench_search [-- --enforce-baseline]`
@@ -80,7 +85,14 @@ fn json_number(row: &str, key: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
-fn baseline_wall_ms(json: &str) -> Vec<(String, f64)> {
+/// One committed baseline row.
+struct Baseline {
+    pair: String,
+    wall_ms: f64,
+    sim_cycles: Option<u64>,
+}
+
+fn baseline_rows(json: &str) -> Vec<Baseline> {
     let mut out = Vec::new();
     for row in json.lines() {
         let Some(pair_start) = row.find("\"pair\": \"") else {
@@ -90,8 +102,12 @@ fn baseline_wall_ms(json: &str) -> Vec<(String, f64)> {
         let Some(pair_end) = rest.find('"') else {
             continue;
         };
-        if let Some(ms) = json_number(row, "wall_ms") {
-            out.push((rest[..pair_end].to_owned(), ms));
+        if let Some(wall_ms) = json_number(row, "wall_ms") {
+            out.push(Baseline {
+                pair: rest[..pair_end].to_owned(),
+                wall_ms,
+                sim_cycles: json_number(row, "sim_cycles").map(|c| c as u64),
+            });
         }
     }
     out
@@ -104,7 +120,7 @@ fn winner_key(r: &SearchReport) -> (u32, Option<u32>, u64) {
 fn main() {
     let enforce = std::env::args().any(|a| a == "--enforce-baseline");
     let baseline = std::fs::read_to_string("BENCH_search.json")
-        .map(|s| baseline_wall_ms(&s))
+        .map(|s| baseline_rows(&s))
         .unwrap_or_default();
 
     // One worker keeps the arm-to-arm comparison a pure single-thread
@@ -242,8 +258,16 @@ fn main() {
     if enforce {
         let mut failed = false;
         for r in &results {
-            match baseline.iter().find(|(p, _)| *p == r.pair) {
-                Some((_, base_ms)) => {
+            match baseline.iter().find(|b| b.pair == r.pair) {
+                Some(b) => {
+                    if b.sim_cycles != Some(r.sim_cycles) {
+                        eprintln!(
+                            "SIM CYCLES CHANGED: {} winner ran {} cycles (baseline {:?})",
+                            r.pair, r.sim_cycles, b.sim_cycles
+                        );
+                        failed = true;
+                    }
+                    let base_ms = b.wall_ms;
                     let limit = base_ms * 1.2;
                     if r.wall_ms > limit {
                         eprintln!(
