@@ -6,19 +6,28 @@
 //! on every issued group. [`DecodedKernel`] computes them once per launch
 //! and stores them in one contiguous `Box<[DecodedInst]>` indexed by PC, so
 //! the per-issue work is a single cache-friendly array load.
+//!
+//! Decoding also renames every register operand to its storage slot
+//! ([`thread_ir::liveness::storage_slots`]): virtual registers that are
+//! never live at the same time share a slot, so a block's register file
+//! holds [`DecodedKernel::num_slots`] rows per warp instead of one per
+//! virtual register.
 
 use thread_ir::ir::{Inst, KernelIr, SpecialReg};
+use thread_ir::liveness::storage_slots;
 
 /// Marker for "this instruction has no address register".
 pub const NO_REG: u32 = u32::MAX;
 
-/// One pre-decoded instruction: the instruction itself (copied inline) plus
-/// issue metadata derived once at launch time.
+/// One pre-decoded instruction: the instruction itself (copied inline,
+/// registers renamed to storage slots) plus issue metadata derived once at
+/// launch time.
 #[derive(Debug, Clone, Copy)]
 pub struct DecodedInst {
-    /// The instruction (all operands inline; `Inst` is `Copy`).
+    /// The instruction, every register operand renamed to its storage slot
+    /// (all operands inline; `Inst` is `Copy`).
     pub inst: Inst,
-    /// Register holding the memory address for `Ld`/`St`/`Atom`
+    /// Storage slot holding the memory address for `Ld`/`St`/`Atom`
     /// ([`NO_REG`] for non-memory instructions).
     pub addr_reg: u32,
     /// Whether the warp-uniform fast path may apply: the result is a pure
@@ -39,6 +48,8 @@ pub struct DecodedInst {
 pub struct DecodedKernel {
     /// Decoded instructions, indexed by PC.
     pub insts: Box<[DecodedInst]>,
+    /// Register-file rows per warp: one per storage slot.
+    pub num_slots: u32,
     /// Whether register-pure instructions run on the lane-vectorized
     /// interpreter (branch-free masked loops over the SoA lane rows) or on
     /// the scalar per-lane reference path. Both are bit-identical; the
@@ -80,6 +91,8 @@ impl DecodedKernel {
         } else {
             vec![false; kernel.insts.len()]
         };
+        let slots = storage_slots(kernel);
+        let slot = |r: u32| slots.slot[r as usize];
         let insts = kernel
             .insts
             .iter()
@@ -87,7 +100,7 @@ impl DecodedKernel {
             .map(|(inst, &stat_u)| {
                 let addr_reg = match inst {
                     Inst::Ld { addr, .. } | Inst::St { addr, .. } | Inst::Atom { addr, .. } => {
-                        *addr
+                        slot(*addr)
                     }
                     _ => NO_REG,
                 };
@@ -106,7 +119,7 @@ impl DecodedKernel {
                         _ => false,
                     };
                 DecodedInst {
-                    inst: *inst,
+                    inst: inst.map_regs(slot),
                     addr_reg,
                     uniform_eligible,
                     statically_uniform: uniform_eligible && stat_u,
@@ -115,6 +128,7 @@ impl DecodedKernel {
             .collect();
         DecodedKernel {
             insts,
+            num_slots: slots.num_slots,
             vector: vector_exec,
         }
     }
@@ -170,7 +184,13 @@ mod tests {
         assert!(d.insts[0].uniform_eligible);
         assert_eq!(d.insts[0].addr_reg, NO_REG);
         assert!(!d.insts[1].uniform_eligible, "loads never broadcast");
-        assert_eq!(d.insts[1].addr_reg, 4);
+        // Registers 1, 2 and 4 are read before any write, so they interfere
+        // pairwise and with 0, defined while they are live: register 4
+        // takes the fourth slot, and the load's operand is renamed to it.
+        assert_eq!(d.insts[1].addr_reg, storage_slots(&k).slot[4]);
+        assert_eq!(d.insts[1].addr_reg, 3);
+        assert!(matches!(d.insts[1].inst, Inst::Ld { addr: 3, .. }));
+        assert_eq!(d.num_slots, 4);
         assert!(!d.insts[2].uniform_eligible, "threadIdx is per-lane");
         assert!(d.insts[3].uniform_eligible, "blockIdx is block-uniform");
         assert!(!d.insts[4].uniform_eligible);

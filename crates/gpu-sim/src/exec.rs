@@ -14,18 +14,25 @@
 //! # Lane-vectorized execution
 //!
 //! Register state is stored structure-of-arrays: one contiguous `u64` row of
-//! [`WARP_SIZE`] lane slots per `(warp, register)`, padded to a full warp
-//! even for partial warps. Register-pure instructions execute as branch-free
+//! [`WARP_SIZE`] lanes per `(warp, slot)`, padded to a full warp even for
+//! partial warps. Register-pure instructions execute as branch-free
 //! loops over all 32 lanes under the group's active mask — every lane
 //! evaluates (the ALU helpers are total functions, so garbage values in
 //! inactive or padding lanes cannot fault) and a mask select decides whether
-//! the lane's destination slot is overwritten. The `(op, ty)` pair is
+//! the lane's destination is overwritten. The `(op, ty)` pair is
 //! matched once per issue, and the lane loop is instantiated once per form
 //! (`bin_forms!`, `un_forms!`, `cast_forms!`), each instance calling the
 //! `#[inline]` [`alu`] helper with constant arguments: no per-lane dispatch,
 //! and [`alu`] stays the single source of the operations' semantics. The
 //! loops compute in place on the register file by index, 8 lanes at a time,
 //! so no register row is copied.
+//!
+//! A slot is the storage decode assigned a virtual register
+//! ([`thread_ir::liveness::storage_slots`]); registers never live at the
+//! same time share one, so the file is sized by the kernel's live values,
+//! not its virtual-register count, and every operand the interpreter sees
+//! is already a slot. The timing model's scoreboard stays keyed by virtual
+//! register.
 //!
 //! Memory, shuffle, vote, and barrier instructions have per-lane side
 //! effects (loads, stores, sanitizer events) that must be reported in
@@ -239,9 +246,12 @@ macro_rules! cast_forms {
 /// Execution state of one thread block, stored structure-of-arrays.
 ///
 /// The register file is one flat `u64` vector laid out
-/// `[warp][register][lane]` with every warp padded to [`WARP_SIZE`] lanes,
-/// so a `(warp, reg)` pair addresses one contiguous cache-aligned row of 32
-/// lane slots — the unit the vectorized interpreter operates on.
+/// `[warp][slot][lane]` with every warp padded to [`WARP_SIZE`] lanes, so a
+/// `(warp, slot)` pair addresses one contiguous cache-aligned row of 32
+/// lanes — the unit the vectorized interpreter operates on. It has
+/// [`DecodedKernel::num_slots`] rows per warp: decode renamed every virtual
+/// register to a storage slot, and registers never live at the same time
+/// share a row.
 ///
 /// SIMT control state is warp-granular. Program counters live in one
 /// padded `[warp][lane]` column; exit and barrier state are two `u32` lane
@@ -267,8 +277,8 @@ pub struct BlockExec {
     pub block_idx: u32,
     /// Threads in the block (the padding lanes past this are inert).
     num_threads: usize,
-    /// Registers per thread.
-    num_regs: usize,
+    /// Register-file rows (storage slots) per warp.
+    num_slots: usize,
     /// Per-thread local-memory bytes.
     local_stride: usize,
     /// Program counters, `warp * WARP_SIZE + lane` (padded to full warps).
@@ -284,7 +294,7 @@ pub struct BlockExec {
     /// Per-warp PC shared by every runnable lane, or [`NO_PC`] when the
     /// warp may be diverged — lets [`Self::peek_warp`] skip the PC row.
     converged: Vec<u32>,
-    /// SoA register lanes: `((warp * num_regs) + reg) * WARP_SIZE + lane`.
+    /// SoA register lanes: `((warp * num_slots) + slot) * WARP_SIZE + lane`.
     regs: Vec<u64>,
     /// Per-thread local memory, flattened at `local_stride` bytes each.
     local: Vec<u8>,
@@ -295,11 +305,12 @@ pub struct BlockExec {
 }
 
 impl BlockExec {
-    /// Creates the initial state for one block of `launch`.
-    pub fn new(launch: &Launch, launch_idx: usize, block_idx: u32) -> Self {
+    /// Creates the initial state for one block of `launch`, whose kernel
+    /// `prog` decodes (it sizes the register file).
+    pub fn new(launch: &Launch, prog: &DecodedKernel, launch_idx: usize, block_idx: u32) -> Self {
         let n = launch.threads_per_block() as usize;
         let kernel = &launch.kernel;
-        let num_regs = kernel.num_regs as usize;
+        let num_slots = prog.num_slots as usize;
         let num_warps = n.div_ceil(WARP_SIZE);
         let local_stride = kernel.local_bytes as usize;
         let mut exited = vec![0u32; num_warps];
@@ -311,14 +322,14 @@ impl BlockExec {
             launch_idx,
             block_idx,
             num_threads: n,
-            num_regs,
+            num_slots,
             local_stride,
             pc: vec![0; num_warps * WARP_SIZE],
             exited,
             parked: vec![0; num_warps],
             waiting: vec![NO_BARRIER; num_warps * WARP_SIZE],
             converged: vec![0; num_warps],
-            regs: vec![0; num_warps * num_regs * WARP_SIZE],
+            regs: vec![0; num_warps * num_slots * WARP_SIZE],
             local: vec![0; n * local_stride],
             shared: vec![0; launch.shared_bytes_per_block() as usize],
             barrier_arrivals: [0; 16],
@@ -343,13 +354,13 @@ impl BlockExec {
         (start, end)
     }
 
-    /// Index of the first lane slot of `(warp, reg)` in the SoA file.
+    /// Index of the first lane of `(warp, slot)` in the SoA file.
     #[inline(always)]
-    fn reg_base(&self, warp: usize, reg: u32) -> usize {
-        (warp * self.num_regs + reg as usize) * WARP_SIZE
+    fn reg_base(&self, warp: usize, slot: u32) -> usize {
+        (warp * self.num_slots + slot as usize) * WARP_SIZE
     }
 
-    /// Mutable 32 lane slots of `(warp, reg)`.
+    /// Mutable 32 lanes of `(warp, slot)`.
     #[inline(always)]
     fn warp_reg_mut(&mut self, warp: usize, reg: u32) -> &mut [u64; WARP_SIZE] {
         let b = self.reg_base(warp, reg);
@@ -689,7 +700,7 @@ impl BlockExec {
                 // Read addresses straight from the SoA row and perform the
                 // loads (and sanitizer events) in ascending lane order — the
                 // same event stream as the scalar interpreter. All loads
-                // land before any destination slot is written, so `dst`
+                // land before any destination lane is written, so `dst`
                 // may alias `addr`.
                 let ab = self.reg_base(warp, *addr);
                 let mut vals = [0u64; WARP_SIZE];
@@ -994,7 +1005,7 @@ impl BlockExec {
         if proven {
             debug_assert!(
                 self.lanes_uniform(warp, mask, reg),
-                "static uniformity fact violated at runtime for reg {reg}"
+                "static uniformity fact violated at runtime for slot {reg}"
             );
             return true;
         }
@@ -1161,7 +1172,7 @@ impl BlockExec {
 }
 
 /// Lanes per chunk of the in-place lane loops. A chunk's source slots are
-/// loaded before any of its destination slots is written, so the
+/// loaded before any of its destination lanes is written, so the
 /// destination row may be a source row and each chunk still compiles to
 /// straight-line vector code.
 const CHUNK: usize = 8;

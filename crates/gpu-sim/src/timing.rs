@@ -141,7 +141,7 @@ impl Gpu {
             launch.validate()?;
             let prog = DecodedKernel::new(&launch.kernel, self.uniform_exec, self.vector_exec);
             for b in 0..launch.grid_dim {
-                let mut blk = BlockExec::new(launch, li, b);
+                let mut blk = BlockExec::new(launch, &prog, li, b);
                 loop {
                     let mut progressed = false;
                     for w in 0..blk.num_warps() {
@@ -954,7 +954,7 @@ impl<'a> Engine<'a> {
     fn place_block(&mut self, sm_idx: usize, launch_idx: usize, block_idx: u32) {
         let launch = &self.launches[launch_idx];
         let ctx = &self.ctxs[launch_idx];
-        let exec = BlockExec::new(launch, launch_idx, block_idx);
+        let exec = BlockExec::new(launch, &ctx.prog, launch_idx, block_idx);
         let num_warps = exec.num_warps();
         let sm = &mut self.sms[sm_idx];
         sm.regs_used += ctx.regs_per_block;
@@ -1126,7 +1126,9 @@ impl<'a> Engine<'a> {
             .launch_idx;
         let launch = &self.launches[launch_idx];
         let ctx = &self.ctxs[launch_idx];
-        let inst = ctx.prog.insts[pc].inst;
+        // The scoreboard is keyed by virtual register (the decoded copy's
+        // operands are storage slots).
+        let inst = launch.kernel.insts[pc];
         let spill_cnt = ctx.spill_counts[pc];
 
         // Scoreboard: operand readiness (RAW) and destination (WAW), via

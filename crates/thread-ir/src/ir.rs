@@ -357,6 +357,57 @@ impl Inst {
         }
     }
 
+    /// The instruction with every register operand, destination and
+    /// sources, replaced by `f(reg)`.
+    #[must_use]
+    pub fn map_regs(mut self, f: impl Fn(Reg) -> Reg) -> Inst {
+        match &mut self {
+            Inst::Imm { dst, .. }
+            | Inst::Special { dst, .. }
+            | Inst::LdParam { dst, .. }
+            | Inst::SharedAddr { dst, .. }
+            | Inst::LocalAddr { dst, .. } => *dst = f(*dst),
+            Inst::Mov { dst, src }
+            | Inst::Cast { dst, src, .. }
+            | Inst::Vote { dst, src, .. }
+            | Inst::Un { dst, a: src, .. }
+            | Inst::Ld { dst, addr: src, .. } => {
+                *dst = f(*dst);
+                *src = f(*src);
+            }
+            Inst::Bin { dst, a, b, .. }
+            | Inst::Atom {
+                dst,
+                addr: a,
+                val: b,
+                ..
+            } => {
+                *dst = f(*dst);
+                *a = f(*a);
+                *b = f(*b);
+            }
+            Inst::Shfl {
+                dst,
+                src,
+                lane,
+                width,
+                ..
+            } => {
+                *dst = f(*dst);
+                *src = f(*src);
+                *lane = f(*lane);
+                *width = f(*width);
+            }
+            Inst::St { addr, val, .. } => {
+                *addr = f(*addr);
+                *val = f(*val);
+            }
+            Inst::Bra { cond, .. } => *cond = f(*cond),
+            Inst::Bar { .. } | Inst::Jmp { .. } | Inst::Ret => {}
+        }
+        self
+    }
+
     /// The source registers this instruction reads.
     pub fn srcs(&self) -> Vec<Reg> {
         let mut v = Vec::with_capacity(3);
@@ -483,6 +534,45 @@ mod tests {
         let ret = Inst::Ret;
         assert!(ret.is_control());
         assert!(ret.srcs().is_empty());
+    }
+
+    #[test]
+    fn map_regs_maps_every_operand() {
+        let shfl = Inst::Shfl {
+            kind: ShflKind::Down,
+            dst: 1,
+            src: 2,
+            lane: 3,
+            width: 4,
+        };
+        let atom = Inst::Atom {
+            op: AtomOp::Add,
+            ty: ScalarTy::U32,
+            dst: 1,
+            addr: 2,
+            val: 3,
+        };
+        let ld = Inst::Ld {
+            ty: ScalarTy::F32,
+            dst: 1,
+            addr: 2,
+        };
+        let st = Inst::St {
+            ty: ScalarTy::F32,
+            addr: 1,
+            val: 2,
+        };
+        for inst in [shfl, atom, ld, st, Inst::Imm { dst: 5, value: 9 }] {
+            let mapped = inst.map_regs(|r| r + 10);
+            assert_eq!(mapped.dst(), inst.dst().map(|d| d + 10), "{inst:?}");
+            let want: Vec<Reg> = inst.srcs().iter().map(|s| s + 10).collect();
+            assert_eq!(mapped.srcs(), want, "{inst:?}");
+        }
+        let bar = Inst::Bar {
+            id: 1,
+            count: BarCount::All,
+        };
+        assert_eq!(bar.map_regs(|r| r + 10), bar);
     }
 
     #[test]

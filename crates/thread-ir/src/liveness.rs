@@ -5,6 +5,9 @@
 //! small architectural overhead mimicking the fixed registers a real
 //! compiler reserves.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use crate::ir::{Inst, KernelIr, Reg};
 
 /// Floor on any pressure estimate — even an empty kernel occupies a few
@@ -101,6 +104,24 @@ impl RegSet {
             }
         }
         changed
+    }
+
+    /// Inserts every register of `other`, and `extra` if given, calling
+    /// `on_new` on each that was not yet present; a word at a time.
+    fn insert_new(&mut self, other: &RegSet, extra: Option<Reg>, mut on_new: impl FnMut(Reg)) {
+        for (wi, (a, &b)) in self.words.iter_mut().zip(&other.words).enumerate() {
+            let mut new = b & !*a;
+            *a |= b;
+            while new != 0 {
+                on_new(wi as Reg * 64 + new.trailing_zeros());
+                new &= new - 1;
+            }
+        }
+        if let Some(r) = extra {
+            if self.insert(r) {
+                on_new(r);
+            }
+        }
     }
 
     /// Removes every register.
@@ -209,6 +230,100 @@ pub fn live_in_sets(kernel: &KernelIr) -> Vec<RegSet> {
         }
     }
     live_in
+}
+
+/// A storage slot for every virtual register of a kernel: registers whose
+/// values are never needed at the same time share a slot, so an
+/// interpreter can size each thread's register file by
+/// [`Self::num_slots`] instead of [`KernelIr::num_regs`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StorageSlots {
+    /// The slot of each virtual register, indexed by register.
+    pub slot: Vec<u32>,
+    /// Number of slots (every entry of [`Self::slot`] is below it).
+    pub num_slots: u32,
+}
+
+/// Assigns the virtual registers of `kernel` storage slots from the live
+/// ranges of [`live_in_sets`]. Two registers get different slots when:
+///
+/// 1. one is defined while the other is live after the definition (dead
+///    definitions included: they still write their slot);
+/// 2. one is the destination of an instruction and the other a source of
+///    the same instruction, so a destination never aliases another source;
+/// 3. both are live on entry (some path reads them before any write): they
+///    must still read 0;
+/// 4. either is the source of a `Shfl`. A shuffle reads its source in
+///    *other* lanes, which may have exited or wait in the other arm of a
+///    divergent branch, where the register is dead, so every shuffle source
+///    gets a slot of its own.
+///
+/// By rules 1 and 3, a thread reading a register finds what its own last
+/// write of that register left (or 0), whatever else shares the slot.
+///
+/// A register *occupies* every PC where it is live-in or defined; each pair
+/// of rules 1–3 occupies a common PC (a register live after a definition
+/// other than its own is live-in there, sources are live-in, and entry-live
+/// registers are live-in at PC 0). Registers therefore get slots by greedy
+/// colouring, in order of first occupied PC, of the intervals from their
+/// first to their last occupied PC: optimal for intervals, exact for
+/// straight-line code, and conservative where a range has holes. Costs two
+/// word-parallel sweeps over the live sets and a sort.
+pub fn storage_slots(kernel: &KernelIr) -> StorageSlots {
+    let n = kernel.num_regs;
+    let insts = &kernel.insts;
+    let live = live_in_sets(kernel);
+    let mut private = RegSet::new(n);
+    // [first, last] occupied PC per register; `first > last` when the
+    // register occurs nowhere.
+    let mut first = vec![u32::MAX; n as usize];
+    let mut last = vec![0u32; n as usize];
+    let mut seen = RegSet::new(n);
+    for (pc, inst) in insts.iter().enumerate() {
+        if let Inst::Shfl { src, .. } = inst {
+            private.insert(*src);
+        }
+        seen.insert_new(&live[pc], inst.dst(), |r| first[r as usize] = pc as u32);
+    }
+    seen.clear();
+    for (pc, inst) in insts.iter().enumerate().rev() {
+        seen.insert_new(&live[pc], inst.dst(), |r| last[r as usize] = pc as u32);
+    }
+
+    let mut order: Vec<Reg> = (0..n)
+        .filter(|&r| first[r as usize] <= last[r as usize] && !private.contains(r))
+        .collect();
+    order.sort_unstable_by_key(|&r| (first[r as usize], r));
+    let mut slot = vec![0u32; n as usize];
+    let mut num_slots = 0u32;
+    // Occupied slots by the last PC of their range, and freed slots, each
+    // popped smallest first.
+    let mut active: BinaryHeap<Reverse<(u32, u32)>> = BinaryHeap::new();
+    let mut free: BinaryHeap<Reverse<u32>> = BinaryHeap::new();
+    for r in order {
+        let (lo, hi) = (first[r as usize], last[r as usize]);
+        while let Some(&Reverse((end, s))) = active.peek() {
+            if end >= lo {
+                break;
+            }
+            active.pop();
+            free.push(Reverse(s));
+        }
+        let s = free.pop().map_or_else(
+            || {
+                num_slots += 1;
+                num_slots - 1
+            },
+            |Reverse(s)| s,
+        );
+        slot[r as usize] = s;
+        active.push(Reverse((hi, s)));
+    }
+    for r in private.iter() {
+        slot[r as usize] = num_slots;
+        num_slots += 1;
+    }
+    StorageSlots { slot, num_slots }
 }
 
 /// Registers that a real compiler would not keep in the register file:
@@ -442,6 +557,64 @@ mod tests {
         // The register bound to `n` (param reg 0) is read twice and written.
         let n_stats = stats[0];
         assert!(n_stats.occurrences >= 3, "{n_stats:?}");
+    }
+
+    fn asm(text: &str) -> KernelIr {
+        crate::asm::parse_kernel_ir(text).expect("listing")
+    }
+
+    #[test]
+    fn storage_slots_reuse_dead_registers_but_not_sources() {
+        let ir = asm("r0 = ld.param [0]\n\
+                      r1 = imm 5\n\
+                      r2 = add.u32 r1, r1\n\
+                      r3 = imm 7\n\
+                      st.u32 [r0], r2\n\
+                      st.u32 [r0], r3\n\
+                      ret");
+        let s = storage_slots(&ir);
+        assert_eq!(s.num_slots, 3);
+        assert_eq!(s.slot[3], s.slot[1], "r1 is dead once r3 is written");
+        assert_ne!(s.slot[2], s.slot[1], "a destination never takes a source's slot");
+    }
+
+    #[test]
+    fn storage_slots_keep_dead_definitions_and_entry_reads_apart() {
+        // r2 is a dead load while r1 is live; r5 and r6 are read before any
+        // write, so both must still hold 0.
+        let ir = asm("r0 = ld.param [0]\n\
+                      r1 = imm 5\n\
+                      r2 = ld.u32 [r0]\n\
+                      st.u32 [r0], r1\n\
+                      st.u32 [r0], r5\n\
+                      st.u32 [r0], r6\n\
+                      ret");
+        let s = storage_slots(&ir);
+        let slots: Vec<u32> = [0, 1, 2, 5, 6].iter().map(|&r| s.slot[r]).collect();
+        let mut distinct = slots.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), slots.len(), "{slots:?}");
+    }
+
+    #[test]
+    fn storage_slots_give_shuffle_sources_a_private_slot() {
+        let ir = asm("r0 = ld.param [0]\n\
+                      r1 = mov %tid.x\n\
+                      r2 = imm 1\n\
+                      r3 = imm 32\n\
+                      r4 = shfl.down r1, r2, r3\n\
+                      st.u32 [r0], r4\n\
+                      r5 = imm 9\n\
+                      st.u32 [r0], r5\n\
+                      ret");
+        let s = storage_slots(&ir);
+        assert!(s.slot.iter().all(|&x| x < s.num_slots));
+        let sharing: Vec<usize> = (0..s.slot.len())
+            .filter(|&r| r != 1 && s.slot[r] == s.slot[1])
+            .collect();
+        assert!(sharing.is_empty(), "shuffle source shares with {sharing:?}");
+        assert!(s.num_slots < ir.num_regs, "dead registers are reused");
     }
 
     #[test]

@@ -382,7 +382,12 @@ fn cmd_compile(opts: &Opts) -> Result<(), String> {
     };
     println!("kernel `{}`", ir.name);
     println!("  instructions:      {}", ir.insts.len());
+    println!("  virtual registers: {}", ir.num_regs);
     println!("  register pressure: {}", ir.reg_pressure());
+    println!(
+        "  simulator rows:    {} per warp",
+        thread_ir::liveness::storage_slots(&ir).num_slots
+    );
     println!("  static shared:     {} bytes", ir.shared_static_bytes);
     println!(
         "  dynamic shared:    {}",

@@ -114,6 +114,51 @@ fn compile_reports_stats_and_ir() {
     assert!(text.contains("ret"), "{text}");
 }
 
+/// The value printed after `label:` in `hfuse compile`'s report.
+fn stat(text: &str, label: &str) -> u32 {
+    let line = text
+        .lines()
+        .find_map(|l| l.trim().strip_prefix(label)?.strip_prefix(':'))
+        .unwrap_or_else(|| panic!("no `{label}` line in:\n{text}"));
+    let value = line.split_whitespace().next().expect("a value");
+    value.parse().unwrap_or_else(|e| panic!("`{label}`: {e}"))
+}
+
+#[test]
+fn compile_reports_simulator_rows_below_virtual_registers() {
+    // Each round's temporaries die before the next round's, so the
+    // simulator stores them in far fewer rows than there are virtual
+    // registers.
+    let src = r#"
+__global__ void rounds(unsigned int* out, int n) {
+    unsigned int x = blockIdx.x * blockDim.x + threadIdx.x;
+    for (int r = 0; r < 4; r++) {
+        unsigned int a = x * 2654435761u;
+        unsigned int b = (a >> 13) ^ a;
+        unsigned int c = b * 5u + 7u;
+        x = c ^ (c >> 7);
+    }
+    out[threadIdx.x] = x;
+}
+"#;
+    let k = write_tmp("rows.cu", src);
+    for no_opt in [false, true] {
+        let mut args = vec!["compile", k.to_str().unwrap()];
+        if no_opt {
+            args.push("--no-opt");
+        }
+        let out = hfuse(&args);
+        assert!(out.status.success());
+        let text = String::from_utf8_lossy(&out.stdout);
+        let (virt, rows) = (
+            stat(&text, "virtual registers"),
+            stat(&text, "simulator rows"),
+        );
+        assert!(text.contains("register pressure"), "{text}");
+        assert!(rows > 0 && rows < virt, "{text}");
+    }
+}
+
 #[test]
 fn run_executes_and_prints_buffers() {
     let a = write_tmp("r.cu", KERNEL_B);
