@@ -7,6 +7,9 @@
 //! - `shuffle`: `__shfl_xor_sync` reading lanes parked in the other arm of
 //!   a divergent branch, and `__shfl_down_sync` reading lanes that exited
 //!   early after computing values of their own, in a partial warp;
+//! - `shuffle_unwritten`: shuffles whose source lanes never wrote the
+//!   shuffled variable (they exited first, or took the other arm), after
+//!   writing other, already dead values; the reads must see 0;
 //! - `unassigned`: reads of variables that some lanes never assign (they
 //!   must read 0);
 //! - `dead_results`: an atomic whose old value is never read and a load
@@ -124,6 +127,56 @@ fn shuffle_cpu(inp: &[u32], out: &mut [u32], _cnt: &mut [u32]) {
     }
 }
 
+const SHUFFLE_UNWRITTEN: &str = "
+__global__ void shuffle_unwritten(unsigned int* out, unsigned int* in, unsigned int* cnt) {
+  unsigned int t = threadIdx.x;
+  unsigned int x = in[t] + 5u;
+  out[t + 48u] = x * x;
+  if (t % 8u == 7u) {
+    return;
+  }
+  unsigned int w = in[t] ^ 40503u;
+  if (t % 32u < 16u) {
+    unsigned int v = in[t + 48u] * 3u;
+    out[t] = __shfl_xor_sync(0xffffffffu, v, 16, 32);
+  } else {
+    out[t] = __shfl_down_sync(0xffffffffu, w, 1, 32) + t;
+  }
+}";
+
+fn shuffle_unwritten_cpu(inp: &[u32], out: &mut [u32], _cnt: &mut [u32]) {
+    for t in 0..THREADS {
+        let x = inp[t as usize].wrapping_add(5);
+        out[(t + 48) as usize] = x.wrapping_mul(x);
+        if t % 8 == 7 {
+            continue;
+        }
+        let lane = t % 32;
+        out[t as usize] = if lane < 16 {
+            // Lane `t ^ 16` took the other arm and never wrote `v`; past the
+            // block's last thread a lane reads its own value.
+            if t ^ 16 < THREADS {
+                0
+            } else {
+                inp[(t + 48) as usize].wrapping_mul(3)
+            }
+        } else {
+            let src = if lane + 1 < 32 && t + 1 < THREADS {
+                t + 1
+            } else {
+                t
+            };
+            // A lane that exited early never wrote `w`.
+            let w = if src % 8 == 7 {
+                0
+            } else {
+                inp[src as usize] ^ 40503
+            };
+            w.wrapping_add(t)
+        };
+    }
+}
+
 const UNASSIGNED: &str = "
 __global__ void unassigned(unsigned int* out, unsigned int* in, unsigned int* cnt) {
   unsigned int t = threadIdx.x;
@@ -166,9 +219,10 @@ fn dead_results_cpu(inp: &[u32], out: &mut [u32], cnt: &mut [u32]) {
 
 type CpuKernel = fn(&[u32], &mut [u32], &mut [u32]);
 
-const KERNELS: [(&str, CpuKernel); 4] = [
+const KERNELS: [(&str, CpuKernel); 5] = [
     (DIVERGE, diverge_cpu),
     (SHUFFLE, shuffle_cpu),
+    (SHUFFLE_UNWRITTEN, shuffle_unwritten_cpu),
     (UNASSIGNED, unassigned_cpu),
     (DEAD_RESULTS, dead_results_cpu),
 ];
@@ -234,6 +288,8 @@ diverge (opt) RunResult { total_cycles: 215, metrics: RunMetrics { cycles: 215, 
 diverge (raw) RunResult { total_cycles: 253, metrics: RunMetrics { cycles: 253, issued_slots: 208, total_slots: 1012, stall_mem: 119, stall_exec: 178, stall_sync: 0, stall_other: 507, active_warp_cycles: 505, active_sm_cycles: 253, max_warps_per_sm: 64, thread_insts: 3375, mem_transactions: 4, class_issues: [164, 12, 0, 0, 0, 0, 4, 0, 0, 28, 0] }, launch_finish: [252] }
 shuffle (opt) RunResult { total_cycles: 361, metrics: RunMetrics { cycles: 361, issued_slots: 144, total_slots: 1444, stall_mem: 421, stall_exec: 75, stall_sync: 0, stall_other: 804, active_warp_cycles: 640, active_sm_cycles: 361, max_warps_per_sm: 64, thread_insts: 2468, mem_transactions: 15, class_issues: [117, 0, 0, 4, 0, 0, 14, 0, 0, 9, 0] }, launch_finish: [360] }
 shuffle (raw) RunResult { total_cycles: 383, metrics: RunMetrics { cycles: 383, issued_slots: 152, total_slots: 1532, stall_mem: 421, stall_exec: 106, stall_sync: 0, stall_other: 853, active_warp_cycles: 679, active_sm_cycles: 383, max_warps_per_sm: 64, thread_insts: 2714, mem_transactions: 15, class_issues: [121, 4, 0, 4, 0, 0, 14, 0, 0, 9, 0] }, launch_finish: [382] }
+shuffle_unwritten (opt) RunResult { total_cycles: 280, metrics: RunMetrics { cycles: 280, issued_slots: 125, total_slots: 1120, stall_mem: 360, stall_exec: 65, stall_sync: 0, stall_other: 570, active_warp_cycles: 550, active_sm_cycles: 280, max_warps_per_sm: 64, thread_insts: 2530, mem_transactions: 12, class_issues: [101, 0, 0, 3, 0, 0, 11, 0, 0, 10, 0] }, launch_finish: [279] }
+shuffle_unwritten (raw) RunResult { total_cycles: 291, metrics: RunMetrics { cycles: 291, issued_slots: 126, total_slots: 1164, stall_mem: 360, stall_exec: 87, stall_sync: 0, stall_other: 591, active_warp_cycles: 573, active_sm_cycles: 291, max_warps_per_sm: 64, thread_insts: 2596, mem_transactions: 12, class_issues: [98, 4, 0, 3, 0, 0, 11, 0, 0, 10, 0] }, launch_finish: [290] }
 unassigned (opt) RunResult { total_cycles: 120, metrics: RunMetrics { cycles: 120, issued_slots: 82, total_slots: 480, stall_mem: 119, stall_exec: 38, stall_sync: 0, stall_other: 241, active_warp_cycles: 239, active_sm_cycles: 120, max_warps_per_sm: 64, thread_insts: 1872, mem_transactions: 7, class_issues: [70, 0, 0, 0, 0, 0, 6, 0, 0, 6, 0] }, launch_finish: [119] }
 unassigned (raw) RunResult { total_cycles: 123, metrics: RunMetrics { cycles: 123, issued_slots: 88, total_slots: 492, stall_mem: 119, stall_exec: 38, stall_sync: 0, stall_other: 247, active_warp_cycles: 245, active_sm_cycles: 123, max_warps_per_sm: 64, thread_insts: 2016, mem_transactions: 7, class_issues: [76, 0, 0, 0, 0, 0, 6, 0, 0, 6, 0] }, launch_finish: [122] }
 dead_results (opt) RunResult { total_cycles: 117, metrics: RunMetrics { cycles: 117, issued_slots: 66, total_slots: 468, stall_mem: 119, stall_exec: 48, stall_sync: 0, stall_other: 235, active_warp_cycles: 233, active_sm_cycles: 117, max_warps_per_sm: 64, thread_insts: 1584, mem_transactions: 10, class_issues: [54, 2, 0, 0, 0, 0, 6, 2, 0, 2, 0] }, launch_finish: [116] }

@@ -575,7 +575,10 @@ mod tests {
         let s = storage_slots(&ir);
         assert_eq!(s.num_slots, 3);
         assert_eq!(s.slot[3], s.slot[1], "r1 is dead once r3 is written");
-        assert_ne!(s.slot[2], s.slot[1], "a destination never takes a source's slot");
+        assert_ne!(
+            s.slot[2], s.slot[1],
+            "a destination never takes a source's slot"
+        );
     }
 
     #[test]
