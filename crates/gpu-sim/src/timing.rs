@@ -348,8 +348,10 @@ struct LaunchCtx {
     prog: DecodedKernel,
     /// Per-instruction count of spilled-register operands.
     spill_counts: Vec<u8>,
-    /// Flattened scoreboard-checked registers (sources then destination) of
-    /// every instruction, so the per-cycle issue path never allocates.
+    /// Flattened scoreboard-checked virtual registers (sources then
+    /// destination) of every instruction, so the per-cycle issue path never
+    /// allocates. The scoreboard is per warp and liveness per thread, so it
+    /// stays keyed by virtual register, not by the decoded storage slots.
     operand_regs: Vec<u32>,
     /// Per-instruction `(start, len)` span into [`Self::operand_regs`].
     operand_spans: Vec<(u32, u8)>,

@@ -307,6 +307,12 @@ pub enum Inst {
 impl Inst {
     /// The destination register this instruction writes, if any.
     pub fn dst(&self) -> Option<Reg> {
+        let mut inst = *self;
+        inst.dst_mut().copied()
+    }
+
+    /// The destination register operand, if any.
+    fn dst_mut(&mut self) -> Option<&mut Reg> {
         match self {
             Inst::Imm { dst, .. }
             | Inst::Mov { dst, .. }
@@ -320,7 +326,7 @@ impl Inst {
             | Inst::Special { dst, .. }
             | Inst::LdParam { dst, .. }
             | Inst::SharedAddr { dst, .. }
-            | Inst::LocalAddr { dst, .. } => Some(*dst),
+            | Inst::LocalAddr { dst, .. } => Some(dst),
             _ => None,
         }
     }
@@ -357,55 +363,54 @@ impl Inst {
         }
     }
 
-    /// The instruction with every register operand, destination and
-    /// sources, replaced by `f(reg)`.
+    /// The instruction with every source register replaced by `f(reg)`.
     #[must_use]
-    pub fn map_regs(mut self, f: impl Fn(Reg) -> Reg) -> Inst {
+    pub fn map_srcs(mut self, f: impl Fn(Reg) -> Reg) -> Inst {
         match &mut self {
-            Inst::Imm { dst, .. }
-            | Inst::Special { dst, .. }
-            | Inst::LdParam { dst, .. }
-            | Inst::SharedAddr { dst, .. }
-            | Inst::LocalAddr { dst, .. } => *dst = f(*dst),
-            Inst::Mov { dst, src }
-            | Inst::Cast { dst, src, .. }
-            | Inst::Vote { dst, src, .. }
-            | Inst::Un { dst, a: src, .. }
-            | Inst::Ld { dst, addr: src, .. } => {
-                *dst = f(*dst);
-                *src = f(*src);
-            }
-            Inst::Bin { dst, a, b, .. }
+            Inst::Mov { src, .. }
+            | Inst::Cast { src, .. }
+            | Inst::Vote { src, .. }
+            | Inst::Un { a: src, .. }
+            | Inst::Ld { addr: src, .. }
+            | Inst::Bra { cond: src, .. } => *src = f(*src),
+            Inst::Bin { a, b, .. }
             | Inst::Atom {
-                dst,
-                addr: a,
-                val: b,
-                ..
+                addr: a, val: b, ..
+            }
+            | Inst::St {
+                addr: a, val: b, ..
             } => {
-                *dst = f(*dst);
                 *a = f(*a);
                 *b = f(*b);
             }
             Inst::Shfl {
-                dst,
-                src,
-                lane,
-                width,
-                ..
+                src, lane, width, ..
             } => {
-                *dst = f(*dst);
                 *src = f(*src);
                 *lane = f(*lane);
                 *width = f(*width);
             }
-            Inst::St { addr, val, .. } => {
-                *addr = f(*addr);
-                *val = f(*val);
-            }
-            Inst::Bra { cond, .. } => *cond = f(*cond),
-            Inst::Bar { .. } | Inst::Jmp { .. } | Inst::Ret => {}
+            Inst::Imm { .. }
+            | Inst::Special { .. }
+            | Inst::LdParam { .. }
+            | Inst::SharedAddr { .. }
+            | Inst::LocalAddr { .. }
+            | Inst::Bar { .. }
+            | Inst::Jmp { .. }
+            | Inst::Ret => {}
         }
         self
+    }
+
+    /// The instruction with every register operand, destination and
+    /// sources, replaced by `f(reg)`.
+    #[must_use]
+    pub fn map_regs(self, f: impl Fn(Reg) -> Reg) -> Inst {
+        let mut inst = self.map_srcs(&f);
+        if let Some(d) = inst.dst_mut() {
+            *d = f(*d);
+        }
+        inst
     }
 
     /// The source registers this instruction reads.
@@ -537,7 +542,7 @@ mod tests {
     }
 
     #[test]
-    fn map_regs_maps_every_operand() {
+    fn map_regs_and_map_srcs_map_their_operands() {
         let shfl = Inst::Shfl {
             kind: ShflKind::Down,
             dst: 1,
@@ -563,10 +568,13 @@ mod tests {
             val: 2,
         };
         for inst in [shfl, atom, ld, st, Inst::Imm { dst: 5, value: 9 }] {
+            let want: Vec<Reg> = inst.srcs().iter().map(|s| s + 10).collect();
             let mapped = inst.map_regs(|r| r + 10);
             assert_eq!(mapped.dst(), inst.dst().map(|d| d + 10), "{inst:?}");
-            let want: Vec<Reg> = inst.srcs().iter().map(|s| s + 10).collect();
             assert_eq!(mapped.srcs(), want, "{inst:?}");
+            let srcs_only = inst.map_srcs(|r| r + 10);
+            assert_eq!(srcs_only.dst(), inst.dst(), "{inst:?}");
+            assert_eq!(srcs_only.srcs(), want, "{inst:?}");
         }
         let bar = Inst::Bar {
             id: 1,

@@ -309,13 +309,13 @@ pub fn storage_slots(kernel: &KernelIr) -> StorageSlots {
             active.pop();
             free.push(Reverse(s));
         }
-        let s = free.pop().map_or_else(
-            || {
+        let s = match free.pop() {
+            Some(Reverse(s)) => s,
+            None => {
                 num_slots += 1;
                 num_slots - 1
-            },
-            |Reverse(s)| s,
-        );
+            }
+        };
         slot[r as usize] = s;
         active.push(Reverse((hi, s)));
     }

@@ -760,38 +760,7 @@ fn remap_srcs(inst: &mut Inst, rename: &HashMap<Reg, Reg>) {
     if rename.is_empty() {
         return;
     }
-    let m = |r: &mut Reg| {
-        if let Some(&c) = rename.get(r) {
-            *r = c;
-        }
-    };
-    match inst {
-        Inst::Mov { src, .. } => m(src),
-        Inst::Bin { a, b, .. } => {
-            m(a);
-            m(b);
-        }
-        Inst::Un { a, .. } => m(a),
-        Inst::Cast { src, .. } => m(src),
-        Inst::Ld { addr, .. } => m(addr),
-        Inst::St { addr, val, .. } => {
-            m(addr);
-            m(val);
-        }
-        Inst::Atom { addr, val, .. } => {
-            m(addr);
-            m(val);
-        }
-        Inst::Shfl {
-            src, lane, width, ..
-        } => {
-            m(src);
-            m(lane);
-            m(width);
-        }
-        Inst::Bra { cond, .. } => m(cond),
-        _ => {}
-    }
+    *inst = inst.map_srcs(|r| rename.get(&r).copied().unwrap_or(r));
 }
 
 // ---- DCE ---------------------------------------------------------------------
