@@ -20,9 +20,10 @@
 //!   participant counts), and **definite shared-memory races** (two provable
 //!   thread ids in different warps hitting the same element in one
 //!   barrier-delimited phase);
-//! * [`ir_uniform`] re-derives per-instruction warp-uniformity facts on the
-//!   flat `thread-ir` form so the simulator's uniform fast path can skip its
-//!   runtime operand comparisons where uniformity is proven.
+//! * [`ranges`] runs interval × affine-in-tid value ranges, which power
+//!   the must-only out-of-bounds lints and range-proven barrier
+//!   elimination;
+//! * [`cache`] memoizes the lints and range summaries process-wide.
 //!
 //! The race lint is deliberately a *must* analysis — silence on anything it
 //! cannot model exactly — so `hfuse-core` can reject statically-unsafe fusion
@@ -30,7 +31,6 @@
 
 pub mod cache;
 pub mod cfg;
-pub mod ir_uniform;
 pub mod lints;
 pub mod ranges;
 pub mod uniformity;

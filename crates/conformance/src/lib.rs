@@ -16,36 +16,15 @@
 //!   checked.
 //!
 //! Each check runs with the race/barrier sanitizer enabled and fails if it
-//! reports anything, and can be driven on either interpreter arm
-//! ([`Arm::Scalar`] or [`Arm::Vector`]) — programmatically, independent of
-//! the `HFUSE_SIM_NO_VECTOR` environment override. The conformance test
-//! suite in `tests/` sweeps every kernel family (BLAS, image stencil,
-//! attention) plus the paper set through all of the above under both arms.
+//! reports anything. The conformance test suite in `tests/` sweeps every
+//! kernel family (BLAS, image stencil, attention) plus the paper set
+//! through all of the above.
 
 use gpu_sim::{Gpu, GpuConfig, Launch};
 use hfuse_core::fuse::horizontal_fuse;
 use hfuse_core::{FusionInput, SearchOptions, Session};
 use hfuse_kernels::{AnyBenchmark, Benchmark};
 use thread_ir::lower_kernel;
-
-/// Which interpreter the simulator executes warps with. Results must be
-/// identical on both; conformance runs everything twice to prove it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Arm {
-    /// Scalar per-lane interpreter (the `HFUSE_SIM_NO_VECTOR=1` path).
-    Scalar,
-    /// Lane-vectorized interpreter (the default path).
-    Vector,
-}
-
-/// Both interpreter arms, in the order conformance sweeps them.
-pub const ARMS: [Arm; 2] = [Arm::Scalar, Arm::Vector];
-
-impl Arm {
-    fn apply(self, gpu: &mut Gpu) {
-        gpu.set_vector_exec(self == Arm::Vector);
-    }
-}
 
 /// Search options sized for conformance runs: a small fused block and the
 /// paper's partition step keep the candidate sweep cheap while still
@@ -58,9 +37,8 @@ pub fn conformance_search_options() -> SearchOptions {
     }
 }
 
-fn fresh_gpu(arm: Arm) -> Gpu {
+fn fresh_gpu() -> Gpu {
     let mut gpu = Gpu::new(GpuConfig::test_tiny());
-    arm.apply(&mut gpu);
     gpu.enable_sanitizer();
     gpu
 }
@@ -83,15 +61,15 @@ fn dims(b: &dyn Benchmark, threads: u32) -> Result<(u32, u32, u32), String> {
         .ok_or_else(|| format!("{}: no block shape for {threads} threads", b.name()))
 }
 
-/// Runs one benchmark standalone on `arm` and checks its output against the
-/// CPU reference, with the sanitizer on.
+/// Runs one benchmark standalone and checks its output against the CPU
+/// reference, with the sanitizer on.
 ///
 /// # Errors
 ///
 /// Returns the first mismatch, simulation fault, or sanitizer finding.
-pub fn check_standalone(b: &AnyBenchmark, arm: Arm) -> Result<(), String> {
+pub fn check_standalone(b: &AnyBenchmark) -> Result<(), String> {
     let bench = b.benchmark();
-    let mut gpu = fresh_gpu(arm);
+    let mut gpu = fresh_gpu();
     let args = bench.setup(gpu.memory_mut());
     let launch = Launch {
         kernel: lower_kernel(&bench.kernel())
@@ -106,29 +84,23 @@ pub fn check_standalone(b: &AnyBenchmark, arm: Arm) -> Result<(), String> {
         .map_err(|e| format!("{}: run: {e}", bench.name()))?;
     bench
         .check(gpu.memory(), &args)
-        .map_err(|e| format!("{} ({arm:?}): {e}", bench.name()))?;
+        .map_err(|e| format!("{}: {e}", bench.name()))?;
     sanitizer_clean(&gpu, bench.name())
 }
 
-/// Fuses `a` and `b` at partition `(d1, d2)`, runs the fused kernel on
-/// `arm`, and checks both outputs against their CPU references, with the
-/// sanitizer on.
+/// Fuses `a` and `b` at partition `(d1, d2)`, runs the fused kernel, and
+/// checks both outputs against their CPU references, with the sanitizer
+/// on.
 ///
 /// # Errors
 ///
 /// Returns the first fusion failure, mismatch, fault, or sanitizer finding.
-pub fn check_fused(
-    a: &AnyBenchmark,
-    b: &AnyBenchmark,
-    d1: u32,
-    d2: u32,
-    arm: Arm,
-) -> Result<(), String> {
+pub fn check_fused(a: &AnyBenchmark, b: &AnyBenchmark, d1: u32, d2: u32) -> Result<(), String> {
     let (ba, bb) = (a.benchmark(), b.benchmark());
-    let pair = format!("{}+{} at {d1}/{d2} ({arm:?})", ba.name(), bb.name());
+    let pair = format!("{}+{} at {d1}/{d2}", ba.name(), bb.name());
     let fused = horizontal_fuse(&ba.kernel(), dims(ba, d1)?, &bb.kernel(), dims(bb, d2)?)
         .map_err(|e| format!("{pair}: fuse: {e}"))?;
-    let mut gpu = fresh_gpu(arm);
+    let mut gpu = fresh_gpu();
     let args_a = ba.setup(gpu.memory_mut());
     let args_b = bb.setup(gpu.memory_mut());
     let mut args = args_a.clone();
@@ -151,8 +123,8 @@ pub fn check_fused(
 }
 
 /// Runs the fusion-config search for `a`+`b`, then re-runs the winning
-/// kernel *functionally* on both interpreter arms (sanitizer on) and checks
-/// both outputs against their CPU references.
+/// kernel *functionally* (sanitizer on) and checks both outputs against
+/// their CPU references.
 ///
 /// The search itself profiles on sanitizer-free clones — the conformance
 /// claim is about the winner the search hands back, so that is what runs
@@ -182,21 +154,17 @@ pub fn check_search_winner(
         .map_err(|e| format!("{pair}: search: {e}"))?;
     let best = report.best();
     let winner = format!("{pair} winner d1={} d2={}", best.d1, best.d2);
-    for arm in ARMS {
-        // Clone the pre-search device state so each arm starts from the
-        // untouched inputs (some kernels update buffers in place).
-        let mut gpu = base.clone();
-        arm.apply(&mut gpu);
-        gpu.enable_sanitizer();
-        run_winner(&mut gpu, &report.best_kernel, best.d1 + best.d2, &in1, &in2)
-            .map_err(|e| format!("{winner} ({arm:?}): run: {e}"))?;
-        ba.check(gpu.memory(), &in1.args)
-            .map_err(|e| format!("{winner} ({arm:?}): first output: {e}"))?;
-        bb.check(gpu.memory(), &in2.args)
-            .map_err(|e| format!("{winner} ({arm:?}): second output: {e}"))?;
-        sanitizer_clean(&gpu, &format!("{winner} ({arm:?})"))?;
-    }
-    Ok(())
+    // The session searched on its own clone, so `base` still holds the
+    // untouched inputs (some kernels update buffers in place).
+    let mut gpu = base;
+    gpu.enable_sanitizer();
+    run_winner(&mut gpu, &report.best_kernel, best.d1 + best.d2, &in1, &in2)
+        .map_err(|e| format!("{winner}: run: {e}"))?;
+    ba.check(gpu.memory(), &in1.args)
+        .map_err(|e| format!("{winner}: first output: {e}"))?;
+    bb.check(gpu.memory(), &in2.args)
+        .map_err(|e| format!("{winner}: second output: {e}"))?;
+    sanitizer_clean(&gpu, &winner)
 }
 
 fn run_winner(
@@ -223,12 +191,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn arms_cover_both_interpreters() {
-        let mut gpu = fresh_gpu(Arm::Scalar);
-        assert!(!gpu.vector_exec());
-        assert!(gpu.sanitizer_enabled());
-        Arm::Vector.apply(&mut gpu);
-        assert!(gpu.vector_exec());
+    fn fresh_gpu_has_the_sanitizer_on() {
+        assert!(fresh_gpu().sanitizer_enabled());
     }
 
     #[test]
@@ -239,12 +203,12 @@ mod tests {
     }
 
     #[test]
-    fn a_failing_check_reports_the_kernel_and_arm() {
+    fn a_failing_check_reports_the_kernel() {
         // Fusing a pair whose partition starves the first kernel is not an
         // error, but an impossible block shape is.
         let b = AnyBenchmark::by_name("Batchnorm").unwrap(); // Rows { y: 16 }
         let m = AnyBenchmark::by_name("Maxpool").unwrap();
-        let err = check_fused(&b, &m, 8, 504, Arm::Scalar).unwrap_err();
+        let err = check_fused(&b, &m, 8, 504).unwrap_err();
         assert!(err.contains("Batchnorm"), "{err}");
     }
 }

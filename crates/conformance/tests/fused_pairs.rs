@@ -1,8 +1,8 @@
 //! Conformance of horizontally fused intra-family pairs: each pair fuses at
 //! even and uneven partitions and must reproduce both CPU references
-//! exactly, on both interpreter arms, with the sanitizer enabled.
+//! exactly, with the sanitizer enabled.
 
-use hfuse_conformance::{check_fused, ARMS};
+use hfuse_conformance::check_fused;
 use hfuse_kernels::AnyBenchmark;
 
 fn by_name(name: &str) -> AnyBenchmark {
@@ -17,9 +17,7 @@ fn check_pair(a: &str, b: &str) {
     // uneven splits exercise non-power-of-two partition sizes (e.g. Dot's
     // tree reduction over 384 threads).
     for (d1, d2) in [(256, 256), (384, 128), (128, 384)] {
-        for arm in ARMS {
-            check_fused(&a, &b, d1, d2, arm).unwrap_or_else(|e| panic!("{e}"));
-        }
+        check_fused(&a, &b, d1, d2).unwrap_or_else(|e| panic!("{e}"));
     }
 }
 

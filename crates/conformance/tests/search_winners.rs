@@ -1,7 +1,7 @@
 //! Conformance of the cross-family pair matrix: for each pair drawn from
 //! two different kernel families, run the fusion-config search and re-run
-//! the winning kernel functionally on both interpreter arms (sanitizer on),
-//! checking both outputs against their CPU references.
+//! the winning kernel functionally (sanitizer on), checking both outputs
+//! against their CPU references.
 
 use hfuse_conformance::{check_search_winner, conformance_search_options};
 use hfuse_kernels::AnyBenchmark;

@@ -359,110 +359,9 @@ fn fast_forward_matches_naive_on_fuzz_corpus_pascal() {
     }
 }
 
-/// Runs the same launches with and without the warp-uniform broadcast fast
-/// path and asserts every reported number and the device memory match: the
-/// fast path must be observationally invisible.
-fn assert_uniform_paths_identical(cfg: GpuConfig, build: impl Fn(&mut Gpu) -> Vec<Launch>) {
-    let mut uniform = Gpu::new(cfg.clone());
-    uniform.set_uniform_exec(true);
-    let launches = build(&mut uniform);
-    let uni_res = uniform.run(&launches).expect("uniform run");
-
-    let mut scalar = Gpu::new(cfg);
-    scalar.set_uniform_exec(false);
-    let launches = build(&mut scalar);
-    let sca_res = scalar.run(&launches).expect("scalar run");
-
-    assert_eq!(
-        uni_res.total_cycles, sca_res.total_cycles,
-        "total cycles diverge"
-    );
-    assert_eq!(uni_res.metrics, sca_res.metrics, "metrics diverge");
-    assert_eq!(
-        uni_res.launch_finish, sca_res.launch_finish,
-        "finish cycles diverge"
-    );
-    // Functional equivalence: every output buffer byte-identical.
-    for launch in &launches {
-        for arg in &launch.args {
-            if let ParamValue::Ptr(buf) = arg {
-                assert_eq!(
-                    uniform.memory().read_u32s(*buf),
-                    scalar.memory().read_u32s(*buf),
-                    "buffer contents diverge"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn uniform_path_matches_scalar_memory_bound() {
-    assert_uniform_paths_identical(GpuConfig::test_tiny(), memory_bound_launch);
-}
-
-#[test]
-fn uniform_path_matches_scalar_compute_bound() {
-    assert_uniform_paths_identical(GpuConfig::test_tiny(), compute_bound_launch);
-}
-
-#[test]
-fn uniform_path_matches_scalar_barrier_heavy() {
-    assert_uniform_paths_identical(GpuConfig::test_tiny(), barrier_heavy_launch);
-}
-
-#[test]
-fn uniform_path_matches_scalar_on_fuzz_corpus() {
-    for case in 0..4 {
-        assert_uniform_paths_identical(GpuConfig::test_tiny(), fuzz_case_launches(7, case));
-    }
-    for case in 0..2 {
-        assert_uniform_paths_identical(GpuConfig::pascal_like(), fuzz_case_launches(0xdead, case));
-    }
-}
-
-/// Runs the same launches with and without the lane-vectorized (SoA,
-/// branch-free masked 32-lane loop) interpreter and asserts every reported
-/// number and the device memory match: vectorization must be
-/// observationally invisible, down to the event stream the sanitizer and
-/// barrier machinery observe.
-fn assert_vector_paths_identical(cfg: GpuConfig, build: impl Fn(&mut Gpu) -> Vec<Launch>) {
-    let mut vector = Gpu::new(cfg.clone());
-    vector.set_vector_exec(true);
-    let launches = build(&mut vector);
-    let vec_res = vector.run(&launches).expect("vector run");
-
-    let mut scalar = Gpu::new(cfg);
-    scalar.set_vector_exec(false);
-    let launches = build(&mut scalar);
-    let sca_res = scalar.run(&launches).expect("scalar run");
-
-    assert_eq!(
-        vec_res.total_cycles, sca_res.total_cycles,
-        "total cycles diverge"
-    );
-    assert_eq!(vec_res.metrics, sca_res.metrics, "metrics diverge");
-    assert_eq!(
-        vec_res.launch_finish, sca_res.launch_finish,
-        "finish cycles diverge"
-    );
-    for launch in &launches {
-        for arg in &launch.args {
-            if let ParamValue::Ptr(buf) = arg {
-                assert_eq!(
-                    vector.memory().read_u32s(*buf),
-                    scalar.memory().read_u32s(*buf),
-                    "buffer contents diverge"
-                );
-            }
-        }
-    }
-}
-
 fn divergent_branch_launch(gpu: &mut Gpu) -> Vec<Launch> {
     // Nested data-dependent branches splinter the warp into several active
-    // masks; the vectorized loop must execute exactly the lanes the scalar
-    // reconvergence stack would, in the same issue slots.
+    // masks, each issuing in its own slots.
     let ir = compile(
         "__global__ void diverge(unsigned int* out, unsigned int* in, int n) {\
            int i = blockIdx.x * blockDim.x + threadIdx.x;\
@@ -514,45 +413,15 @@ fn partial_barrier_launch(gpu: &mut Gpu) -> Vec<Launch> {
 }
 
 #[test]
-fn vector_path_matches_scalar_memory_bound() {
-    assert_vector_paths_identical(GpuConfig::test_tiny(), memory_bound_launch);
+fn fast_forward_matches_naive_divergent_branches() {
+    assert_paths_identical(GpuConfig::test_tiny(), divergent_branch_launch);
+    assert_paths_identical(GpuConfig::pascal_like(), divergent_branch_launch);
 }
 
 #[test]
-fn vector_path_matches_scalar_compute_bound() {
-    assert_vector_paths_identical(GpuConfig::test_tiny(), compute_bound_launch);
-}
-
-#[test]
-fn vector_path_matches_scalar_barrier_heavy() {
-    assert_vector_paths_identical(GpuConfig::test_tiny(), barrier_heavy_launch);
-}
-
-#[test]
-fn vector_path_matches_scalar_multi_stream() {
-    assert_vector_paths_identical(GpuConfig::test_tiny(), multi_stream_launches);
-}
-
-#[test]
-fn vector_path_matches_scalar_divergent_branches() {
-    assert_vector_paths_identical(GpuConfig::test_tiny(), divergent_branch_launch);
-    assert_vector_paths_identical(GpuConfig::pascal_like(), divergent_branch_launch);
-}
-
-#[test]
-fn vector_path_matches_scalar_partial_barrier() {
-    assert_vector_paths_identical(GpuConfig::test_tiny(), partial_barrier_launch);
-    assert_vector_paths_identical(GpuConfig::pascal_like(), partial_barrier_launch);
-}
-
-#[test]
-fn vector_path_matches_scalar_on_fuzz_corpus() {
-    for case in 0..4 {
-        assert_vector_paths_identical(GpuConfig::test_tiny(), fuzz_case_launches(7, case));
-    }
-    for case in 0..2 {
-        assert_vector_paths_identical(GpuConfig::pascal_like(), fuzz_case_launches(0xdead, case));
-    }
+fn fast_forward_matches_naive_partial_barrier() {
+    assert_paths_identical(GpuConfig::test_tiny(), partial_barrier_launch);
+    assert_paths_identical(GpuConfig::pascal_like(), partial_barrier_launch);
 }
 
 #[test]

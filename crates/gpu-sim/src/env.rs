@@ -8,9 +8,9 @@
 //! the complete list of documented hatches, so tests can enumerate them and
 //! the parsing cannot drift between crates.
 //!
-//! The `HFUSE_NO_STATIC_CHECK` hatch lives in `hfuse-analysis`, which this
-//! crate depends *on* (so it cannot call in here); it is still listed in
-//! [`HATCHES`] because the registry documents the whole workspace.
+//! The `HFUSE_NO_STATIC_CHECK` hatch is parsed in `hfuse-analysis`, which
+//! does not depend on this crate; it is still listed in [`HATCHES`]
+//! because the registry documents the whole workspace.
 
 /// One documented `HFUSE_*` switch.
 #[derive(Debug, Clone, Copy)]
@@ -26,14 +26,6 @@ pub const HATCHES: &[Hatch] = &[
     Hatch {
         name: "HFUSE_SIM_NO_SKIP",
         what: "force the naive single-step simulator loop (no idle-cycle fast-forward)",
-    },
-    Hatch {
-        name: "HFUSE_SIM_NO_UNIFORM",
-        what: "disable the warp-uniform broadcast fast path in the interpreter",
-    },
-    Hatch {
-        name: "HFUSE_SIM_NO_VECTOR",
-        what: "run the per-lane scalar interpreter instead of the lane-vectorized one",
     },
     Hatch {
         name: "HFUSE_SANITIZE",
@@ -75,16 +67,6 @@ pub fn parse_usize(name: &str) -> Option<usize> {
 /// `HFUSE_SIM_NO_SKIP`: force the naive single-step cycle loop.
 pub fn sim_no_skip() -> bool {
     flag("HFUSE_SIM_NO_SKIP")
-}
-
-/// `HFUSE_SIM_NO_UNIFORM`: disable the warp-uniform broadcast fast path.
-pub fn sim_no_uniform() -> bool {
-    flag("HFUSE_SIM_NO_UNIFORM")
-}
-
-/// `HFUSE_SIM_NO_VECTOR`: run the scalar per-lane interpreter.
-pub fn sim_no_vector() -> bool {
-    flag("HFUSE_SIM_NO_VECTOR")
 }
 
 /// `HFUSE_SANITIZE`: enable the sanitizer on every new device.
@@ -146,8 +128,6 @@ mod tests {
     fn registry_covers_every_documented_hatch() {
         let expected = [
             "HFUSE_SIM_NO_SKIP",
-            "HFUSE_SIM_NO_UNIFORM",
-            "HFUSE_SIM_NO_VECTOR",
             "HFUSE_SANITIZE",
             "HFUSE_SEARCH_THREADS",
             "HFUSE_FUZZ_NO_SANITIZE",

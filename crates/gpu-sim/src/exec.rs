@@ -37,14 +37,13 @@
 //! Memory, shuffle, vote, and barrier instructions have per-lane side
 //! effects (loads, stores, sanitizer events) that must be reported in
 //! ascending lane order; they read their operands straight from the lane
-//! rows and walk the active lanes exactly like the scalar interpreter, so
-//! the sanitizer and barrier-epoch machinery see identical event streams in
-//! both modes.
+//! rows and walk the active lanes one by one, so the sanitizer and
+//! barrier-epoch machinery see events in thread order.
 //!
-//! The pre-vectorization scalar interpreter (per-lane match-and-dispatch
-//! through [`alu`]) is kept as the reference path: `HFUSE_SIM_NO_VECTOR=1`
-//! or [`crate::Gpu::set_vector_exec`]`(false)` selects it, and differential
-//! tests assert both paths produce bit-identical memory and cycle counts.
+//! These loops are the only interpreter. Their oracles are independent of
+//! them: the CPU-reference conformance crate, the pinned statistics of
+//! `tests/sim_golden.rs` and `register_exactness.rs`, and the naive-loop
+//! differential of the timing engine.
 
 use thread_ir::ir::{
     AtomOp, BarCount, BinIr, Inst, ScalarTy, ShflKind, SpecialReg, UnIr, VoteKind,
@@ -248,7 +247,7 @@ macro_rules! cast_forms {
 /// The register file is one flat `u64` vector laid out
 /// `[warp][slot][lane]` with every warp padded to [`WARP_SIZE`] lanes, so a
 /// `(warp, slot)` pair addresses one contiguous cache-aligned row of 32
-/// lanes — the unit the vectorized interpreter operates on. It has
+/// lanes — the unit the lane loops operate on. It has
 /// [`DecodedKernel::num_slots`] rows per warp: decode renamed every virtual
 /// register to a storage slot, and registers never live at the same time
 /// share a row.
@@ -387,19 +386,6 @@ impl BlockExec {
             .expect("pc row is WARP_SIZE long")
     }
 
-    /// One thread's value of `reg` (scalar path and cross-warp helpers).
-    #[inline(always)]
-    fn lane_reg(&self, tid: usize, reg: u32) -> u64 {
-        self.regs[self.reg_base(tid / WARP_SIZE, reg) + tid % WARP_SIZE]
-    }
-
-    /// Sets one thread's value of `reg`.
-    #[inline(always)]
-    fn set_lane_reg(&mut self, tid: usize, reg: u32, v: u64) {
-        let i = self.reg_base(tid / WARP_SIZE, reg) + tid % WARP_SIZE;
-        self.regs[i] = v;
-    }
-
     /// Lanes of `warp` that neither exited nor wait at a barrier.
     #[inline(always)]
     fn runnable(&self, warp: usize) -> u32 {
@@ -492,12 +478,10 @@ impl BlockExec {
     /// When `san` is given, memory accesses and barrier events are also
     /// reported to the sanitizer.
     ///
-    /// Register-pure instructions run lane-vectorized unless the decoded
-    /// kernel was built with vectorization off (the `HFUSE_SIM_NO_VECTOR`
-    /// escape hatch), in which case the scalar per-lane reference
-    /// interpreter runs; both produce bit-identical state. Instructions
-    /// with per-lane side effects (memory, shuffles, votes, barriers) share
-    /// one implementation that reports events in ascending lane order.
+    /// Register-pure instructions run as masked lane loops over the whole
+    /// warp; instructions with per-lane side effects (memory, shuffles,
+    /// votes, barriers) walk the active lanes and report events in
+    /// ascending lane order.
     ///
     /// # Errors
     ///
@@ -521,28 +505,8 @@ impl BlockExec {
         mut san: Option<&mut Sanitizer>,
     ) -> Result<ExecOutcome, SimError> {
         let kernel = &launch.kernel;
-        let dinst = &prog.insts[pc];
         let warp_start = warp * WARP_SIZE;
-
-        // Warp-uniform fast path: when the whole group reads identical
-        // operand values, evaluate once and broadcast instead of a full
-        // lane loop — the degenerate single-chunk case of the vectorized
-        // interpreter. Timing-transparent — the outcome kind is identical
-        // to both full paths'.
-        if dinst.uniform_eligible && mask.count_ones() > 1 {
-            if let Some(out) = self.exec_uniform_group(
-                launch,
-                &dinst.inst,
-                warp,
-                pc,
-                mask,
-                dinst.statically_uniform,
-            ) {
-                return Ok(out);
-            }
-        }
-
-        let inst = &dinst.inst;
+        let inst = &prog.insts[pc].inst;
         let lanes: Lanes = Lanes { mask };
         let san_ctx = AccessCtx {
             kernel: &kernel.name,
@@ -559,44 +523,21 @@ impl BlockExec {
 
         match inst {
             Inst::Imm { dst, value } => {
-                if prog.vector {
-                    fill_masked(self.warp_reg_mut(warp, *dst), mask, *value);
-                } else {
-                    for lane in lanes {
-                        self.set_lane_reg(warp_start + lane, *dst, *value);
-                    }
-                }
+                fill_masked(self.warp_reg_mut(warp, *dst), mask, *value);
                 self.advance(warp, mask, pc + 1);
                 Ok(simple(IssueKind::Alu))
             }
             Inst::Mov { dst, src } => {
-                if prog.vector {
-                    let (d, a) = (self.reg_base(warp, *dst), self.reg_base(warp, *src));
-                    lanes1(&mut self.regs, d, a, mask, |x| x);
-                } else {
-                    for lane in lanes {
-                        let tid = warp_start + lane;
-                        let v = self.lane_reg(tid, *src);
-                        self.set_lane_reg(tid, *dst, v);
-                    }
-                }
+                let (d, a) = (self.reg_base(warp, *dst), self.reg_base(warp, *src));
+                lanes1(&mut self.regs, d, a, mask, |x| x);
                 self.advance(warp, mask, pc + 1);
                 Ok(simple(IssueKind::Alu))
             }
             Inst::Bin { op, ty, dst, a, b } => {
-                if prog.vector {
-                    let d = self.reg_base(warp, *dst);
-                    let (a, b) = (self.reg_base(warp, *a), self.reg_base(warp, *b));
-                    let regs = &mut self.regs;
-                    bin_forms!(*op, *ty, |f| lanes2(regs, d, a, b, mask, f));
-                } else {
-                    for lane in lanes {
-                        let tid = warp_start + lane;
-                        let va = self.lane_reg(tid, *a);
-                        let vb = self.lane_reg(tid, *b);
-                        self.set_lane_reg(tid, *dst, alu::bin(*op, *ty, va, vb));
-                    }
-                }
+                let d = self.reg_base(warp, *dst);
+                let (a, b) = (self.reg_base(warp, *a), self.reg_base(warp, *b));
+                let regs = &mut self.regs;
+                bin_forms!(*op, *ty, |f| lanes2(regs, d, a, b, mask, f));
                 self.advance(warp, mask, pc + 1);
                 // Divides are iterative on real hardware for integers and
                 // a multi-instruction reciprocal sequence for floats.
@@ -608,17 +549,9 @@ impl BlockExec {
                 Ok(simple(kind))
             }
             Inst::Un { op, ty, dst, a } => {
-                if prog.vector {
-                    let (d, a) = (self.reg_base(warp, *dst), self.reg_base(warp, *a));
-                    let regs = &mut self.regs;
-                    un_forms!(*op, *ty, |f| lanes1(regs, d, a, mask, f));
-                } else {
-                    for lane in lanes {
-                        let tid = warp_start + lane;
-                        let va = self.lane_reg(tid, *a);
-                        self.set_lane_reg(tid, *dst, alu::un(*op, *ty, va));
-                    }
-                }
+                let (d, a) = (self.reg_base(warp, *dst), self.reg_base(warp, *a));
+                let regs = &mut self.regs;
+                un_forms!(*op, *ty, |f| lanes1(regs, d, a, mask, f));
                 self.advance(warp, mask, pc + 1);
                 let kind = match op {
                     UnIr::Sqrt | UnIr::Rsqrt | UnIr::Exp | UnIr::Log => IssueKind::Special,
@@ -627,81 +560,46 @@ impl BlockExec {
                 Ok(simple(kind))
             }
             Inst::Cast { dst, src, from, to } => {
-                if prog.vector {
-                    let (d, a) = (self.reg_base(warp, *dst), self.reg_base(warp, *src));
-                    let regs = &mut self.regs;
-                    cast_forms!(*from, *to, |f| lanes1(regs, d, a, mask, f));
-                } else {
-                    for lane in lanes {
-                        let tid = warp_start + lane;
-                        let v = self.lane_reg(tid, *src);
-                        self.set_lane_reg(tid, *dst, alu::cast(*from, *to, v));
-                    }
-                }
+                let (d, a) = (self.reg_base(warp, *dst), self.reg_base(warp, *src));
+                let regs = &mut self.regs;
+                cast_forms!(*from, *to, |f| lanes1(regs, d, a, mask, f));
                 self.advance(warp, mask, pc + 1);
                 Ok(simple(IssueKind::Alu))
             }
             Inst::Special { dst, reg } => {
-                if prog.vector {
-                    // The value is pure arithmetic on the thread id, so
-                    // padding lanes are harmless to evaluate.
-                    let mut vals = [0u64; WARP_SIZE];
-                    for (l, v) in vals.iter_mut().enumerate() {
-                        *v = self.special_value(launch, *reg, warp_start + l);
-                    }
-                    select_masked(self.warp_reg_mut(warp, *dst), mask, &vals);
-                } else {
-                    for lane in lanes {
-                        let tid = warp_start + lane;
-                        let v = self.special_value(launch, *reg, tid);
-                        self.set_lane_reg(tid, *dst, v);
-                    }
+                // The value is pure arithmetic on the thread id, so
+                // padding lanes are harmless to evaluate.
+                let mut vals = [0u64; WARP_SIZE];
+                for (l, v) in vals.iter_mut().enumerate() {
+                    *v = self.special_value(launch, *reg, warp_start + l);
                 }
+                select_masked(self.warp_reg_mut(warp, *dst), mask, &vals);
                 self.advance(warp, mask, pc + 1);
                 Ok(simple(IssueKind::Alu))
             }
             Inst::LdParam { dst, index } => {
                 let bits = launch.args[*index as usize].to_bits();
-                if prog.vector {
-                    fill_masked(self.warp_reg_mut(warp, *dst), mask, bits);
-                } else {
-                    for lane in lanes {
-                        self.set_lane_reg(warp_start + lane, *dst, bits);
-                    }
-                }
+                fill_masked(self.warp_reg_mut(warp, *dst), mask, bits);
                 self.advance(warp, mask, pc + 1);
                 Ok(simple(IssueKind::Alu))
             }
             Inst::SharedAddr { dst, offset } => {
                 let addr = MemAddr::shared(*offset).0;
-                if prog.vector {
-                    fill_masked(self.warp_reg_mut(warp, *dst), mask, addr);
-                } else {
-                    for lane in lanes {
-                        self.set_lane_reg(warp_start + lane, *dst, addr);
-                    }
-                }
+                fill_masked(self.warp_reg_mut(warp, *dst), mask, addr);
                 self.advance(warp, mask, pc + 1);
                 Ok(simple(IssueKind::Alu))
             }
             Inst::LocalAddr { dst, offset } => {
                 let addr = MemAddr::local(*offset).0;
-                if prog.vector {
-                    fill_masked(self.warp_reg_mut(warp, *dst), mask, addr);
-                } else {
-                    for lane in lanes {
-                        self.set_lane_reg(warp_start + lane, *dst, addr);
-                    }
-                }
+                fill_masked(self.warp_reg_mut(warp, *dst), mask, addr);
                 self.advance(warp, mask, pc + 1);
                 Ok(simple(IssueKind::Alu))
             }
             Inst::Ld { ty, dst, addr } => {
                 // Read addresses straight from the SoA row and perform the
-                // loads (and sanitizer events) in ascending lane order — the
-                // same event stream as the scalar interpreter. All loads
-                // land before any destination lane is written, so `dst`
-                // may alias `addr`.
+                // loads (and sanitizer events) in ascending lane order. All
+                // loads land before any destination lane is written, so
+                // `dst` may alias `addr`.
                 let ab = self.reg_base(warp, *addr);
                 let mut vals = [0u64; WARP_SIZE];
                 let mut segs = SegmentSet::new();
@@ -976,117 +874,6 @@ impl BlockExec {
                 Ok(simple(IssueKind::Control))
             }
         }
-    }
-
-    /// True when every active lane of the group holds the same value in
-    /// `reg`.
-    fn lanes_uniform(&self, warp: usize, mask: u32, reg: u32) -> bool {
-        let b = self.reg_base(warp, reg);
-        let row: &[u64; WARP_SIZE] = self.regs[b..b + WARP_SIZE]
-            .try_into()
-            .expect("lane row is WARP_SIZE long");
-        let v = row[mask.trailing_zeros() as usize];
-        // Branch-free within a chunk, early exit between chunks: divergent
-        // rows usually differ in the first chunk.
-        row.chunks_exact(CHUNK).enumerate().all(|(c, chunk)| {
-            let mut differs = 0u32;
-            for (i, &x) in chunk.iter().enumerate() {
-                differs |= u32::from(x != v) << i;
-            }
-            differs & (mask >> (c * CHUNK)) == 0
-        })
-    }
-
-    /// [`Self::lanes_uniform`] with a static shortcut: when dataflow already
-    /// proved the register uniform at this PC the runtime scan is skipped
-    /// (validated by a debug assertion, which the differential and fuzz
-    /// test suites run with enabled).
-    fn group_uniform(&self, warp: usize, mask: u32, reg: u32, proven: bool) -> bool {
-        if proven {
-            debug_assert!(
-                self.lanes_uniform(warp, mask, reg),
-                "static uniformity fact violated at runtime for slot {reg}"
-            );
-            return true;
-        }
-        self.lanes_uniform(warp, mask, reg)
-    }
-
-    /// The warp-uniform fast path: evaluates a register-pure instruction
-    /// once using the first active lane's operands and broadcasts the
-    /// result to the whole group, provided every active lane reads
-    /// identical operand values. The operand comparison is a runtime scan
-    /// unless `proven` says static analysis already established uniformity
-    /// at this PC. Returns `None` when the operands diverge (the caller
-    /// falls back to the full lane loop). The `IssueKind` mapping mirrors
-    /// the full paths exactly so timing is unchanged.
-    fn exec_uniform_group(
-        &mut self,
-        launch: &Launch,
-        inst: &Inst,
-        warp: usize,
-        pc: usize,
-        mask: u32,
-        proven: bool,
-    ) -> Option<ExecOutcome> {
-        let first = warp * WARP_SIZE + mask.trailing_zeros() as usize;
-        let (dst, value, kind) = match inst {
-            Inst::Mov { dst, src } => {
-                if !self.group_uniform(warp, mask, *src, proven) {
-                    return None;
-                }
-                let v = self.lane_reg(first, *src);
-                (*dst, v, IssueKind::Alu)
-            }
-            Inst::Bin { op, ty, dst, a, b } => {
-                if !self.group_uniform(warp, mask, *a, proven)
-                    || !self.group_uniform(warp, mask, *b, proven)
-                {
-                    return None;
-                }
-                let va = self.lane_reg(first, *a);
-                let vb = self.lane_reg(first, *b);
-                let kind = if matches!(op, BinIr::Div | BinIr::Rem) {
-                    IssueKind::Div
-                } else {
-                    IssueKind::Alu
-                };
-                (*dst, alu::bin(*op, *ty, va, vb), kind)
-            }
-            Inst::Un { op, ty, dst, a } => {
-                if !self.group_uniform(warp, mask, *a, proven) {
-                    return None;
-                }
-                let va = self.lane_reg(first, *a);
-                let kind = match op {
-                    UnIr::Sqrt | UnIr::Rsqrt | UnIr::Exp | UnIr::Log => IssueKind::Special,
-                    _ => IssueKind::Alu,
-                };
-                (*dst, alu::un(*op, *ty, va), kind)
-            }
-            Inst::Cast { dst, src, from, to } => {
-                if !self.group_uniform(warp, mask, *src, proven) {
-                    return None;
-                }
-                let v = self.lane_reg(first, *src);
-                (*dst, alu::cast(*from, *to, v), IssueKind::Alu)
-            }
-            // Decode only marks block-uniform special registers eligible,
-            // so the value is the same for every thread by construction.
-            Inst::Special { dst, reg } => (
-                *dst,
-                self.special_value(launch, *reg, first),
-                IssueKind::Alu,
-            ),
-            _ => return None,
-        };
-        fill_masked(self.warp_reg_mut(warp, dst), mask, value);
-        self.advance(warp, mask, pc + 1);
-        Some(ExecOutcome {
-            kind,
-            transactions: 0,
-            conflict_extra: 0,
-        })
     }
 
     fn special_value(&self, launch: &Launch, reg: SpecialReg, tid: usize) -> u64 {

@@ -38,12 +38,6 @@ pub struct Gpu {
     memory: GpuMemory,
     /// Race/barrier sanitizer (see [`crate::sanitizer`]); `None` when off.
     sanitizer: Option<Box<Sanitizer>>,
-    /// Warp-uniform broadcast fast path in the interpreter (see
-    /// [`crate::decode`]); disabled by `HFUSE_SIM_NO_UNIFORM`.
-    uniform_exec: bool,
-    /// Lane-vectorized interpreter loops (see [`crate::exec`]); disabled by
-    /// `HFUSE_SIM_NO_VECTOR` (falls back to the scalar per-lane path).
-    vector_exec: bool,
 }
 
 impl Gpu {
@@ -54,35 +48,17 @@ impl Gpu {
             config,
             memory: GpuMemory::new(),
             sanitizer: sanitize_enabled_by_env().then(|| Box::new(Sanitizer::new())),
-            uniform_exec: !uniform_disabled_by_env(),
-            vector_exec: !vector_disabled_by_env(),
         }
     }
 
-    /// Enables or disables the warp-uniform broadcast fast path for
-    /// subsequent runs. Results and timing are identical either way; this
-    /// is the programmatic escape hatch differential tests use (the env
-    /// equivalent is `HFUSE_SIM_NO_UNIFORM=1`).
-    pub fn set_uniform_exec(&mut self, on: bool) {
-        self.uniform_exec = on;
-    }
-
-    /// True when the warp-uniform fast path is active.
+    /// Compat shim for perfbench's `workload.rs`, always `true`; goes in the next benchmark change.
     pub fn uniform_exec(&self) -> bool {
-        self.uniform_exec
+        true
     }
 
-    /// Enables or disables the lane-vectorized interpreter for subsequent
-    /// runs. Results and timing are identical either way; this is the
-    /// programmatic escape hatch differential tests use (the env
-    /// equivalent is `HFUSE_SIM_NO_VECTOR=1`).
-    pub fn set_vector_exec(&mut self, on: bool) {
-        self.vector_exec = on;
-    }
-
-    /// True when the lane-vectorized interpreter is active.
+    /// Compat shim for perfbench's `workload.rs`, always `true`; goes in the next benchmark change.
     pub fn vector_exec(&self) -> bool {
-        self.vector_exec
+        true
     }
 
     /// Turns on the race/barrier sanitizer for subsequent runs (idempotent;
@@ -139,7 +115,7 @@ impl Gpu {
         }
         for (li, launch) in launches.iter().enumerate() {
             launch.validate()?;
-            let prog = DecodedKernel::new(&launch.kernel, self.uniform_exec, self.vector_exec);
+            let prog = DecodedKernel::decode(&launch.kernel);
             for b in 0..launch.grid_dim {
                 let mut blk = BlockExec::new(launch, &prog, li, b);
                 loop {
@@ -213,7 +189,7 @@ impl Gpu {
         for l in launches {
             l.validate()?;
         }
-        let mut engine = Engine::new(&self.config, launches, self.uniform_exec, self.vector_exec);
+        let mut engine = Engine::new(&self.config, launches);
         engine.no_skip = no_skip;
         engine.trace_interval = interval.max(1);
         if let Some(s) = self.sanitizer.as_deref_mut() {
@@ -302,7 +278,7 @@ impl Gpu {
                 )));
             }
         }
-        let mut engine = Engine::new(&self.config, launches, self.uniform_exec, self.vector_exec);
+        let mut engine = Engine::new(&self.config, launches);
         engine.no_skip = no_skip;
         engine.budget = budget;
         if let Some(s) = self.sanitizer.as_deref_mut() {
@@ -327,24 +303,10 @@ fn skip_disabled_by_env() -> bool {
     crate::env::sim_no_skip()
 }
 
-/// `HFUSE_SIM_NO_UNIFORM=1` (any value but `0`) disables the warp-uniform
-/// broadcast fast path globally — the escape hatch for A/B-ing the
-/// interpreter paths.
-fn uniform_disabled_by_env() -> bool {
-    crate::env::sim_no_uniform()
-}
-
-/// `HFUSE_SIM_NO_VECTOR=1` (any value but `0`) selects the scalar per-lane
-/// interpreter globally — the escape hatch for A/B-ing the vectorized lane
-/// loops against the reference path.
-fn vector_disabled_by_env() -> bool {
-    crate::env::sim_no_vector()
-}
-
 /// Per-launch precomputed issue information.
 struct LaunchCtx {
     /// The launch's kernel pre-decoded into a flat instruction buffer (the
-    /// interpreter's read path; also carries the uniform-eligibility flags).
+    /// interpreter's read path).
     prog: DecodedKernel,
     /// Per-instruction count of spilled-register operands.
     spill_counts: Vec<u8>,
@@ -361,7 +323,7 @@ struct LaunchCtx {
 }
 
 impl LaunchCtx {
-    fn new(launch: &Launch, uniform_exec: bool, vector_exec: bool) -> Self {
+    fn new(launch: &Launch) -> Self {
         let k = &launch.kernel;
         let mut spilled = vec![false; k.num_regs as usize];
         for &r in &k.spilled_regs {
@@ -385,7 +347,7 @@ impl LaunchCtx {
             spill_counts.push(n);
         }
         LaunchCtx {
-            prog: DecodedKernel::new(k, uniform_exec, vector_exec),
+            prog: DecodedKernel::decode(k),
             spill_counts,
             operand_regs,
             operand_spans,
@@ -582,19 +544,11 @@ struct SweepStats {
 }
 
 impl<'a> Engine<'a> {
-    fn new(
-        cfg: &'a GpuConfig,
-        launches: &'a [Launch],
-        uniform_exec: bool,
-        vector_exec: bool,
-    ) -> Self {
+    fn new(cfg: &'a GpuConfig, launches: &'a [Launch]) -> Self {
         Engine {
             cfg,
             launches,
-            ctxs: launches
-                .iter()
-                .map(|l| LaunchCtx::new(l, uniform_exec, vector_exec))
-                .collect(),
+            ctxs: launches.iter().map(LaunchCtx::new).collect(),
             sms: (0..cfg.num_sms).map(|_| SmState::new(cfg)).collect(),
             next_block: vec![0; launches.len()],
             blocks_remaining: launches.iter().map(|l| u64::from(l.grid_dim)).sum(),

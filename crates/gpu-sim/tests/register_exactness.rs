@@ -15,10 +15,9 @@
 //! - `dead_results`: an atomic whose old value is never read and a load
 //!   whose value is never read.
 //!
-//! Every kernel runs optimized and unoptimized, on the vectorized and the
-//! scalar interpreter arm. Device memory must equal a CPU computation of
-//! the kernel, and the full [`RunResult`] must equal the pinned table; on
-//! a mismatch the test prints the actual table.
+//! Every kernel runs optimized and unoptimized. Device memory must equal a
+//! CPU computation of the kernel, and the full [`RunResult`] must equal the
+//! pinned table; on a mismatch the test prints the actual table.
 
 use cuda_frontend::parse_kernel;
 use gpu_sim::{Gpu, GpuConfig, Launch, ParamValue, RunResult};
@@ -227,11 +226,10 @@ const KERNELS: [(&str, CpuKernel); 5] = [
     (DEAD_RESULTS, dead_results_cpu),
 ];
 
-/// Runs `kernel` on a fresh `test_tiny` device on one interpreter arm and
-/// returns the result with the `out` and `cnt` buffers.
-fn run(kernel: &KernelIr, vector: bool) -> (RunResult, Vec<u32>, Vec<u32>) {
+/// Runs `kernel` on a fresh `test_tiny` device and returns the result with
+/// the `out` and `cnt` buffers.
+fn run(kernel: &KernelIr) -> (RunResult, Vec<u32>, Vec<u32>) {
     let mut gpu = Gpu::new(GpuConfig::test_tiny());
-    gpu.set_vector_exec(vector);
     let out = gpu.memory_mut().alloc_u32(2 * THREADS as usize);
     let inp = gpu.memory_mut().alloc_from_u32(&input());
     let cnt = gpu.memory_mut().alloc_u32(4);
@@ -247,7 +245,7 @@ fn run(kernel: &KernelIr, vector: bool) -> (RunResult, Vec<u32>, Vec<u32>) {
 }
 
 #[test]
-fn register_reads_are_exact_on_both_arms() {
+fn register_reads_are_exact() {
     let mut table = String::new();
     for (src, cpu) in KERNELS {
         let ast = parse_kernel(src).expect("parse");
@@ -258,15 +256,10 @@ fn register_reads_are_exact_on_both_arms() {
             ("opt", lower_kernel(&ast).expect("lower")),
             ("raw", lower_kernel_unoptimized(&ast).expect("lower")),
         ] {
-            let (res, out, cnt) = run(&kernel, true);
+            let (res, out, cnt) = run(&kernel);
             let what = format!("{} ({opt})", kernel.name);
             assert_eq!(out, want_out, "{what}: `out` differs from the CPU");
             assert_eq!(cnt, want_cnt, "{what}: `cnt` differs from the CPU");
-            assert_eq!(
-                run(&kernel, false),
-                (res.clone(), out, cnt),
-                "{what}: the scalar arm differs from the vectorized arm"
-            );
             table.push_str(&format!("{what} {res:?}\n"));
         }
     }

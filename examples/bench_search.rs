@@ -1,16 +1,11 @@
-//! Wall-clock benchmark of the fusion-configuration search. Measures five
+//! Wall-clock benchmark of the fusion-configuration search. Measures four
 //! arms per pair:
 //!
-//! * `wall_ms` — the shipped default: branch-and-bound pruning, the
-//!   calibrated analytic pre-filter, and the lane-vectorized interpreter.
-//!   This is the arm the CI `bench-regression` job gates.
+//! * `wall_ms` — the shipped default: branch-and-bound pruning and the
+//!   calibrated analytic pre-filter. This is the arm the CI
+//!   `bench-regression` job gates.
 //! * `wall_ms_no_model` — pruning only (`model_filter: false`): what
 //!   the search cost before the model filter existed.
-//! * `wall_ms_scalar` — the default search on the scalar one-lane-at-a-time
-//!   interpreter (`HFUSE_SIM_NO_VECTOR=1`): what the per-form in-place lane
-//!   loops buy over per-lane `alu` dispatch. Both arms share the
-//!   warp-granular control state, issue scan and memory-op paths, so the
-//!   gap is the register-pure instructions' lane loops alone.
 //! * `wall_ms_exhaustive` — no pruning, no filter (`prune: false`).
 //! * `wall_ms_naive` — exhaustive on the naive single-step simulator loop
 //!   (`HFUSE_SIM_NO_SKIP=1`): the original reference cost.
@@ -37,7 +32,6 @@ struct PairResult {
     pair: String,
     wall_ms: f64,
     wall_ms_no_model: f64,
-    wall_ms_scalar: f64,
     wall_ms_exhaustive: f64,
     wall_ms_naive: f64,
     speedup: f64,
@@ -155,18 +149,12 @@ fn main() {
         }
 
         std::env::remove_var("HFUSE_SIM_NO_SKIP");
-        std::env::remove_var("HFUSE_SIM_NO_VECTOR");
 
-        // The shipped default: prune + model filter + vectorized lanes.
+        // The shipped default: prune + model filter.
         let (report, wall_ms) = run_search(first, second, scale_second, true, true);
 
         // Pruning without the analytic pre-filter.
         let (no_model, wall_ms_no_model) = run_search(first, second, scale_second, true, false);
-
-        // The default search on the scalar interpreter.
-        std::env::set_var("HFUSE_SIM_NO_VECTOR", "1");
-        let (scalar, wall_ms_scalar) = run_search(first, second, scale_second, true, true);
-        std::env::remove_var("HFUSE_SIM_NO_VECTOR");
 
         let (exhaustive, wall_ms_exhaustive) = run_search(first, second, scale_second, false, true);
 
@@ -175,10 +163,9 @@ fn main() {
         std::env::remove_var("HFUSE_SIM_NO_SKIP");
 
         // No arm may change the winner: not the model filter, not the
-        // budget aborts, not vectorization, not the event-driven loop.
+        // budget aborts, not the event-driven loop.
         for (arm, r) in [
             ("no-model", &no_model),
-            ("scalar", &scalar),
             ("exhaustive", &exhaustive),
             ("naive", &naive_report),
         ] {
@@ -193,7 +180,6 @@ fn main() {
             pair: name,
             wall_ms,
             wall_ms_no_model,
-            wall_ms_scalar,
             wall_ms_exhaustive,
             wall_ms_naive,
             speedup: wall_ms_naive / wall_ms,
@@ -205,13 +191,12 @@ fn main() {
             profile_ms: report.profile_ms,
         };
         println!(
-            "{:<22} {:>8.1} ms default | {:>8.1} ms no-model | {:>8.1} ms scalar | \
+            "{:<22} {:>8.1} ms default | {:>8.1} ms no-model | \
              {:>8.1} ms exhaustive | {:>8.1} ms naive | {:>5.2}x | best {} cycles \
              ({} candidates, {} pruned, model rank {})",
             r.pair,
             r.wall_ms,
             r.wall_ms_no_model,
-            r.wall_ms_scalar,
             r.wall_ms_exhaustive,
             r.wall_ms_naive,
             r.speedup,
@@ -228,14 +213,13 @@ fn main() {
         .map(|r| {
             format!(
                 "  {{\"pair\": \"{}\", \"wall_ms\": {:.2}, \"wall_ms_no_model\": {:.2}, \
-                 \"wall_ms_scalar\": {:.2}, \"wall_ms_exhaustive\": {:.2}, \
+                 \"wall_ms_exhaustive\": {:.2}, \
                  \"wall_ms_naive\": {:.2}, \"speedup\": {:.2}, \"sim_cycles\": {}, \
                  \"candidates\": {}, \"candidates_pruned\": {}, \"model_rank\": {}, \
                  \"compile_ms\": {:.2}, \"profile_ms\": {:.2}}}",
                 r.pair,
                 r.wall_ms,
                 r.wall_ms_no_model,
-                r.wall_ms_scalar,
                 r.wall_ms_exhaustive,
                 r.wall_ms_naive,
                 r.speedup,

@@ -1,11 +1,11 @@
-//! Golden simulated statistics. Every other simulator test compares two
-//! paths of the engine against each other (event-driven vs single-step
-//! loop, vectorized vs scalar interpreter), and those paths share the
-//! issue scan and the SIMT control state, so a drift common to both would
-//! pass them. These tests pin the numbers themselves:
+//! Golden simulated statistics. The engine's differential tests compare
+//! two loops of the engine (event-driven vs single-step), and those loops
+//! share the interpreter, the issue scan and the SIMT control state, so a
+//! drift common to both would pass them. These tests pin the numbers
+//! themselves:
 //!
 //! - the full [`RunResult`] of all 17 benchmark kernels run alone, through
-//!   [`Gpu::run`] and [`Gpu::run_naive`] on both interpreter arms;
+//!   [`Gpu::run`] and [`Gpu::run_naive`];
 //! - whole candidate tables (cycles, abort clocks, the bits of every
 //!   utilization/stall/occupancy figure, per-class issue counts) of a DL,
 //!   a crypto, a family and a 3-way fusion search.
@@ -53,10 +53,9 @@ fn run_line(name: &str, r: &RunResult) -> String {
 }
 
 /// Runs `bench` alone on a fresh `pascal_like` device: `naive` picks the
-/// single-step loop, `vector` the interpreter arm.
-fn run_single(bench: &AnyBenchmark, naive: bool, vector: bool) -> RunResult {
+/// single-step loop.
+fn run_single(bench: &AnyBenchmark, naive: bool) -> RunResult {
     let mut gpu = Gpu::new(GpuConfig::pascal_like());
-    gpu.set_vector_exec(vector);
     let inp = bench.benchmark().fusion_input(gpu.memory_mut());
     let launch = Launch {
         kernel: lower_kernel(&inp.kernel).expect("lower").into(),
@@ -105,15 +104,13 @@ fn single_kernel_runs_match_golden() {
     assert_eq!(benches.len(), 17);
     let mut table = String::new();
     for b in &benches {
-        let fast = run_single(b, false, true);
-        for (naive, vector) in [(true, true), (false, false), (true, false)] {
-            assert_eq!(
-                run_single(b, naive, vector),
-                fast,
-                "{}: naive={naive} vector={vector} differs from the fast vectorized run",
-                b.name()
-            );
-        }
+        let fast = run_single(b, false);
+        assert_eq!(
+            run_single(b, true),
+            fast,
+            "{}: the naive loop differs from the fast run",
+            b.name()
+        );
         table.push_str(&run_line(b.name(), &fast));
         table.push('\n');
     }
