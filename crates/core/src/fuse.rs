@@ -1,21 +1,43 @@
-//! The `Generate` algorithm (Fig. 5 of the paper): horizontal fusion of two
-//! kernels.
+//! The `Generate` algorithm (Fig. 5 of the paper): horizontal fusion of
+//! 2..=[`MAX_FUSED_KERNELS`] kernels.
 //!
-//! Given kernels `K1`, `K2` and their block shapes, the fused kernel:
+//! One generator serves every entry point: [`horizontal_fuse`] and
+//! [`horizontal_fuse_with`] are its two-member case, and
+//! [`horizontal_fuse_many`](crate::multi::horizontal_fuse_many) its N-member
+//! one. For every member, in order, it
 //!
-//! 1. merges the (freshly renamed) parameters and lifted local declarations
-//!    of both kernels,
+//! 1. validates the member: a non-empty block shape, a warp-aligned
+//!    boundary after it unless it is last, at most one `extern __shared__`
+//!    user among all members, and no raw `bar.sync` already in its body;
+//! 2. preprocesses it (renaming and declaration lifting) with one
+//!    [`NameGen`] shared by all members, so their names never collide;
+//! 3. drops the barriers the value-range analysis proves redundant
+//!    (skipped under [`FuseOptions::full_barriers`] and
+//!    `HFUSE_NO_BARRIER_ELIM`).
+//!
+//! The fused kernel then
+//!
+//! 1. merges the members' parameters and lifted declarations, in order,
 //! 2. defines prologue variables mapping the fused linear thread id back to
-//!    each kernel's `threadIdx.{x,y,z}` / `blockDim.{x,y,z}`,
-//! 3. rewrites `__syncthreads()` to partial barriers
-//!    (`bar.sync 1, d1` / `bar.sync 2, d2`),
-//! 4. appends both statement lists behind thread-range guards implemented
-//!    with `goto` (threads outside a kernel's interval skip its body).
+//!    each member's `threadIdx.{x,y,z}` / `blockDim.{x,y,z}`,
+//! 3. rewrites member `i`'s `__syncthreads()` to the partial barrier
+//!    `bar.sync i, d_i` (ids 1..=15; id 0 stays unused),
+//! 4. appends the members' statement lists behind thread-range guards
+//!    implemented with `goto` (threads outside a member's interval
+//!    `[offset, end)` skip its body). A guard leaves out a bound that always
+//!    holds: the first member's `offset` is 0 and the last member's `end` is
+//!    the block size, so a pair gets Fig. 4's `if (!(gtid < d1)) goto` and
+//!    `if (gtid < d1) goto`, and only middle members test both bounds.
+//!
+//! Finally the fused kernel passes the static safety gate, which skips
+//! analyzing it when every member's range summary is clean.
 
-use cuda_frontend::ast::{BinOp, Block, Expr, Function, Param, Stmt, Ty, UnOp, VarDecl};
+use cuda_frontend::ast::{Axis, BinOp, Block, BuiltinVar, Expr, Function, Stmt, Ty, UnOp, VarDecl};
 
+use crate::multi::{MultiFusedKernel, MAX_FUSED_KERNELS};
 use crate::remap::{decl_i32, ThreadRemap};
 use cuda_frontend::printer::print_function;
+use cuda_frontend::transform::visit::walk_stmts;
 use cuda_frontend::transform::{preprocess_kernel, replace_builtins, NameGen};
 use cuda_frontend::FrontendError;
 
@@ -58,10 +80,6 @@ impl FusedKernel {
     }
 }
 
-fn dims_threads(d: (u32, u32, u32)) -> u32 {
-    d.0 * d.1 * d.2
-}
-
 /// Horizontally fuses `k1` and `k2` with the given block shapes.
 ///
 /// The inputs are preprocessed internally (device-call inlining is the
@@ -72,8 +90,9 @@ fn dims_threads(d: (u32, u32, u32)) -> u32 {
 ///
 /// Returns [`FrontendError`] when a kernel is malformed, when both kernels
 /// need `extern __shared__` memory (the fused kernel would alias the single
-/// dynamic region), or when an input already contains raw `bar.sync`
-/// barriers (their ids would collide with the ones fusion assigns).
+/// dynamic region), when an input already contains raw `bar.sync`
+/// barriers (their ids would collide with the ones fusion assigns), or when
+/// the fused kernel fails the static safety gate.
 pub fn horizontal_fuse(
     k1: &Function,
     dims1: (u32, u32, u32),
@@ -106,37 +125,70 @@ pub fn horizontal_fuse_with(
     dims2: (u32, u32, u32),
     options: FuseOptions,
 ) -> Result<FusedKernel, FrontendError> {
-    let d1 = dims_threads(dims1);
-    let d2 = dims_threads(dims2);
-    if d1 == 0 || d2 == 0 {
-        return Err(FrontendError::new("block shapes must be non-empty"));
+    let fused = fuse_members(&[(k1, dims1), (k2, dims2)], options)?;
+    Ok(FusedKernel {
+        function: fused.function,
+        d1: fused.partitions[0],
+        d2: fused.partitions[1],
+        dims1,
+        dims2,
+        params_split: fused.param_counts[0],
+        barriers_eliminated: fused.barriers_eliminated,
+        gate_fast_path: fused.gate_fast_path,
+    })
+}
+
+/// The generator: fuses `members` (each a kernel and its block shape) into
+/// one kernel whose thread space gives each member a contiguous interval,
+/// in order. See the module docs for the steps.
+pub(crate) fn fuse_members(
+    members: &[(&Function, (u32, u32, u32))],
+    options: FuseOptions,
+) -> Result<MultiFusedKernel, FrontendError> {
+    if members.len() < 2 {
+        return Err(FrontendError::new("fusion needs at least two kernels"));
     }
-    if !d1.is_multiple_of(32) {
+    if members.len() > MAX_FUSED_KERNELS {
         return Err(FrontendError::new(format!(
-            "first kernel's thread count {d1} must be a multiple of the warp size \
-             (partial barriers synchronize whole warps)"
+            "cannot fuse {} kernels: PTX provides only {MAX_FUSED_KERNELS} usable barrier ids",
+            members.len()
         )));
     }
-
-    let mut names = NameGen::new();
-    let mut f1 = k1.clone();
-    let mut f2 = k2.clone();
-    preprocess_kernel(&mut f1, &[], &mut names)?;
-    preprocess_kernel(&mut f2, &[], &mut names)?;
-
-    for (f, which) in [(&f1, "first"), (&f2, "second")] {
-        if contains_bar_sync(&f.body) {
+    let partitions: Vec<u32> = members.iter().map(|&(_, (x, y, z))| x * y * z).collect();
+    let mut end = 0u32;
+    for (i, &d) in partitions.iter().enumerate() {
+        if d == 0 {
             return Err(FrontendError::new(format!(
-                "{which} kernel already contains bar.sync barriers; cannot assign fresh ids"
+                "member {i} has an empty block shape"
+            )));
+        }
+        end += d;
+        if i + 1 < partitions.len() && !end.is_multiple_of(32) {
+            return Err(FrontendError::new(format!(
+                "partition boundary after member {i} ({end}) must be a multiple of the warp \
+                 size (partial barriers synchronize whole warps)"
             )));
         }
     }
-    let dyn1 = uses_dynamic_shared(&f1);
-    let dyn2 = uses_dynamic_shared(&f2);
-    if dyn1 && dyn2 {
-        return Err(FrontendError::new(
-            "both kernels use extern __shared__ memory; the fused kernel would alias it",
-        ));
+
+    let mut names = NameGen::new();
+    let mut prepped: Vec<Function> = Vec::with_capacity(members.len());
+    let mut dyn_users = 0;
+    for (i, &(kernel, _)) in members.iter().enumerate() {
+        let mut f = kernel.clone();
+        preprocess_kernel(&mut f, &[], &mut names)?;
+        if contains_bar_sync(&mut f.body) {
+            return Err(FrontendError::new(format!(
+                "member {i} already contains bar.sync barriers; cannot assign fresh ids"
+            )));
+        }
+        dyn_users += usize::from(uses_dynamic_shared(&mut f.body));
+        prepped.push(f);
+    }
+    if dyn_users > 1 {
+        return Err(FrontendError::new(format!(
+            "{dyn_users} members use extern __shared__ memory; the fused kernel has one dynamic region"
+        )));
     }
 
     // Drop barriers the value-range analysis proves redundant *before*
@@ -145,101 +197,96 @@ pub fn horizontal_fuse_with(
     // the naive coupling) and under the HFUSE_NO_BARRIER_ELIM hatch.
     let mut barriers_eliminated = 0;
     if !options.full_barriers && !gpu_sim::env::no_barrier_elim() {
-        barriers_eliminated += hfuse_analysis::eliminate_redundant_barriers(&mut f1, Some(d1));
-        barriers_eliminated += hfuse_analysis::eliminate_redundant_barriers(&mut f2, Some(d2));
+        for (f, &d) in prepped.iter_mut().zip(&partitions) {
+            barriers_eliminated += hfuse_analysis::eliminate_redundant_barriers(f, Some(d));
+        }
     }
 
-    // Range summaries of the (preprocessed, barrier-elided) inputs: when both
-    // prove safe on their own, the gate can skip analyzing the fused function.
+    // Range summaries of the (preprocessed, barrier-elided) members: when
+    // all prove safe on their own, the gate can skip analyzing the fused
+    // function.
     let gate_fast_path = !hfuse_analysis::static_check_disabled_by_env()
-        && hfuse_analysis::summarize_ranges_memoized(&f1, Some(d1)).fast_gate_clean()
-        && hfuse_analysis::summarize_ranges_memoized(&f2, Some(d2)).fast_gate_clean();
+        && prepped
+            .iter()
+            .zip(&partitions)
+            .all(|(f, &d)| hfuse_analysis::summarize_ranges_memoized(f, Some(d)).fast_gate_clean());
 
-    // Split lifted declarations from statements.
-    let (decls1, mut stmts1) = split_decls(f1.body);
-    let (decls2, mut stmts2) = split_decls(f2.body);
-
-    // Prologue: fused linear thread id and per-kernel remapped indices.
     let gtid = "__hf_gtid";
-    let mut prologue: Vec<Stmt> = Vec::new();
-    prologue.push(decl_i32(
+    let mut decls: Vec<Stmt> = Vec::new();
+    let mut prologue = vec![decl_i32(
         gtid,
-        Some(Expr::Builtin(cuda_frontend::ast::BuiltinVar::ThreadIdx(
-            cuda_frontend::ast::Axis::X,
-        ))),
-    ));
-    let remap1 = ThreadRemap::new("__hf_k1", dims1, Expr::ident(gtid));
-    let remap2 = ThreadRemap::new(
-        "__hf_k2",
-        dims2,
-        Expr::bin(BinOp::Sub, Expr::ident(gtid), Expr::int(i64::from(d1))),
-    );
-    prologue.extend(remap1.decls());
-    prologue.extend(remap2.decls());
+        Some(Expr::Builtin(BuiltinVar::ThreadIdx(Axis::X))),
+    )];
+    let mut guarded: Vec<Stmt> = Vec::new();
+    let mut params = Vec::new();
+    let mut param_counts = Vec::with_capacity(members.len());
+    let last = members.len() - 1;
+    let mut offset = 0u32;
+    for (i, (f, &d)) in prepped.into_iter().zip(&partitions).enumerate() {
+        let (member_decls, stmts) = split_decls(f.body);
+        decls.extend(member_decls.into_iter().map(Stmt::Decl));
 
-    // Retarget built-ins inside each kernel's statements.
-    let mut b1 = Block::new(stmts1);
-    replace_builtins(&mut b1, &remap1.subst());
-    stmts1 = b1.stmts;
-    let mut b2 = Block::new(stmts2);
-    replace_builtins(&mut b2, &remap2.subst());
-    stmts2 = b2.stmts;
+        // Retarget built-ins through this member's prologue variables, then
+        // rewrite its barriers to partial barriers with its own id (unless
+        // the ablation asked for the naive full-block barriers).
+        let ltid = if offset == 0 {
+            Expr::ident(gtid)
+        } else {
+            Expr::bin(BinOp::Sub, Expr::ident(gtid), Expr::int(i64::from(offset)))
+        };
+        let remap = ThreadRemap::new(&format!("__hf_k{}", i + 1), members[i].1, ltid);
+        prologue.extend(remap.decls());
+        let mut body = Block::new(stmts);
+        replace_builtins(&mut body, &remap.subst());
+        if !options.full_barriers {
+            replace_barriers(&mut body.stmts, i as u32 + 1, d);
+        }
 
-    // Rewrite barriers to partial barriers with per-kernel ids (unless the
-    // ablation asked for the naive full-block barriers).
-    if !options.full_barriers {
-        replace_barriers(&mut stmts1, 1, d1);
-        replace_barriers(&mut stmts2, 2, d2);
+        // Skip unless offset <= gtid < end, leaving out the bound that
+        // always holds for the first and the last member.
+        let end = offset + d;
+        let from_offset = |op| Expr::bin(op, Expr::ident(gtid), Expr::int(i64::from(offset)));
+        let below_end = Expr::bin(BinOp::Lt, Expr::ident(gtid), Expr::int(i64::from(end)));
+        let skip = if i == last {
+            from_offset(BinOp::Lt)
+        } else if i == 0 {
+            Expr::Unary(UnOp::Not, Box::new(below_end))
+        } else {
+            let in_range = Expr::bin(BinOp::LogAnd, from_offset(BinOp::Ge), below_end);
+            Expr::Unary(UnOp::Not, Box::new(in_range))
+        };
+        let end_label = format!("__hf_k{}_end", i + 1);
+        guarded.push(Stmt::If(
+            skip,
+            Block::new(vec![Stmt::Goto(end_label.clone())]),
+            None,
+        ));
+        guarded.extend(body.stmts);
+        guarded.push(Stmt::Label(end_label));
+
+        param_counts.push(f.params.len());
+        params.extend(f.params);
+        offset = end;
     }
 
-    // Assemble: decls, prologue, guarded S1, guarded S2 (goto style, Fig. 4).
-    let mut body: Vec<Stmt> = Vec::new();
-    body.extend(decls1.into_iter().map(Stmt::Decl));
-    body.extend(decls2.into_iter().map(Stmt::Decl));
+    let mut body = decls;
     body.extend(prologue);
-
-    let k1_end = "__hf_k1_end".to_owned();
-    let k2_end = "__hf_k2_end".to_owned();
-    // if (!(gtid < d1)) goto k1_end;
-    body.push(Stmt::If(
-        Expr::Unary(
-            UnOp::Not,
-            Box::new(Expr::bin(
-                BinOp::Lt,
-                Expr::ident(gtid),
-                Expr::int(i64::from(d1)),
-            )),
-        ),
-        Block::new(vec![Stmt::Goto(k1_end.clone())]),
-        None,
-    ));
-    body.extend(stmts1);
-    body.push(Stmt::Label(k1_end));
-    // if (gtid < d1) goto k2_end;
-    body.push(Stmt::If(
-        Expr::bin(BinOp::Lt, Expr::ident(gtid), Expr::int(i64::from(d1))),
-        Block::new(vec![Stmt::Goto(k2_end.clone())]),
-        None,
-    ));
-    body.extend(stmts2);
-    body.push(Stmt::Label(k2_end));
-
-    let params: Vec<Param> = f1.params.iter().chain(f2.params.iter()).cloned().collect();
-    let params_split = f1.params.len();
-    let function = Function {
-        name: format!("{}_{}_fused", k1.name, k2.name),
-        params,
-        ret: Ty::Void,
-        is_kernel: true,
-        body: Block::new(body),
-    };
-    let fused = FusedKernel {
-        function,
-        d1,
-        d2,
-        dims1,
-        dims2,
-        params_split,
+    body.extend(guarded);
+    let name = members
+        .iter()
+        .map(|(k, _)| k.name.as_str())
+        .collect::<Vec<_>>()
+        .join("_");
+    let fused = MultiFusedKernel {
+        function: Function {
+            name: format!("{name}_fused"),
+            params,
+            ret: Ty::Void,
+            is_kernel: true,
+            body: Block::new(body),
+        },
+        partitions,
+        param_counts,
         barriers_eliminated,
         gate_fast_path,
     };
@@ -254,21 +301,19 @@ pub fn horizontal_fuse_with(
 /// pre-analyzer behavior exactly, since the check runs after the fused
 /// kernel is fully built).
 ///
-/// When both input kernels' range summaries already certify them
-/// barrier-free, race-free, and in-bounds ([`FusedKernel::gate_fast_path`]),
-/// the interleaved function cannot introduce a new violation — the two
-/// halves run under disjoint `__hf_gtid` guards and the lints are per-block
-/// — so the gate skips analyzing the (larger) fused function entirely.
+/// When every member's range summary already certifies it barrier-free,
+/// race-free, and in-bounds ([`MultiFusedKernel::gate_fast_path`]), the
+/// interleaved function cannot introduce a new violation — the members run
+/// under disjoint `__hf_gtid` guards and the lints are per-block — so the
+/// gate skips analyzing the (larger) fused function entirely.
 ///
 /// Goes through the process-wide memoized analysis cache, so re-fusing the
-/// same pair at the same partition (the search sweeps each partition twice:
-/// unbounded and register-bounded) analyzes the fused function once, and a
-/// kernel already linted by `hfuse lint` is never re-analyzed by the gate.
-fn static_safety_check(fused: &FusedKernel) -> Result<(), FrontendError> {
-    if hfuse_analysis::static_check_disabled_by_env() {
-        return Ok(());
-    }
-    if fused.gate_fast_path {
+/// same members at the same partition (the search sweeps each partition
+/// twice: unbounded and register-bounded) analyzes the fused function once,
+/// and a kernel already linted by `hfuse lint` is never re-analyzed by the
+/// gate.
+fn static_safety_check(fused: &MultiFusedKernel) -> Result<(), FrontendError> {
+    if hfuse_analysis::static_check_disabled_by_env() || fused.gate_fast_path {
         return Ok(());
     }
     let opts = hfuse_analysis::AnalysisOptions {
@@ -287,7 +332,7 @@ fn static_safety_check(fused: &FusedKernel) -> Result<(), FrontendError> {
 }
 
 /// Splits a lifted kernel body into its leading declarations and the rest.
-fn split_decls(body: Block) -> (Vec<VarDecl>, Vec<Stmt>) {
+pub(crate) fn split_decls(body: Block) -> (Vec<VarDecl>, Vec<Stmt>) {
     let mut decls = Vec::new();
     let mut rest = Vec::new();
     let mut in_prefix = true;
@@ -328,24 +373,20 @@ fn replace_barriers(stmts: &mut [Stmt], id: u32, count: u32) {
     }
 }
 
-fn contains_bar_sync(b: &Block) -> bool {
+/// Whether `body` holds a raw `bar.sync` statement. Takes `&mut` only
+/// because the statement walker does; nothing is modified.
+fn contains_bar_sync(body: &mut Block) -> bool {
     let mut found = false;
-    let mut clone = b.clone();
-    cuda_frontend::transform::visit::walk_stmts(&mut clone, &mut |s| {
-        if matches!(s, Stmt::BarSync { .. }) {
-            found = true;
-        }
-    });
+    walk_stmts(body, &mut |s| found |= matches!(s, Stmt::BarSync { .. }));
     found
 }
 
-fn uses_dynamic_shared(f: &Function) -> bool {
+/// Whether `body` declares `extern __shared__` memory. Takes `&mut` only
+/// because the statement walker does; nothing is modified.
+pub(crate) fn uses_dynamic_shared(body: &mut Block) -> bool {
     let mut found = false;
-    let mut clone = f.body.clone();
-    cuda_frontend::transform::visit::walk_stmts(&mut clone, &mut |s| {
-        if matches!(s, Stmt::Decl(d) if d.quals.extern_shared) {
-            found = true;
-        }
+    walk_stmts(body, &mut |s| {
+        found |= matches!(s, Stmt::Decl(d) if d.quals.extern_shared)
     });
     found
 }

@@ -5,10 +5,12 @@
 //! This crate implements the contribution of *"Automatic Horizontal Fusion
 //! for GPU Kernels"* (CGO 2022):
 //!
-//! * [`fuse`] — the `Generate` algorithm (Fig. 5): merge two kernels into
-//!   one whose thread space is partitioned by thread id, with built-in
+//! * [`fuse`] — the `Generate` algorithm (Fig. 5): merge 2..=15 kernels
+//!   into one whose thread space is partitioned by thread id, with built-in
 //!   variables retargeted through a prologue and `__syncthreads()` rewritten
-//!   to partial `bar.sync` barriers.
+//!   to partial `bar.sync` barriers. Pairwise fusion is its two-member case.
+//! * [`multi`] — the N-member entry points: [`horizontal_fuse_many`] and
+//!   the N-way search, which shares [`search`]'s body.
 //! * [`vertical`] — the standard vertical-fusion baseline the paper
 //!   compares against.
 //! * [`search`] — the profiling-driven configuration search (Fig. 6): sweep

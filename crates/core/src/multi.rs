@@ -1,26 +1,22 @@
 //! N-way horizontal fusion — the natural generalization of the paper's
-//! two-kernel `Generate` algorithm.
+//! two-kernel `Generate` algorithm and Fig. 6 search.
 //!
 //! PTX provides 16 named barrier resources; fusion reserves id 0 (unused)
 //! and assigns ids 1..=15 to member kernels, so up to fifteen kernels with
-//! barriers can share one block. Every member gets its own contiguous
-//! thread interval, thread-id remap prologue, and goto guard, exactly as in
-//! the pairwise algorithm.
+//! barriers can share one block. Pairwise fusion is the two-member case of
+//! the same code: [`horizontal_fuse_many`] runs the one generator in
+//! [`fuse`](crate::fuse) (validation, barrier elimination, guards, the
+//! static safety gate), and [`search_multi_fusion_config`] runs the one
+//! search body in [`search`](crate::search) over its own partition sweep.
 
-use std::sync::Arc;
-
-use cuda_frontend::ast::{Axis, BinOp, Block, BuiltinVar, Expr, Function, Param, Stmt, Ty, UnOp};
+use cuda_frontend::ast::Function;
 use cuda_frontend::printer::print_function;
-use cuda_frontend::transform::{preprocess_kernel, replace_builtins, NameGen};
 use cuda_frontend::FrontendError;
-use gpu_sim::{Gpu, GpuConfig, ParamValue};
+use gpu_sim::{Gpu, GpuConfig};
 use thread_ir::ir::KernelIr;
-use thread_ir::lower_kernel;
-use thread_ir::spill::apply_register_bound;
 
-use crate::remap::{decl_i32, ThreadRemap};
-use crate::search::{legacy_scores, profile_jobs, ProfileJob};
-use crate::search::{FusionInput, HfuseError, SearchOptions};
+use crate::fuse::{fuse_members, FuseOptions};
+use crate::search::{search_members, FusionInput, HfuseError, SearchOptions};
 
 /// Maximum member kernels: PTX has 16 barrier ids and fusion assigns one
 /// per member starting at 1.
@@ -40,10 +36,6 @@ impl FusionPart {
     pub fn new(kernel: Function, dims: (u32, u32, u32)) -> Self {
         Self { kernel, dims }
     }
-
-    fn threads(&self) -> u32 {
-        self.dims.0 * self.dims.1 * self.dims.2
-    }
 }
 
 /// An N-way horizontally fused kernel.
@@ -56,6 +48,13 @@ pub struct MultiFusedKernel {
     /// Number of parameters contributed by each member (the fused parameter
     /// list concatenates the members' parameters in order).
     pub param_counts: Vec<usize>,
+    /// `__syncthreads()` statements the value-range analysis proved
+    /// redundant and removed from the members before interleaving
+    /// (`HFUSE_NO_BARRIER_ELIM=1` forces 0).
+    pub barriers_eliminated: u32,
+    /// True when the safety gate accepted this fusion from the members'
+    /// range summaries alone, without analyzing the fused function.
+    pub gate_fast_path: bool,
 }
 
 impl MultiFusedKernel {
@@ -70,189 +69,20 @@ impl MultiFusedKernel {
     }
 }
 
-/// Horizontally fuses any number of kernels (2..=15).
+/// Horizontally fuses any number of kernels (2..=15), in order. Two parts
+/// give exactly [`horizontal_fuse`](crate::fuse::horizontal_fuse)'s
+/// function.
 ///
 /// # Errors
 ///
 /// Returns [`FrontendError`] when fewer than two parts are given, when more
 /// than [`MAX_FUSED_KERNELS`] are given, when any partition boundary is not
 /// warp-aligned, when more than one member needs `extern __shared__`
-/// memory, or when a member already contains raw `bar.sync` barriers.
+/// memory, when a member already contains raw `bar.sync` barriers, or when
+/// the fused kernel fails the static safety gate.
 pub fn horizontal_fuse_many(parts: &[FusionPart]) -> Result<MultiFusedKernel, FrontendError> {
-    if parts.len() < 2 {
-        return Err(FrontendError::new("fusion needs at least two kernels"));
-    }
-    if parts.len() > MAX_FUSED_KERNELS {
-        return Err(FrontendError::new(format!(
-            "cannot fuse {} kernels: PTX provides only {MAX_FUSED_KERNELS} usable barrier ids",
-            parts.len()
-        )));
-    }
-    // Every boundary except the final end must be warp-aligned so partial
-    // barriers synchronize whole warps.
-    let mut offset = 0u32;
-    for (i, p) in parts.iter().enumerate() {
-        let t = p.threads();
-        if t == 0 {
-            return Err(FrontendError::new(format!(
-                "member {i} has an empty block shape"
-            )));
-        }
-        if i + 1 < parts.len() && !(offset + t).is_multiple_of(32) {
-            return Err(FrontendError::new(format!(
-                "partition boundary after member {i} ({}) must be a multiple of the warp size",
-                offset + t
-            )));
-        }
-        offset += t;
-    }
-
-    let mut names = NameGen::new();
-    let mut prepped: Vec<Function> = Vec::with_capacity(parts.len());
-    for (i, p) in parts.iter().enumerate() {
-        let mut f = p.kernel.clone();
-        preprocess_kernel(&mut f, &[], &mut names)?;
-        if contains_bar_sync(&f.body) {
-            return Err(FrontendError::new(format!(
-                "member {i} already contains bar.sync barriers; cannot assign fresh ids"
-            )));
-        }
-        prepped.push(f);
-    }
-    let dyn_users = prepped.iter().filter(|f| uses_dynamic_shared(f)).count();
-    if dyn_users > 1 {
-        return Err(FrontendError::new(format!(
-            "{dyn_users} members use extern __shared__ memory; the fused kernel has one dynamic region"
-        )));
-    }
-
-    let gtid = "__hf_gtid";
-    let mut decls: Vec<Stmt> = Vec::new();
-    let mut prologue: Vec<Stmt> = Vec::new();
-    prologue.push(decl_i32(
-        gtid,
-        Some(Expr::Builtin(BuiltinVar::ThreadIdx(Axis::X))),
-    ));
-    let mut guarded: Vec<Stmt> = Vec::new();
-    let mut params: Vec<Param> = Vec::new();
-    let mut param_counts = Vec::with_capacity(parts.len());
-    let mut partitions = Vec::with_capacity(parts.len());
-
-    let mut offset = 0u32;
-    for (i, (part, f)) in parts.iter().zip(prepped).enumerate() {
-        let d = part.threads();
-        let barrier_id = (i + 1) as u32;
-        let (part_decls, mut stmts) = split_decls(f.body);
-        decls.extend(part_decls.into_iter().map(Stmt::Decl));
-
-        // Remap builtins through this member's prologue variables.
-        let ltid = if offset == 0 {
-            Expr::ident(gtid)
-        } else {
-            Expr::bin(BinOp::Sub, Expr::ident(gtid), Expr::int(i64::from(offset)))
-        };
-        let remap = ThreadRemap::new(&format!("__hf_k{}", i + 1), part.dims, ltid);
-        prologue.extend(remap.decls());
-        let mut b = Block::new(stmts);
-        replace_builtins(&mut b, &remap.subst());
-        stmts = b.stmts;
-        replace_barriers(&mut stmts, barrier_id, d);
-
-        // Guard: skip unless offset <= gtid < offset + d.
-        let in_range = Expr::bin(
-            BinOp::LogAnd,
-            Expr::bin(BinOp::Ge, Expr::ident(gtid), Expr::int(i64::from(offset))),
-            Expr::bin(
-                BinOp::Lt,
-                Expr::ident(gtid),
-                Expr::int(i64::from(offset + d)),
-            ),
-        );
-        let end_label = format!("__hf_k{}_end", i + 1);
-        guarded.push(Stmt::If(
-            Expr::Unary(UnOp::Not, Box::new(in_range)),
-            Block::new(vec![Stmt::Goto(end_label.clone())]),
-            None,
-        ));
-        guarded.extend(stmts);
-        guarded.push(Stmt::Label(end_label));
-
-        param_counts.push(f.params.len());
-        params.extend(f.params);
-        partitions.push(d);
-        offset += d;
-    }
-
-    let mut body = decls;
-    body.extend(prologue);
-    body.extend(guarded);
-    let name = parts
-        .iter()
-        .map(|p| p.kernel.name.as_str())
-        .collect::<Vec<_>>()
-        .join("_");
-    Ok(MultiFusedKernel {
-        function: Function {
-            name: format!("{name}_fused"),
-            params,
-            ret: Ty::Void,
-            is_kernel: true,
-            body: Block::new(body),
-        },
-        partitions,
-        param_counts,
-    })
-}
-
-fn split_decls(body: Block) -> (Vec<cuda_frontend::ast::VarDecl>, Vec<Stmt>) {
-    let mut decls = Vec::new();
-    let mut rest = Vec::new();
-    let mut in_prefix = true;
-    for s in body.stmts {
-        match s {
-            Stmt::Decl(d) if in_prefix => decls.push(d),
-            other => {
-                in_prefix = false;
-                rest.push(other);
-            }
-        }
-    }
-    (decls, rest)
-}
-
-fn replace_barriers(stmts: &mut [Stmt], id: u32, count: u32) {
-    for s in stmts {
-        match s {
-            Stmt::SyncThreads => *s = Stmt::BarSync { id, count },
-            Stmt::If(_, t, e) => {
-                replace_barriers(&mut t.stmts, id, count);
-                if let Some(e) = e {
-                    replace_barriers(&mut e.stmts, id, count);
-                }
-            }
-            Stmt::For { body, .. } | Stmt::While(_, body) | Stmt::DoWhile(body, _) => {
-                replace_barriers(&mut body.stmts, id, count)
-            }
-            Stmt::Switch { cases, .. } => {
-                for case in cases {
-                    replace_barriers(&mut case.body, id, count);
-                }
-            }
-            Stmt::Block(b) => replace_barriers(&mut b.stmts, id, count),
-            _ => {}
-        }
-    }
-}
-
-fn contains_bar_sync(b: &Block) -> bool {
-    let mut found = false;
-    let mut clone = b.clone();
-    cuda_frontend::transform::visit::walk_stmts(&mut clone, &mut |s| {
-        if matches!(s, Stmt::BarSync { .. }) {
-            found = true;
-        }
-    });
-    found
+    let members: Vec<_> = parts.iter().map(|p| (&p.kernel, p.dims)).collect();
+    fuse_members(&members, FuseOptions::default())
 }
 
 /// The Fig. 6 register bound generalized to N members: `members` holds each
@@ -359,222 +189,87 @@ fn compositions(units: u32, slots: usize, cap: usize) -> Vec<Vec<u32>> {
 /// partitions in lexicographic order and profiles those.
 pub const MAX_MULTI_PARTITIONS: usize = 64;
 
-/// Runs the Fig. 6 configuration search generalized to N kernels: sweep
-/// thread-space partitions of `opts.d0` (every composition in steps of
-/// `opts.granularity` when all members are tunable, the native block sizes
-/// otherwise), profile each candidate with and without the generalized
-/// register bound, and return the fastest. Profiling reuses the pairwise
-/// search's two-phase branch-and-bound schedule (an unbudgeted best-first
-/// front, then one fixed cycle budget for the rest), so the report is
-/// identical at any worker count.
+/// The N-way sweep: every composition of `d0` in steps of the granularity
+/// (the first [`MAX_MULTI_PARTITIONS`]) when all members are tunable, the
+/// native block sizes otherwise. When the granularity does not divide
+/// `d0`, the last member absorbs the remainder, so partitions always sum
+/// to exactly `d0`.
+fn sweep_compositions(
+    inputs: &[&FusionInput],
+    opts: SearchOptions,
+) -> Result<Vec<Vec<u32>>, HfuseError> {
+    if !inputs.iter().all(|i| i.tunable) {
+        return Ok(vec![inputs.iter().map(|i| i.default_threads).collect()]);
+    }
+    let units = opts.d0 / opts.granularity;
+    if (units as usize) < inputs.len() {
+        return Err(HfuseError::Config(format!(
+            "d0 {} at granularity {} cannot cover {} kernels",
+            opts.d0,
+            opts.granularity,
+            inputs.len()
+        )));
+    }
+    let leftover = opts.d0 - units * opts.granularity;
+    Ok(compositions(units, inputs.len(), MAX_MULTI_PARTITIONS)
+        .into_iter()
+        .map(|c| {
+            let mut parts: Vec<u32> = c.into_iter().map(|u| u * opts.granularity).collect();
+            *parts.last_mut().expect("non-empty composition") += leftover;
+            parts
+        })
+        .collect())
+}
+
+/// Runs the Fig. 6 configuration search generalized to N kernels: the
+/// pairwise search's body (compile both register variants of every
+/// partition, rank, profile best-first with the two-phase branch-and-bound
+/// schedule, keep the fastest) over the compositions of `opts.d0` in steps
+/// of `opts.granularity` (the first [`MAX_MULTI_PARTITIONS`], the last
+/// member absorbing any remainder) when every member is tunable, the native
+/// block sizes otherwise. The report is identical at any worker count.
 ///
 /// # Errors
 ///
-/// Returns [`HfuseError`] on mismatched grids, when no partition is
-/// feasible, or when a profile run fails for a non-scheduling reason.
+/// Returns [`HfuseError::Config`] on fewer than two inputs, mismatched
+/// grids, a granularity of 0, a `d0` outside
+/// `1..=`[`gpu_sim::MAX_BLOCK_THREADS`] or too small to give every member a
+/// granule, or when no partition is feasible, and [`HfuseError`] when a
+/// profile run fails for a non-scheduling reason.
 pub fn search_multi_fusion_config(
     base: &Gpu,
     inputs: &[FusionInput],
     opts: SearchOptions,
 ) -> Result<MultiSearchReport, HfuseError> {
-    if inputs.len() < 2 {
-        return Err(HfuseError::Config(
-            "multi-kernel search needs at least two inputs".to_owned(),
-        ));
-    }
-    let grid = inputs[0].grid_dim;
-    if inputs.iter().any(|i| i.grid_dim != grid) {
-        return Err(HfuseError::Config(
-            "grid dimensions must match for fusion".to_owned(),
-        ));
-    }
-    let cfg = base.config().clone();
-    let mut nregs = Vec::with_capacity(inputs.len());
-    for inp in inputs {
-        nregs.push(lower_kernel(&inp.kernel)?.reg_pressure());
-    }
-
-    let partitions: Vec<Vec<u32>> = if inputs.iter().all(|i| i.tunable) {
-        let units = opts.d0 / opts.granularity.max(1);
-        if (units as usize) < inputs.len() {
-            return Err(HfuseError::Config(format!(
-                "d0 {} at granularity {} cannot cover {} kernels",
-                opts.d0,
-                opts.granularity,
-                inputs.len()
-            )));
-        }
-        let leftover = opts.d0 - units * opts.granularity;
-        compositions(units, inputs.len(), MAX_MULTI_PARTITIONS)
-            .into_iter()
-            .map(|c| {
-                let mut parts: Vec<u32> = c.into_iter().map(|u| u * opts.granularity).collect();
-                // Non-divisible d0: the last member absorbs the remainder so
-                // partitions always sum to exactly d0.
-                *parts.last_mut().expect("non-empty composition") += leftover;
-                parts
-            })
-            .collect()
-    } else {
-        vec![inputs.iter().map(|i| i.default_threads).collect()]
-    };
-
-    struct Candidate {
-        partition: Vec<u32>,
-        bound: Option<u32>,
-        fused: MultiFusedKernel,
-        ir: Arc<KernelIr>,
-    }
-    let total_dyn_shared: u32 = inputs.iter().map(|i| i.dynamic_shared).sum();
-    let mut compiled: Vec<Candidate> = Vec::new();
-    for partition in partitions {
-        let mut parts = Vec::with_capacity(inputs.len());
-        let mut ok = true;
-        for (inp, &d) in inputs.iter().zip(&partition) {
-            match inp.shape.dims(d) {
-                Some(dims) => parts.push(FusionPart::new(inp.kernel.clone(), dims)),
-                None => {
-                    ok = false;
-                    break;
-                }
-            }
-        }
-        if !ok {
-            continue;
-        }
-        let Ok(fused) = horizontal_fuse_many(&parts) else {
-            continue;
-        };
-        let d0: u32 = partition.iter().sum();
-        let ir = Arc::new(lower_kernel(&fused.function)?);
-        let shmem_fused = ir.shared_bytes(total_dyn_shared);
-        let members: Vec<(u32, u32)> = partition
-            .iter()
-            .copied()
-            .zip(nregs.iter().copied())
-            .collect();
-        let r0 = register_bound_many(&cfg, &members, shmem_fused, d0);
-        let mut ir_capped = (*ir).clone();
-        apply_register_bound(&mut ir_capped, r0);
-        compiled.push(Candidate {
-            partition: partition.clone(),
-            bound: None,
-            fused: fused.clone(),
-            ir,
-        });
-        compiled.push(Candidate {
+    let members: Vec<&FusionInput> = inputs.iter().collect();
+    let s = search_members(base, &members, opts, sweep_compositions)?;
+    let candidates: Vec<MultiSearchCandidate> = s
+        .candidates
+        .into_iter()
+        .map(|(partition, c)| MultiSearchCandidate {
             partition,
-            bound: Some(r0),
-            fused,
-            ir: Arc::new(ir_capped),
-        });
-    }
-
-    let fused_args: Vec<ParamValue> = inputs.iter().flat_map(|i| i.args.iter().copied()).collect();
-    let jobs: Vec<ProfileJob> = compiled
-        .iter()
-        .map(|c| ProfileJob {
-            ir: Arc::clone(&c.ir),
-            d0: c.partition.iter().sum(),
+            reg_bound: c.reg_bound,
+            cycles: c.cycles,
+            issue_util: c.issue_util,
+            occupancy: c.occupancy,
+            pruned_at: c.pruned_at,
         })
         .collect();
-    // Model ranking: one native measurement per member kernel, then each
-    // candidate is scored over its `Σ_i I_i[c] / d_i` dynamic mix (the
-    // N-kernel generalization of the pairwise model).
-    let scores = if opts.model_filter {
-        let mut issues = Vec::with_capacity(inputs.len());
-        for inp in inputs {
-            issues.push(
-                crate::search::measure_single_impl(base, inp)?
-                    .metrics
-                    .class_issues,
-            );
-        }
-        compiled
-            .iter()
-            .map(|c| {
-                let s = gpu_sim::static_class_mix(&c.ir);
-                let members: Vec<_> = issues
-                    .iter()
-                    .copied()
-                    .zip(c.partition.iter().copied())
-                    .collect();
-                let mix = gpu_sim::fused_dyn_mix(&cfg, &members, s.spills, s.total());
-                let d0: u32 = c.partition.iter().sum();
-                gpu_sim::model_estimate(
-                    &cfg,
-                    c.ir.reg_pressure(),
-                    d0,
-                    c.ir.shared_bytes(total_dyn_shared),
-                    grid,
-                    &mix,
-                )
-            })
-            .collect()
-    } else {
-        legacy_scores(&cfg, &jobs, grid, total_dyn_shared)
-    };
-    let results = profile_jobs(
-        base,
-        &jobs,
-        &fused_args,
-        grid,
-        total_dyn_shared,
-        opts.prune,
-        &scores,
-    );
-
-    let mut candidates = Vec::new();
-    let mut best: Option<(u64, usize, Function, Arc<KernelIr>)> = None;
-    for (cand, result) in compiled.into_iter().zip(results) {
-        match result {
-            Ok(c) => {
-                let idx = candidates.len();
-                if c.pruned_at.is_none() && best.as_ref().is_none_or(|(cyc, ..)| c.cycles < *cyc) {
-                    best = Some((c.cycles, idx, cand.fused.function, cand.ir));
-                }
-                candidates.push(MultiSearchCandidate {
-                    partition: cand.partition,
-                    reg_bound: cand.bound,
-                    cycles: c.cycles,
-                    issue_util: c.issue_util,
-                    occupancy: c.occupancy,
-                    pruned_at: c.pruned_at,
-                });
-            }
-            Err(HfuseError::Sim(_)) => continue,
-            Err(e) => return Err(e),
-        }
-    }
-
-    let (_, best_idx, best_function, best_kernel) = best
-        .ok_or_else(|| HfuseError::Config("no feasible fusion configuration found".to_owned()))?;
-    let best_kernel = Arc::try_unwrap(best_kernel).unwrap_or_else(|shared| (*shared).clone());
-    let d0 = candidates[best_idx].partition.iter().sum();
+    let d0 = candidates[s.best_idx].partition.iter().sum();
     Ok(MultiSearchReport {
         candidates,
-        best_idx,
-        best_function,
-        best_kernel,
+        best_idx: s.best_idx,
+        best_function: s.best_function,
+        best_kernel: s.best_kernel,
         d0,
     })
-}
-
-fn uses_dynamic_shared(f: &Function) -> bool {
-    let mut found = false;
-    let mut clone = f.body.clone();
-    cuda_frontend::transform::visit::walk_stmts(&mut clone, &mut |s| {
-        if matches!(s, Stmt::Decl(d) if d.quals.extern_shared) {
-            found = true;
-        }
-    });
-    found
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use cuda_frontend::parse_kernel;
+    use gpu_sim::ParamValue;
 
     fn writer(name: &str, value: f32) -> Function {
         parse_kernel(&format!(
@@ -657,14 +352,6 @@ mod tests {
         );
         assert_eq!(compositions(6, 2, 2).len(), 2); // capped
         assert!(compositions(2, 3, 64).is_empty()); // infeasible
-    }
-
-    #[test]
-    fn register_bound_many_matches_pairwise_on_two_members() {
-        let cfg = GpuConfig::pascal_like();
-        let pairwise = crate::search::register_bound(&cfg, 896, 32, 128, 16, 24 * 1024, 1024);
-        let many = register_bound_many(&cfg, &[(896, 32), (128, 16)], 24 * 1024, 1024);
-        assert_eq!(pairwise, many);
     }
 
     fn mk_search_inputs() -> (Gpu, Vec<FusionInput>) {
@@ -754,18 +441,84 @@ mod tests {
     }
 
     #[test]
+    fn rejects_absurd_search_options() {
+        let (gpu, inputs) = mk_search_inputs();
+        for (d0, granularity) in [(256, 0), (2048, 64), (u32::MAX, 1), (0, 64)] {
+            let opts = SearchOptions {
+                d0,
+                granularity,
+                ..SearchOptions::default()
+            };
+            assert!(
+                matches!(
+                    search_multi_fusion_config(&gpu, &inputs, opts),
+                    Err(HfuseError::Config(_))
+                ),
+                "d0 {d0} at granularity {granularity}"
+            );
+        }
+    }
+
+    #[test]
     fn pairwise_fusion_agrees_with_generic() {
-        // The dedicated two-kernel path and the N-way path must produce
-        // equivalent partitions and parameter layouts.
-        let a = writer("a", 1.0);
-        let b = writer("b", 2.0);
-        let two = crate::fuse::horizontal_fuse(&a, (128, 1, 1), &b, (128, 1, 1)).expect("pair");
-        let many = horizontal_fuse_many(&[
-            FusionPart::new(a, (128, 1, 1)),
-            FusionPart::new(b, (128, 1, 1)),
-        ])
-        .expect("many");
-        assert_eq!(two.block_threads(), many.block_threads());
-        assert_eq!(two.function.params.len(), many.function.params.len());
+        // Two parts through the N-way entry point give exactly the pairwise
+        // entry point's function, or the same rejection, on the DL kernels:
+        // barriers, `Rows` shapes and dynamic shared memory.
+        let dl = ["Batchnorm", "Hist", "Im2Col", "Maxpool", "Upsample"]
+            .map(|n| hfuse_kernels::AnyBenchmark::by_name(n).expect("DL kernel"));
+        let mut fused = 0;
+        for a in &dl {
+            for b in &dl {
+                let (ba, bb) = (a.benchmark(), b.benchmark());
+                for (d1, d2) in [(256, 768), (512, 512)] {
+                    let dims1 = ba.shape().dims(d1).expect("shape");
+                    let dims2 = bb.shape().dims(d2).expect("shape");
+                    let (ka, kb) = (ba.kernel(), bb.kernel());
+                    let two = crate::fuse::horizontal_fuse(&ka, dims1, &kb, dims2);
+                    let many = horizontal_fuse_many(&[
+                        FusionPart::new(ka, dims1),
+                        FusionPart::new(kb, dims2),
+                    ]);
+                    let what = format!("{}+{} at {d1}+{d2}", a.name(), b.name());
+                    match (two, many) {
+                        (Ok(two), Ok(many)) => {
+                            assert_eq!(two.function, many.function, "{what}");
+                            assert_eq!(vec![two.d1, two.d2], many.partitions, "{what}");
+                            assert_eq!(two.params_split, many.param_counts[0], "{what}");
+                            assert_eq!(
+                                (two.barriers_eliminated, two.gate_fast_path),
+                                (many.barriers_eliminated, many.gate_fast_path),
+                                "{what}"
+                            );
+                            fused += 1;
+                        }
+                        (Err(two), Err(many)) => {
+                            assert_eq!(two.to_string(), many.to_string(), "{what}")
+                        }
+                        (two, many) => panic!("{what}: {:?} vs {:?}", two.err(), many.err()),
+                    }
+                }
+            }
+        }
+        // Only the Hist+Hist pair is rejected (two dynamic shared users).
+        assert_eq!(fused, 48);
+    }
+
+    #[test]
+    fn guards_leave_out_bounds_that_always_hold() {
+        let parts = vec![
+            FusionPart::new(writer("a", 1.0), (64, 1, 1)),
+            FusionPart::new(writer("b", 2.0), (64, 1, 1)),
+            FusionPart::new(writer("c", 3.0), (64, 1, 1)),
+        ];
+        let src = horizontal_fuse_many(&parts).expect("fuse").to_source();
+        assert!(src.contains("if (!(__hf_gtid < 64))"), "{src}");
+        assert!(
+            src.contains("if (!(__hf_gtid >= 64 && __hf_gtid < 128))"),
+            "{src}"
+        );
+        assert!(src.contains("if (__hf_gtid < 128)"), "{src}");
+        assert!(!src.contains(">= 0"), "{src}");
+        assert!(!src.contains("< 192"), "{src}");
     }
 }

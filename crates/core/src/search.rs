@@ -2,25 +2,33 @@
 //! plus the measurement helpers the evaluation harness uses (native
 //! co-execution, vertical fusion, naive even-partition horizontal fusion).
 //!
-//! For each candidate thread-space partition `d1` (stepped at a granularity
-//! of 128, because irregular block shapes break memory-access patterns), the
-//! search profiles the fused kernel twice on the simulator: once as
-//! compiled, and once with a register bound
+//! One search body, `search_members`, serves the pairwise search
+//! ([`search_fusion_config`]) and the N-way one
+//! ([`search_multi_fusion_config`](crate::multi::search_multi_fusion_config));
+//! the two differ only in the partitions they sweep and the report they
+//! build. The body checks the members (equal grids) and the options (a
+//! positive granularity, `d0` within the launch limit), then, for each
+//! candidate thread-space partition (stepped at a granularity of 128,
+//! because irregular block shapes break memory-access patterns), compiles
+//! the fused kernel twice: once as compiled, and once with a register bound
 //! `r0 = SMNRegs / (b0 * d0)` where
-//! `b0 = min(b1, b2, SMShMem/ShMem(F), SMNThreads/d0)` — i.e. capped so the
-//! fused kernel can keep as many resident blocks as the originals.
+//! `b0 = min(b_1, .., b_n, SMShMem/ShMem(F), SMNThreads/d0)` — i.e. capped
+//! so the fused kernel can keep as many resident blocks as the originals.
+//! It ranks the candidates, profiles them best-first on the simulator with
+//! branch-and-bound pruning, and returns the fastest.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use cuda_frontend::ast::Function;
-use gpu_sim::{BudgetedRun, Gpu, GpuConfig, Launch, ParamValue};
+use gpu_sim::{BudgetedRun, Gpu, GpuConfig, Launch, ParamValue, MAX_BLOCK_THREADS};
 use thread_ir::ir::{BinIr, Inst, KernelIr, UnIr};
 use thread_ir::lower_kernel;
 use thread_ir::spill::apply_register_bound;
 
-use crate::fuse::{horizontal_fuse, FusedKernel};
+use crate::fuse::{fuse_members, horizontal_fuse, FuseOptions};
+use crate::multi::register_bound_many;
 
 pub use crate::error::HfuseError;
 
@@ -75,8 +83,25 @@ pub struct FusionInput {
 }
 
 impl FusionInput {
-    fn dims(&self, threads: u32) -> Option<(u32, u32, u32)> {
-        self.shape.dims(threads)
+    /// The 3-D block for `threads`, or [`HfuseError::Config`] with `error`
+    /// when the shape rule rejects that count.
+    fn dims(&self, threads: u32, error: &str) -> Result<(u32, u32, u32), HfuseError> {
+        self.shape
+            .dims(threads)
+            .ok_or_else(|| HfuseError::Config(error.to_owned()))
+    }
+}
+
+/// The launch of a fused kernel: `d0`-thread linear blocks over the
+/// members' grid, with their arguments concatenated and their dynamic
+/// shared bytes summed.
+fn fused_launch(kernel: Arc<KernelIr>, inputs: &[&FusionInput], d0: u32) -> Launch {
+    Launch {
+        kernel,
+        grid_dim: inputs.iter().map(|i| i.grid_dim).max().unwrap_or(0),
+        block_dim: (d0, 1, 1),
+        dynamic_shared_bytes: inputs.iter().map(|i| i.dynamic_shared).sum(),
+        args: inputs.iter().flat_map(|i| i.args.iter().copied()).collect(),
     }
 }
 
@@ -259,56 +284,35 @@ impl SearchReport {
     }
 }
 
-/// Profiles a compiled fused kernel on a fresh copy of the base device
-/// state, stopping early once the simulated clock exceeds `budget`. The
-/// argument list, grid, and shared-memory size are precomputed once by the
-/// caller; cloning the base device only bumps buffer refcounts
-/// (copy-on-write), and `ir` is shared, so each profile is cheap to set up.
-/// A budget-aborted run returns a candidate with `pruned_at` set and zeroed
+/// Profiles one compiled candidate of `sweep` on a fresh copy of the base
+/// device state, stopping early once the simulated clock exceeds `budget`.
+/// Cloning the base device only bumps buffer refcounts (copy-on-write), and
+/// the kernel is shared, so each profile is cheap to set up. A
+/// budget-aborted run returns a candidate with `pruned_at` set and zeroed
 /// metrics; the partially-mutated clone is simply discarded.
 fn profile_fused(
     base: &Gpu,
-    ir: &Arc<KernelIr>,
-    args: &[ParamValue],
-    grid_dim: u32,
-    dynamic_shared_bytes: u32,
-    d0: u32,
+    sweep: &Sweep,
+    cand: &Candidate,
     budget: u64,
 ) -> Result<SearchCandidate, HfuseError> {
-    let mut gpu = base.clone();
-    let launch = Launch {
-        kernel: Arc::clone(ir),
-        grid_dim,
-        block_dim: (d0, 1, 1),
-        dynamic_shared_bytes,
-        args: args.to_vec(),
+    let launch = fused_launch(Arc::clone(&cand.ir), sweep.inputs, cand.d0());
+    let (cycles, pruned_at, metrics) = match base.clone().run_with_budget(&[launch], budget)? {
+        BudgetedRun::Completed(res) => (res.total_cycles, None, Some(res.metrics)),
+        BudgetedRun::Aborted { cycles_so_far } => (cycles_so_far, Some(cycles_so_far), None),
     };
-    match gpu.run_with_budget(&[launch], budget)? {
-        BudgetedRun::Completed(res) => Ok(SearchCandidate {
-            d1: 0,
-            d2: 0,
-            reg_bound: None,
-            cycles: res.total_cycles,
-            issue_util: res.metrics.issue_slot_utilization(),
-            mem_stall: res.metrics.mem_stall_pct(),
-            occupancy: res.metrics.occupancy_pct(),
-            pruned_at: None,
-            model_score: 0,
-            class_issues: res.metrics.class_issues,
-        }),
-        BudgetedRun::Aborted { cycles_so_far } => Ok(SearchCandidate {
-            d1: 0,
-            d2: 0,
-            reg_bound: None,
-            cycles: cycles_so_far,
-            issue_util: 0.0,
-            mem_stall: 0.0,
-            occupancy: 0.0,
-            pruned_at: Some(cycles_so_far),
-            model_score: 0,
-            class_issues: [0; gpu_sim::IssueKind::COUNT],
-        }),
-    }
+    Ok(SearchCandidate {
+        d1: 0,
+        d2: 0,
+        reg_bound: None,
+        cycles,
+        issue_util: metrics.as_ref().map_or(0.0, |m| m.issue_slot_utilization()),
+        mem_stall: metrics.as_ref().map_or(0.0, |m| m.mem_stall_pct()),
+        occupancy: metrics.as_ref().map_or(0.0, |m| m.occupancy_pct()),
+        pruned_at,
+        model_score: 0,
+        class_issues: metrics.map_or([0; gpu_sim::IssueKind::COUNT], |m| m.class_issues),
+    })
 }
 
 /// Static per-thread instruction weight used by the analytic cost estimate:
@@ -348,14 +352,6 @@ fn worker_threads(explicit: Option<usize>) -> usize {
     }
 }
 
-/// One compiled configuration ready to profile.
-pub(crate) struct ProfileJob {
-    /// The compiled kernel.
-    pub(crate) ir: Arc<KernelIr>,
-    /// Fused block threads.
-    pub(crate) d0: u32,
-}
-
 /// Confidence margin of the ranking: candidates whose score is within this
 /// factor of the best score are "near-ties" the ranking cannot separate,
 /// and join the front that profiles without a budget.
@@ -366,39 +362,191 @@ pub const MODEL_MARGIN: f64 = 1.10;
 /// sibling in the common case).
 pub const MODEL_TOP_K: usize = 2;
 
-/// The legacy single-weight ranking scores ([`gpu_sim::cost_estimate`]) for
-/// a job list — the profiling order when the model filter is off.
-pub(crate) fn legacy_scores(
-    cfg: &GpuConfig,
-    jobs: &[ProfileJob],
+/// One compiled candidate: a partition with or without the register bound
+/// applied.
+struct Candidate {
+    /// Threads per member, in member order.
+    partition: Vec<u32>,
+    /// Register bound applied (`None` = unbounded compile).
+    bound: Option<u32>,
+    /// The fused function.
+    function: Function,
+    /// The compiled kernel.
+    ir: Arc<KernelIr>,
+}
+
+impl Candidate {
+    /// Fused block threads.
+    fn d0(&self) -> u32 {
+        self.partition.iter().sum()
+    }
+}
+
+/// Every compiled candidate of one sweep, with the members it fuses.
+struct Sweep<'a> {
+    /// The members, in fusion order.
+    inputs: &'a [&'a FusionInput],
+    /// Both register variants of every feasible partition, in sweep order.
+    candidates: Vec<Candidate>,
+    /// The members' common grid dimension.
     grid_dim: u32,
-    dynamic_shared_bytes: u32,
-) -> Vec<u64> {
-    jobs.iter()
-        .map(|j| {
-            gpu_sim::cost_estimate(
-                cfg,
-                j.ir.reg_pressure(),
-                j.d0,
-                j.ir.shared_bytes(dynamic_shared_bytes),
-                grid_dim,
-                weighted_inst_cost(&j.ir),
-            )
-        })
+    /// The members' dynamic shared bytes, summed.
+    dynamic_shared: u32,
+}
+
+/// The thread-space partitions a search visits, each one thread count per
+/// member; the pairwise and the N-way search differ only in this sweep.
+pub(crate) type PartitionSweep =
+    fn(&[&FusionInput], SearchOptions) -> Result<Vec<Vec<u32>>, HfuseError>;
+
+/// Checks the members and the options, then compiles both register
+/// variants of every partition `sweep` yields, in sweep order (infeasible
+/// shapes and failed fusions are skipped, like failed compiles in the
+/// paper).
+fn compile_sweep<'a>(
+    cfg: &GpuConfig,
+    inputs: &'a [&'a FusionInput],
+    opts: SearchOptions,
+    sweep: PartitionSweep,
+) -> Result<Sweep<'a>, HfuseError> {
+    if inputs.len() < 2 {
+        return Err(HfuseError::Config(
+            "a fusion search needs at least two inputs".to_owned(),
+        ));
+    }
+    let grid_dim = inputs[0].grid_dim;
+    if let Some(other) = inputs.iter().find(|i| i.grid_dim != grid_dim) {
+        return Err(HfuseError::Config(format!(
+            "grid dimensions must match for fusion ({grid_dim} vs {})",
+            other.grid_dim
+        )));
+    }
+    if opts.granularity == 0 {
+        return Err(HfuseError::Config(
+            "search granularity must be at least 1".to_owned(),
+        ));
+    }
+    if opts.d0 == 0 || opts.d0 > MAX_BLOCK_THREADS {
+        return Err(HfuseError::Config(format!(
+            "fused block size d0 = {} must be in 1..={MAX_BLOCK_THREADS}",
+            opts.d0
+        )));
+    }
+    let nregs = inputs
+        .iter()
+        .map(|inp| Ok(lower_kernel(&inp.kernel)?.reg_pressure()))
+        .collect::<Result<Vec<u32>, HfuseError>>()?;
+    let dynamic_shared = inputs.iter().map(|i| i.dynamic_shared).sum();
+
+    let mut candidates = Vec::new();
+    for partition in sweep(inputs, opts)? {
+        let members: Option<Vec<_>> = inputs
+            .iter()
+            .zip(&partition)
+            .map(|(inp, &d)| Some((&inp.kernel, inp.shape.dims(d)?)))
+            .collect();
+        let Some(Ok(fused)) = members.map(|m| fuse_members(&m, FuseOptions::default())) else {
+            continue;
+        };
+        let ir = Arc::new(lower_kernel(&fused.function)?);
+        let pressures: Vec<(u32, u32)> = partition
+            .iter()
+            .copied()
+            .zip(nregs.iter().copied())
+            .collect();
+        let d0 = partition.iter().sum();
+        let r0 = register_bound_many(cfg, &pressures, ir.shared_bytes(dynamic_shared), d0);
+        let mut capped = (*ir).clone();
+        apply_register_bound(&mut capped, r0);
+        candidates.push(Candidate {
+            partition: partition.clone(),
+            bound: None,
+            function: fused.function.clone(),
+            ir,
+        });
+        candidates.push(Candidate {
+            partition,
+            bound: Some(r0),
+            function: fused.function,
+            ir: Arc::new(capped),
+        });
+    }
+    Ok(Sweep {
+        inputs,
+        candidates,
+        grid_dim,
+        dynamic_shared,
+    })
+}
+
+/// Each member's per-class issue histogram, from one native run each.
+fn member_issues(
+    base: &Gpu,
+    inputs: &[&FusionInput],
+) -> Result<Vec<[u64; gpu_sim::IssueKind::COUNT]>, HfuseError> {
+    inputs
+        .iter()
+        .map(|inp| Ok(measure_single_impl(base, inp)?.metrics.class_issues))
         .collect()
 }
 
-/// Profiles every job and returns outcomes aligned with the input order.
+/// A candidate's expected per-thread dynamic mix: the members' measured
+/// histograms `Σ_i I_i / d_i` at its partition, plus its static spills.
+fn candidate_mix(
+    cfg: &GpuConfig,
+    issues: &[[u64; gpu_sim::IssueKind::COUNT]],
+    cand: &Candidate,
+) -> gpu_sim::DynMix {
+    let s = gpu_sim::static_class_mix(&cand.ir);
+    let members: Vec<_> = issues
+        .iter()
+        .copied()
+        .zip(cand.partition.iter().copied())
+        .collect();
+    gpu_sim::fused_dyn_mix(cfg, &members, s.spills, s.total())
+}
+
+/// The static score every candidate is profiled in ascending order of.
+/// With `model_filter`, the calibrated occupancy-aware per-latency-class
+/// model over [`candidate_mix`], which costs one native run per member;
+/// otherwise the legacy single-weight estimate ([`gpu_sim::cost_estimate`]).
+/// Pure given the measurements, so scores are identical across
+/// pruned/exhaustive arms.
+fn rank(base: &Gpu, sweep: &Sweep, model_filter: bool) -> Result<Vec<u64>, HfuseError> {
+    let cfg = base.config();
+    let issues = if model_filter {
+        member_issues(base, sweep.inputs)?
+    } else {
+        Vec::new()
+    };
+    Ok(sweep
+        .candidates
+        .iter()
+        .map(|c| {
+            let (regs, d0) = (c.ir.reg_pressure(), c.d0());
+            let shared = c.ir.shared_bytes(sweep.dynamic_shared);
+            if model_filter {
+                let mix = candidate_mix(cfg, &issues, c);
+                gpu_sim::model_estimate(cfg, regs, d0, shared, sweep.grid_dim, &mix)
+            } else {
+                let weight = weighted_inst_cost(&c.ir);
+                gpu_sim::cost_estimate(cfg, regs, d0, shared, sweep.grid_dim, weight)
+            }
+        })
+        .collect())
+}
+
+/// Profiles every candidate of `sweep` and returns outcomes aligned with
+/// its order.
 ///
-/// Jobs are profiled in ascending `scores` order (the calibrated analytic
-/// model or the legacy [`legacy_scores`], whichever the caller ranked
-/// with) in two phases:
+/// Candidates are profiled in ascending `scores` order (see [`rank`]) in
+/// two phases:
 ///
 /// 1. **The front** — the top-[`MODEL_TOP_K`] unique programs plus every
 ///    near-tie within [`MODEL_MARGIN`] of the best score — profiles
-///    without a budget. With `prune` off, every job is in the front.
-/// 2. **Every other job** profiles at one fixed budget: the fewest cycles
-///    among the front's completed runs.
+///    without a budget. With `prune` off, every candidate is in the front.
+/// 2. **Every other candidate** profiles at one fixed budget: the fewest
+///    cycles among the front's completed runs.
 ///
 /// A run whose true cycle count is at most its budget completes with its
 /// exact unbudgeted result, and the budget is a completed run's cycle
@@ -406,15 +554,13 @@ pub(crate) fn legacy_scores(
 /// exhaustive search's. Each budget depends only on the inputs, never on
 /// which worker finished first, so the whole result — every abort clock
 /// included — is identical at any `HFUSE_SEARCH_THREADS` worker count.
-pub(crate) fn profile_jobs(
+fn profile_jobs(
     base: &Gpu,
-    jobs: &[ProfileJob],
-    args: &[ParamValue],
-    grid_dim: u32,
-    dynamic_shared_bytes: u32,
+    sweep: &Sweep,
     prune: bool,
     scores: &[u64],
 ) -> Vec<Result<SearchCandidate, HfuseError>> {
+    let jobs = &sweep.candidates;
     debug_assert_eq!(scores.len(), jobs.len());
 
     // Identical compiled programs simulate to identical results, so each
@@ -427,7 +573,7 @@ pub(crate) fn profile_jobs(
     for i in 0..jobs.len() {
         for j in 0..i {
             if canon[j] == j
-                && jobs[j].d0 == jobs[i].d0
+                && jobs[j].d0() == jobs[i].d0()
                 && (Arc::ptr_eq(&jobs[j].ir, &jobs[i].ir) || *jobs[j].ir == *jobs[i].ir)
             {
                 canon[i] = j;
@@ -457,20 +603,7 @@ pub(crate) fn profile_jobs(
     let (front, rest) = order.split_at(front_len);
 
     let threads = worker_threads(gpu_sim::env::search_threads());
-    let profile = |budget: u64| {
-        move |&i: &usize| {
-            let job = &jobs[i];
-            profile_fused(
-                base,
-                &job.ir,
-                args,
-                grid_dim,
-                dynamic_shared_bytes,
-                job.d0,
-                budget,
-            )
-        }
-    };
+    let profile = |budget: u64| move |&i: &usize| profile_fused(base, sweep, &jobs[i], budget);
     let front_results = parallel_map(threads, front, profile(u64::MAX));
     let budget = front_results
         .iter()
@@ -494,10 +627,11 @@ pub(crate) fn profile_jobs(
     }
     slots
         .into_iter()
-        .zip(scores)
-        .map(|(r, &score)| {
+        .zip(jobs.iter().zip(scores))
+        .map(|(r, (job, &score))| {
             let mut r = r.expect("every candidate profiled");
             if let Ok(c) = &mut r {
+                c.reg_bound = job.bound;
                 c.model_score = score;
             }
             r
@@ -539,108 +673,95 @@ fn parallel_map<T: Sync, R: Send>(
     done.into_iter().map(|(_, r)| r).collect()
 }
 
-/// One compiled pairwise candidate: a `(d1, d2)` partition with or without
-/// the register bound applied.
-struct Candidate {
-    d1: u32,
-    d2: u32,
-    bound: Option<u32>,
-    fused: FusedKernel,
-    ir: Arc<KernelIr>,
+/// What the search body found: every schedulable candidate's partition
+/// and profile, in sweep order, and the winner.
+pub(crate) struct Searched {
+    /// `(partition, profile)` per candidate; `reg_bound` and `model_score`
+    /// are set, `d1`/`d2` are left for the pairwise report to fill in.
+    pub(crate) candidates: Vec<(Vec<u32>, SearchCandidate)>,
+    /// Index of the fastest candidate.
+    pub(crate) best_idx: usize,
+    /// The fused function of the best candidate.
+    pub(crate) best_function: Function,
+    /// The compiled best kernel.
+    pub(crate) best_kernel: KernelIr,
+    /// Wall-clock milliseconds spent compiling candidates.
+    pub(crate) compile_ms: f64,
+    /// Wall-clock milliseconds spent ranking and profiling candidates.
+    pub(crate) profile_ms: f64,
 }
 
-/// Compiles both register variants of every feasible partition, in sweep
-/// order (infeasible shapes and failed fusions are skipped, like failed
-/// compiles in the paper).
-fn compile_candidates(
-    cfg: &GpuConfig,
-    in1: &FusionInput,
-    in2: &FusionInput,
-    partitions: &[(u32, u32)],
-    nregs1: u32,
-    nregs2: u32,
-) -> Result<Vec<Candidate>, HfuseError> {
-    let mut compiled: Vec<Candidate> = Vec::new();
-    for &(d1, d2) in partitions {
-        let (Some(dims1), Some(dims2)) = (in1.dims(d1), in2.dims(d2)) else {
-            continue;
-        };
-        let Ok(fused) = horizontal_fuse(&in1.kernel, dims1, &in2.kernel, dims2) else {
-            continue;
-        };
-        let d0 = d1 + d2;
-        let ir = Arc::new(lower_kernel(&fused.function)?);
-        let shmem_fused = ir.shared_bytes(in1.dynamic_shared + in2.dynamic_shared);
-        let r0 = register_bound(cfg, d1, nregs1, d2, nregs2, shmem_fused, d0);
-        let mut ir_capped = (*ir).clone();
-        apply_register_bound(&mut ir_capped, r0);
-        compiled.push(Candidate {
-            d1,
-            d2,
-            bound: None,
-            fused: fused.clone(),
-            ir,
-        });
-        compiled.push(Candidate {
-            d1,
-            d2,
-            bound: Some(r0),
-            fused,
-            ir: Arc::new(ir_capped),
-        });
+/// The Fig. 6 search body shared by [`search_fusion_config`] and
+/// [`search_multi_fusion_config`](crate::multi::search_multi_fusion_config):
+/// check the members and options and compile both register variants of
+/// every partition `sweep` yields ([`compile_sweep`]), rank them
+/// ([`rank`]), profile them best-first ([`profile_jobs`]), and pick the
+/// fewest cycles among the completed runs (the first on a tie).
+pub(crate) fn search_members(
+    base: &Gpu,
+    inputs: &[&FusionInput],
+    opts: SearchOptions,
+    sweep: PartitionSweep,
+) -> Result<Searched, HfuseError> {
+    let compile_start = Instant::now();
+    let sweep = compile_sweep(base.config(), inputs, opts, sweep)?;
+    let compile_ms = compile_start.elapsed().as_secs_f64() * 1e3;
+
+    let profile_start = Instant::now();
+    let scores = rank(base, &sweep, opts.model_filter)?;
+    let results = profile_jobs(base, &sweep, opts.prune, &scores);
+    let profile_ms = profile_start.elapsed().as_secs_f64() * 1e3;
+
+    let mut candidates = Vec::new();
+    let mut best: Option<(u64, usize, Function, Arc<KernelIr>)> = None;
+    for (cand, result) in sweep.candidates.into_iter().zip(results) {
+        match result {
+            Ok(c) => {
+                let idx = candidates.len();
+                // A pruned candidate's clock already exceeded some
+                // completed candidate's cycles, so it can never be the
+                // minimum — skip it explicitly.
+                if c.pruned_at.is_none() && best.as_ref().is_none_or(|(cyc, ..)| c.cycles < *cyc) {
+                    best = Some((c.cycles, idx, cand.function, cand.ir));
+                }
+                candidates.push((cand.partition, c));
+            }
+            // Unschedulable configuration (e.g. shared memory over budget);
+            // skip it, like a failed compile in the paper.
+            Err(HfuseError::Sim(_)) => continue,
+            Err(e) => return Err(e),
+        }
     }
-    Ok(compiled)
+
+    let (_, best_idx, best_function, best_kernel) = best
+        .ok_or_else(|| HfuseError::Config("no feasible fusion configuration found".to_owned()))?;
+    let best_kernel = Arc::try_unwrap(best_kernel).unwrap_or_else(|shared| (*shared).clone());
+    Ok(Searched {
+        candidates,
+        best_idx,
+        best_function,
+        best_kernel,
+        compile_ms,
+        profile_ms,
+    })
 }
 
 /// The candidate partitions the Fig. 6 sweep visits for a pair: every
-/// multiple of the granularity below `d0` when both kernels are tunable,
-/// the native block sizes otherwise.
-fn sweep_partitions(in1: &FusionInput, in2: &FusionInput, opts: SearchOptions) -> Vec<(u32, u32)> {
-    if in1.tunable && in2.tunable {
-        let mut v = Vec::new();
-        let mut d1 = opts.granularity;
-        while d1 < opts.d0 {
-            v.push((d1, opts.d0 - d1));
-            d1 += opts.granularity;
-        }
-        v
+/// multiple of the granularity below `d0` for the first kernel when both
+/// kernels are tunable, the native block sizes otherwise.
+fn sweep_partitions(
+    inputs: &[&FusionInput],
+    opts: SearchOptions,
+) -> Result<Vec<Vec<u32>>, HfuseError> {
+    Ok(if inputs.iter().all(|i| i.tunable) {
+        (1..)
+            .map(|k| k * opts.granularity)
+            .take_while(|&d1| d1 < opts.d0)
+            .map(|d1| vec![d1, opts.d0 - d1])
+            .collect()
     } else {
-        vec![(in1.default_threads, in2.default_threads)]
-    }
-}
-
-/// Calibrated model scores for every pairwise candidate: measures each
-/// original kernel natively **once** to obtain its per-class issue
-/// histogram, then scores each candidate with the occupancy-aware
-/// per-latency-class model over the candidate's `I1/d1 + I2/d2` dynamic
-/// mix. Pure given the measurements, so scores are identical across
-/// pruned/exhaustive arms.
-fn model_scores(
-    base: &Gpu,
-    in1: &FusionInput,
-    in2: &FusionInput,
-    compiled: &[Candidate],
-    grid_dim: u32,
-    dynamic_shared_bytes: u32,
-) -> Result<Vec<u64>, HfuseError> {
-    let cfg = base.config();
-    let i1 = measure_single_impl(base, in1)?.metrics.class_issues;
-    let i2 = measure_single_impl(base, in2)?.metrics.class_issues;
-    Ok(compiled
-        .iter()
-        .map(|c| {
-            let s = gpu_sim::static_class_mix(&c.ir);
-            let mix = gpu_sim::fused_dyn_mix(cfg, &[(i1, c.d1), (i2, c.d2)], s.spills, s.total());
-            gpu_sim::model_estimate(
-                cfg,
-                c.ir.reg_pressure(),
-                c.d1 + c.d2,
-                c.ir.shared_bytes(dynamic_shared_bytes),
-                grid_dim,
-                &mix,
-            )
-        })
-        .collect())
+        vec![inputs.iter().map(|i| i.default_threads).collect()]
+    })
 }
 
 /// Builds calibration observations for `hfuse bench --calibrate`: compiles
@@ -651,75 +772,42 @@ fn model_scores(
 ///
 /// # Errors
 ///
-/// Returns [`HfuseError`] on mismatched grids or a non-scheduling profile
-/// failure.
+/// Returns [`HfuseError`] on mismatched grids, absurd options, or a
+/// non-scheduling profile failure.
 pub fn calibration_rows(
     base: &Gpu,
     in1: &FusionInput,
     in2: &FusionInput,
     opts: SearchOptions,
 ) -> Result<Vec<gpu_sim::model::CalibrationRow>, HfuseError> {
-    let cfg = base.config().clone();
-    if in1.grid_dim != in2.grid_dim {
-        return Err(HfuseError::Config(format!(
-            "grid dimensions must match for fusion ({} vs {})",
-            in1.grid_dim, in2.grid_dim
-        )));
-    }
-    let nregs1 = lower_kernel(&in1.kernel)?.reg_pressure();
-    let nregs2 = lower_kernel(&in2.kernel)?.reg_pressure();
-    let partitions = sweep_partitions(in1, in2, opts);
-    let compiled = compile_candidates(&cfg, in1, in2, &partitions, nregs1, nregs2)?;
-
-    let fused_args: Vec<ParamValue> = in1.args.iter().chain(in2.args.iter()).copied().collect();
-    let fused_grid = in1.grid_dim.max(in2.grid_dim);
-    let fused_dyn_shared = in1.dynamic_shared + in2.dynamic_shared;
-    let jobs: Vec<ProfileJob> = compiled
-        .iter()
-        .map(|c| ProfileJob {
-            ir: Arc::clone(&c.ir),
-            d0: c.d1 + c.d2,
-        })
-        .collect();
-    let scores = legacy_scores(&cfg, &jobs, fused_grid, fused_dyn_shared);
-    let results = profile_jobs(
-        base,
-        &jobs,
-        &fused_args,
-        fused_grid,
-        fused_dyn_shared,
-        false,
-        &scores,
-    );
-
-    let i1 = measure_single_impl(base, in1)?.metrics.class_issues;
-    let i2 = measure_single_impl(base, in2)?.metrics.class_issues;
+    let cfg = base.config();
+    let inputs = [in1, in2];
+    let sweep = compile_sweep(cfg, &inputs, opts, sweep_partitions)?;
+    // Every candidate profiles to completion, so the ranking is irrelevant.
+    let results = profile_jobs(base, &sweep, false, &vec![0; sweep.candidates.len()]);
+    let issues = member_issues(base, &inputs)?;
     let mut rows = Vec::new();
-    for (cand, result) in compiled.iter().zip(results) {
+    for (cand, result) in sweep.candidates.iter().zip(results) {
         let c = match result {
             Ok(c) => c,
             Err(HfuseError::Sim(_)) => continue,
             Err(e) => return Err(e),
         };
-        let s = gpu_sim::static_class_mix(&cand.ir);
-        let mix =
-            gpu_sim::fused_dyn_mix(&cfg, &[(i1, cand.d1), (i2, cand.d2)], s.spills, s.total());
-        if let Some(row) = gpu_sim::model::CalibrationRow::new(
-            &cfg,
+        rows.extend(gpu_sim::model::CalibrationRow::new(
+            cfg,
             cand.ir.reg_pressure(),
-            cand.d1 + cand.d2,
-            cand.ir.shared_bytes(fused_dyn_shared),
-            fused_grid,
-            &mix,
+            cand.d0(),
+            cand.ir.shared_bytes(sweep.dynamic_shared),
+            sweep.grid_dim,
+            &candidate_mix(cfg, &issues, cand),
             c.cycles,
-        ) {
-            rows.push(row);
-        }
+        ));
     }
     Ok(rows)
 }
 
-/// The register bound of Fig. 6 lines 13–16.
+/// The register bound of Fig. 6 lines 13–16: the two-member case of
+/// [`register_bound_many`].
 ///
 /// `nregs1`/`nregs2` are the register pressures of the original kernels;
 /// `shmem_fused` the fused kernel's total shared bytes per block.
@@ -732,15 +820,7 @@ pub fn register_bound(
     shmem_fused: u32,
     d0: u32,
 ) -> u32 {
-    let b1 = cfg.regs_per_sm / (d1 * nregs1).max(1);
-    let b2 = cfg.regs_per_sm / (d2 * nregs2).max(1);
-    let b_sh = cfg
-        .shared_per_sm
-        .checked_div(shmem_fused)
-        .unwrap_or(u32::MAX);
-    let b_th = cfg.max_threads_per_sm / d0.max(1);
-    let b0 = b1.min(b2).min(b_sh).min(b_th).max(1);
-    (cfg.regs_per_sm / (b0 * d0).max(1)).max(1)
+    register_bound_many(cfg, &[(d1, nregs1), (d2, nregs2)], shmem_fused, d0)
 }
 
 /// Runs the full Fig. 6 search: sweep partitions, profile each candidate
@@ -755,8 +835,9 @@ pub fn register_bound(
 ///
 /// # Errors
 ///
-/// Returns [`HfuseError`] if no candidate partition is feasible or a
-/// profile run fails.
+/// Returns [`HfuseError::Config`] on mismatched grids, a granularity of 0,
+/// a `d0` outside `1..=`[`MAX_BLOCK_THREADS`], or when no candidate
+/// partition is feasible, and [`HfuseError`] when a profile run fails.
 pub fn search_fusion_config(
     base: &Gpu,
     in1: &FusionInput,
@@ -771,99 +852,32 @@ pub fn search_fusion_config(
     Ok(Arc::try_unwrap(report).unwrap_or_else(|shared| (*shared).clone()))
 }
 
-/// The actual Fig. 6 search body; [`Session::search_winner`]
-/// (crate::db::Session::search_winner) calls this on cache misses.
+/// The pairwise Fig. 6 search: [`search_members`] over the pair sweep;
+/// [`Session::search_winner`](crate::db::Session::search_winner) calls this
+/// on cache misses.
 pub(crate) fn search_fusion_config_impl(
     base: &Gpu,
     in1: &FusionInput,
     in2: &FusionInput,
     opts: SearchOptions,
 ) -> Result<SearchReport, HfuseError> {
-    let cfg = base.config().clone();
-    if in1.grid_dim != in2.grid_dim {
-        return Err(HfuseError::Config(format!(
-            "grid dimensions must match for fusion ({} vs {})",
-            in1.grid_dim, in2.grid_dim
-        )));
-    }
-    let compile_start = Instant::now();
-    let nregs1 = lower_kernel(&in1.kernel)?.reg_pressure();
-    let nregs2 = lower_kernel(&in2.kernel)?.reg_pressure();
-
-    let partitions = sweep_partitions(in1, in2, opts);
-
-    // Compile every candidate first (cheap), then profile them in parallel:
-    // each profile runs on its own clone of the device state at a budget
-    // fixed before its phase starts, so the result is deterministic
-    // regardless of thread scheduling.
-    let compiled = compile_candidates(&cfg, in1, in2, &partitions, nregs1, nregs2)?;
-
-    // Shared profile inputs, computed once for the whole sweep.
-    debug_assert_eq!(&cfg, base.config());
-    let fused_args: Vec<ParamValue> = in1.args.iter().chain(in2.args.iter()).copied().collect();
-    let fused_grid = in1.grid_dim.max(in2.grid_dim);
-    let fused_dyn_shared = in1.dynamic_shared + in2.dynamic_shared;
-    let compile_ms = compile_start.elapsed().as_secs_f64() * 1e3;
-
-    let jobs: Vec<ProfileJob> = compiled
-        .iter()
-        .map(|c| ProfileJob {
-            ir: Arc::clone(&c.ir),
-            d0: c.d1 + c.d2,
-        })
-        .collect();
-    let profile_start = Instant::now();
-    let scores = if opts.model_filter {
-        model_scores(base, in1, in2, &compiled, fused_grid, fused_dyn_shared)?
-    } else {
-        legacy_scores(&cfg, &jobs, fused_grid, fused_dyn_shared)
-    };
-    let results = profile_jobs(
-        base,
-        &jobs,
-        &fused_args,
-        fused_grid,
-        fused_dyn_shared,
-        opts.prune,
-        &scores,
-    );
-    let profile_ms = profile_start.elapsed().as_secs_f64() * 1e3;
-
-    let mut candidates = Vec::new();
-    let mut best: Option<(u64, usize, Function, Arc<KernelIr>)> = None;
-    for (cand, result) in compiled.into_iter().zip(results) {
-        match result {
-            Ok(mut c) => {
-                c.d1 = cand.d1;
-                c.d2 = cand.d2;
-                c.reg_bound = cand.bound;
-                let idx = candidates.len();
-                // A pruned candidate's clock already exceeded some
-                // completed candidate's cycles, so it can never be the
-                // minimum — skip it explicitly.
-                if c.pruned_at.is_none() && best.as_ref().is_none_or(|(cyc, ..)| c.cycles < *cyc) {
-                    best = Some((c.cycles, idx, cand.fused.function, cand.ir));
-                }
-                candidates.push(c);
-            }
-            // Unschedulable configuration (e.g. shared memory over budget);
-            // skip it, like a failed compile in the paper.
-            Err(HfuseError::Sim(_)) => continue,
-            Err(e) => return Err(e),
-        }
-    }
-
-    let (_, best_idx, best_function, best_kernel) = best
-        .ok_or_else(|| HfuseError::Config("no feasible fusion configuration found".to_owned()))?;
-    let best_kernel = Arc::try_unwrap(best_kernel).unwrap_or_else(|shared| (*shared).clone());
+    let s = search_members(base, &[in1, in2], opts, sweep_partitions)?;
     Ok(SearchReport {
-        candidates,
-        best_idx,
-        best_function,
-        best_kernel,
+        candidates: s
+            .candidates
+            .into_iter()
+            .map(|(p, c)| SearchCandidate {
+                d1: p[0],
+                d2: p[1],
+                ..c
+            })
+            .collect(),
+        best_idx: s.best_idx,
+        best_function: s.best_function,
+        best_kernel: s.best_kernel,
         d0: opts.d0,
-        compile_ms,
-        profile_ms,
+        compile_ms: s.compile_ms,
+        profile_ms: s.profile_ms,
     })
 }
 
@@ -888,27 +902,26 @@ pub fn measure_native(
     Ok(Arc::try_unwrap(r).unwrap_or_else(|shared| (*shared).clone()))
 }
 
+/// The launch that runs `inp` unfused: its default block shape, its grid
+/// and its arguments.
+fn native_launch(inp: &FusionInput) -> Result<Launch, HfuseError> {
+    Ok(Launch {
+        kernel: lower_kernel(&inp.kernel)?.into(),
+        grid_dim: inp.grid_dim,
+        block_dim: inp.dims(inp.default_threads, "bad default block shape")?,
+        dynamic_shared_bytes: inp.dynamic_shared,
+        args: inp.args.clone(),
+    })
+}
+
 /// The body of [`measure_native`]; `Session::native` calls this on misses.
 pub(crate) fn measure_native_impl(
     base: &Gpu,
     in1: &FusionInput,
     in2: &FusionInput,
 ) -> Result<gpu_sim::RunResult, HfuseError> {
-    let mut gpu = base.clone();
-    let mk = |inp: &FusionInput| -> Result<Launch, HfuseError> {
-        let dims = inp
-            .dims(inp.default_threads)
-            .ok_or_else(|| HfuseError::Config("bad default block shape".to_owned()))?;
-        Ok(Launch {
-            kernel: lower_kernel(&inp.kernel)?.into(),
-            grid_dim: inp.grid_dim,
-            block_dim: dims,
-            dynamic_shared_bytes: inp.dynamic_shared,
-            args: inp.args.clone(),
-        })
-    };
-    let launches = [mk(in1)?, mk(in2)?];
-    Ok(gpu.run(&launches)?)
+    let launches = [native_launch(in1)?, native_launch(in2)?];
+    Ok(base.clone().run(&launches)?)
 }
 
 /// Measures one kernel alone (for Fig. 8's per-kernel metrics).
@@ -931,18 +944,7 @@ pub(crate) fn measure_single_impl(
     base: &Gpu,
     inp: &FusionInput,
 ) -> Result<gpu_sim::RunResult, HfuseError> {
-    let mut gpu = base.clone();
-    let dims = inp
-        .dims(inp.default_threads)
-        .ok_or_else(|| HfuseError::Config("bad default block shape".to_owned()))?;
-    let launch = Launch {
-        kernel: lower_kernel(&inp.kernel)?.into(),
-        grid_dim: inp.grid_dim,
-        block_dim: dims,
-        dynamic_shared_bytes: inp.dynamic_shared,
-        args: inp.args.clone(),
-    };
-    Ok(gpu.run(&[launch])?)
+    Ok(base.clone().run(&[native_launch(inp)?])?)
 }
 
 /// Measures the vertically fused kernel. Requires matching block and grid
@@ -962,24 +964,12 @@ pub fn measure_vertical(
         ));
     }
     let threads = in1.default_threads.max(in2.default_threads);
-    let dims1 = in1
-        .dims(threads)
-        .ok_or_else(|| HfuseError::Config("bad block shape for vertical fusion".to_owned()))?;
-    let dims2 = in2
-        .dims(threads)
-        .ok_or_else(|| HfuseError::Config("bad block shape for vertical fusion".to_owned()))?;
+    let error = "bad block shape for vertical fusion";
+    let (dims1, dims2) = (in1.dims(threads, error)?, in2.dims(threads, error)?);
     let v = crate::vertical::vertical_fuse_shaped(&in1.kernel, dims1, &in2.kernel, dims2)?;
-    let mut gpu = base.clone();
-    let mut args = in1.args.clone();
-    args.extend(in2.args.iter().copied());
-    let launch = Launch {
-        kernel: lower_kernel(&v.function)?.into(),
-        grid_dim: in1.grid_dim,
-        block_dim: (v.block_threads, 1, 1),
-        dynamic_shared_bytes: in1.dynamic_shared + in2.dynamic_shared,
-        args,
-    };
-    Ok(gpu.run(&[launch])?)
+    let kernel = lower_kernel(&v.function)?.into();
+    let launch = fused_launch(kernel, &[in1, in2], v.block_threads);
+    Ok(base.clone().run(&[launch])?)
 }
 
 /// Measures the *naive* horizontal fusion: even thread-space partition, no
@@ -999,25 +989,12 @@ pub fn measure_naive_horizontal(
     } else {
         (in1.default_threads, in2.default_threads)
     };
-    let dims1 = in1
-        .dims(d1)
-        .ok_or_else(|| HfuseError::Config("even partition incompatible with shape".to_owned()))?;
-    let dims2 = in2
-        .dims(d2)
-        .ok_or_else(|| HfuseError::Config("even partition incompatible with shape".to_owned()))?;
+    let error = "even partition incompatible with shape";
+    let (dims1, dims2) = (in1.dims(d1, error)?, in2.dims(d2, error)?);
     let fused = horizontal_fuse(&in1.kernel, dims1, &in2.kernel, dims2)?;
-    let ir = lower_kernel(&fused.function)?;
-    let mut gpu = base.clone();
-    let mut args = in1.args.clone();
-    args.extend(in2.args.iter().copied());
-    let launch = Launch {
-        kernel: ir.into(),
-        grid_dim: in1.grid_dim.max(in2.grid_dim),
-        block_dim: (d1 + d2, 1, 1),
-        dynamic_shared_bytes: in1.dynamic_shared + in2.dynamic_shared,
-        args,
-    };
-    Ok(gpu.run(&[launch])?)
+    let kernel = lower_kernel(&fused.function)?.into();
+    let launch = fused_launch(kernel, &[in1, in2], d1 + d2);
+    Ok(base.clone().run(&[launch])?)
 }
 
 #[cfg(test)]
@@ -1243,6 +1220,31 @@ mod tests {
             search_fusion_config(&gpu, &in1, &in2, SearchOptions::default()),
             Err(HfuseError::Config(_))
         ));
+    }
+
+    #[test]
+    fn search_rejects_absurd_options() {
+        // A granularity of 0 would step the sweep forever, and a d0 past the
+        // launch limit yields partitions that can never launch.
+        let (gpu, in1, in2) = mk_gpu();
+        for (d0, granularity) in [(512, 0), (2048, 128), (u32::MAX, 1), (0, 128)] {
+            let opts = SearchOptions {
+                d0,
+                granularity,
+                ..SearchOptions::default()
+            };
+            assert!(
+                matches!(
+                    search_fusion_config(&gpu, &in1, &in2, opts),
+                    Err(HfuseError::Config(_))
+                ),
+                "d0 {d0} at granularity {granularity}"
+            );
+            assert!(matches!(
+                calibration_rows(&gpu, &in1, &in2, opts),
+                Err(HfuseError::Config(_))
+            ));
+        }
     }
 
     #[test]

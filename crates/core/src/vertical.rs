@@ -19,6 +19,7 @@ use cuda_frontend::ast::{Axis, Block, BuiltinVar, Expr, Function, Param, Stmt, T
 use cuda_frontend::transform::{preprocess_kernel, replace_builtins, NameGen};
 use cuda_frontend::FrontendError;
 
+use crate::fuse::{split_decls, uses_dynamic_shared};
 use crate::remap::{decl_i32, ThreadRemap};
 
 /// A vertically fused kernel.
@@ -80,7 +81,7 @@ fn fuse_impl(
     preprocess_kernel(&mut f1, &[], &mut names)?;
     preprocess_kernel(&mut f2, &[], &mut names)?;
 
-    if uses_dynamic_shared(&f1) && uses_dynamic_shared(&f2) {
+    if uses_dynamic_shared(&mut f1.body) && uses_dynamic_shared(&mut f2.body) {
         return Err(FrontendError::new(
             "both kernels use extern __shared__ memory; the fused kernel would alias it",
         ));
@@ -128,33 +129,6 @@ fn fuse_impl(
         params_split,
         block_threads: total,
     })
-}
-
-fn split_decls(body: Block) -> (Vec<cuda_frontend::ast::VarDecl>, Vec<Stmt>) {
-    let mut decls = Vec::new();
-    let mut rest = Vec::new();
-    let mut in_prefix = true;
-    for s in body.stmts {
-        match s {
-            Stmt::Decl(d) if in_prefix => decls.push(d),
-            other => {
-                in_prefix = false;
-                rest.push(other);
-            }
-        }
-    }
-    (decls, rest)
-}
-
-fn uses_dynamic_shared(f: &Function) -> bool {
-    let mut found = false;
-    let mut clone = f.body.clone();
-    cuda_frontend::transform::visit::walk_stmts(&mut clone, &mut |s| {
-        if matches!(s, Stmt::Decl(d) if d.quals.extern_shared) {
-            found = true;
-        }
-    });
-    found
 }
 
 #[cfg(test)]

@@ -5,6 +5,7 @@
 
 use cuda_frontend::parse_kernel;
 use hfuse_core::fuse::horizontal_fuse;
+use hfuse_core::multi::{horizontal_fuse_many, FusionPart};
 
 /// A kernel with a barrier under a data-dependent guard: statically unsafe
 /// (unknown arrival set) and rejected by the gate.
@@ -25,6 +26,13 @@ __global__ void ok(int* out) {
 }
 ";
 
+/// The divergent kernel between two clean ones, for the N-way entry point.
+fn three_parts() -> Vec<FusionPart> {
+    [CLEAN, DIVERGENT, CLEAN]
+        .map(|src| FusionPart::new(parse_kernel(src).unwrap(), (64, 1, 1)))
+        .to_vec()
+}
+
 #[test]
 fn env_hatch_disables_the_gate() {
     let bad = parse_kernel(DIVERGENT).unwrap();
@@ -33,15 +41,20 @@ fn env_hatch_disables_the_gate() {
     let gated = horizontal_fuse(&bad, (64, 1, 1), &ok, (64, 1, 1));
     let err = gated.expect_err("gate must reject the divergent barrier");
     assert!(err.to_string().contains("static safety"), "{err}");
+    let err = horizontal_fuse_many(&three_parts()).expect_err("N-way fusion is gated too");
+    assert!(err.to_string().contains("static safety"), "{err}");
 
     std::env::set_var("HFUSE_NO_STATIC_CHECK", "1");
     let ungated = horizontal_fuse(&bad, (64, 1, 1), &ok, (64, 1, 1));
+    let ungated_many = horizontal_fuse_many(&three_parts());
     std::env::remove_var("HFUSE_NO_STATIC_CHECK");
     let fused = ungated.expect("hatch must restore pre-gate behavior");
+    let fused_many = ungated_many.expect("hatch must un-gate N-way fusion too");
 
     // The hatch only skips the check — the fused output is the same kernel
     // fusion would have produced, barriers replaced and all.
     assert!(fused.to_source().contains("bar.sync"));
+    assert!(fused_many.to_source().contains("bar.sync 2, 64;"));
 
     // `HFUSE_NO_STATIC_CHECK=0` means "armed".
     std::env::set_var("HFUSE_NO_STATIC_CHECK", "0");

@@ -56,6 +56,9 @@ impl ParamValue {
     }
 }
 
+/// The most threads one block may have (CUDA's launch limit).
+pub const MAX_BLOCK_THREADS: u32 = 1024;
+
 /// One kernel launch: the compiled kernel, its grid/block geometry, dynamic
 /// shared memory size, and arguments.
 #[derive(Debug, Clone)]
@@ -127,9 +130,9 @@ impl Launch {
             return Err(SimError::new("grid dimension must be positive"));
         }
         let tpb = self.threads_per_block();
-        if tpb == 0 || tpb > 1024 {
+        if tpb == 0 || tpb > MAX_BLOCK_THREADS {
             return Err(SimError::new(format!(
-                "threads per block must be in 1..=1024, got {tpb}"
+                "threads per block must be in 1..={MAX_BLOCK_THREADS}, got {tpb}"
             )));
         }
         if self.args.len() != self.kernel.params.len() {

@@ -56,7 +56,7 @@ pub use config::GpuConfig;
 pub use decode::DecodedKernel;
 pub use error::SimError;
 pub use exec::IssueKind;
-pub use launch::{Launch, ParamValue};
+pub use launch::{Launch, ParamValue, MAX_BLOCK_THREADS};
 pub use memory::{BufferId, GpuMemory};
 pub use metrics::{BudgetedRun, RunMetrics, RunResult};
 pub use model::{fused_dyn_mix, model_estimate, static_class_mix, ClassMix, DynMix};

@@ -93,6 +93,32 @@ fn fuse_three_way_from_files() {
 }
 
 #[test]
+fn fuse_three_way_rejects_a_divergent_barrier() {
+    // The N-way path runs the same static safety gate as pairwise fusion.
+    let a = write_tmp("3da.cu", KERNEL_A);
+    let b = write_tmp(
+        "3db.cu",
+        "__global__ void divb(int* out, int* in) {\
+           int t = threadIdx.x;\
+           if (in[t] > 0) { __syncthreads(); }\
+           out[t] = t;\
+         }",
+    );
+    let c = write_tmp("3dc.cu", KERNEL_B);
+    let out = hfuse(&[
+        "fuse",
+        a.to_str().unwrap(),
+        b.to_str().unwrap(),
+        c.to_str().unwrap(),
+        "--threads",
+        "64,64,64",
+    ]);
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("static safety"), "{err}");
+}
+
+#[test]
 fn vfuse_emits_concatenated_kernel() {
     let a = write_tmp("va.cu", KERNEL_A);
     let b = write_tmp("vb.cu", KERNEL_B);

@@ -284,10 +284,10 @@ best=0 d0=1024
 
 const HIST_MAXPOOL_UPSAMPLE: &str = "
 best=0 d0=1024
-[256, 256, 512] reg=None cycles=97389 pruned_at=None util=0x4058b370e85f07c6 occ=0x40540af1e9c45b37
-[256, 256, 512] reg=Some(32) cycles=97389 pruned_at=None util=0x4058b370e85f07c6 occ=0x40540af1e9c45b37
-[256, 512, 256] reg=None cycles=97390 pruned_at=Some(97390) util=0x0 occ=0x0
-[256, 512, 256] reg=Some(32) cycles=97390 pruned_at=Some(97390) util=0x0 occ=0x0
-[512, 256, 256] reg=None cycles=101624 pruned_at=None util=0x40573b114fa9e857 occ=0x40535a5c75ef080a
-[512, 256, 256] reg=Some(32) cycles=101624 pruned_at=None util=0x40573b114fa9e857 occ=0x40535a5c75ef080a
+[256, 256, 512] reg=None cycles=91691 pruned_at=None util=0x4058b34a494fdd61 occ=0x40538dd6d451c2b2
+[256, 256, 512] reg=Some(32) cycles=91691 pruned_at=None util=0x4058b34a494fdd61 occ=0x40538dd6d451c2b2
+[256, 512, 256] reg=None cycles=91692 pruned_at=Some(91692) util=0x0 occ=0x0
+[256, 512, 256] reg=Some(32) cycles=91692 pruned_at=Some(91692) util=0x0 occ=0x0
+[512, 256, 256] reg=None cycles=95947 pruned_at=None util=0x4057234527cfb22d occ=0x405340154d6be182
+[512, 256, 256] reg=Some(32) cycles=95947 pruned_at=None util=0x4057234527cfb22d occ=0x405340154d6be182
 ";
