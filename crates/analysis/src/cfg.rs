@@ -249,37 +249,43 @@ impl Cfg {
         deps
     }
 
-    /// Blocks that start a barrier-delimited phase: the entry plus every
-    /// successor of a barrier block.
-    pub fn phase_starts(&self) -> Vec<BlockId> {
-        let mut starts = vec![0];
-        for bb in &self.blocks {
-            if bb.is_barrier() {
-                for s in bb.term.succs() {
-                    if !starts.contains(&s) {
-                        starts.push(s);
+    /// Which block pairs may run in one barrier-delimited phase:
+    /// `conc[x][y]` is true when some phase start (the entry, or a
+    /// barrier's successor) reaches both without crossing another barrier.
+    /// The barrier block `ignore`, if any, is treated as a plain block.
+    pub fn phase_concurrency(&self, ignore: Option<BlockId>) -> Vec<Vec<bool>> {
+        let n = self.blocks.len();
+        let is_bar = |b: BlockId| self.blocks[b].is_barrier() && Some(b) != ignore;
+        let mut starts: Vec<BlockId> = vec![0];
+        for b in (0..n).filter(|&b| is_bar(b)) {
+            starts.extend(self.blocks[b].term.succs());
+        }
+        starts.sort_unstable();
+        starts.dedup();
+        let mut conc = vec![vec![false; n]; n];
+        for &p in &starts {
+            let mut seen = vec![false; n];
+            let mut stack = vec![p];
+            seen[p] = true;
+            while let Some(b) = stack.pop() {
+                if is_bar(b) && b != p {
+                    continue; // the phase ends at the next barrier
+                }
+                for s in self.blocks[b].term.succs() {
+                    if !seen[s] {
+                        seen[s] = true;
+                        stack.push(s);
                     }
                 }
             }
-        }
-        starts
-    }
-
-    /// Blocks reachable from `from` without entering a barrier block
-    /// (`from` itself is included).
-    pub fn barrier_free_reach(&self, from: BlockId) -> Vec<bool> {
-        let mut seen = vec![false; self.blocks.len()];
-        let mut stack = vec![from];
-        seen[from] = true;
-        while let Some(b) = stack.pop() {
-            for s in self.blocks[b].term.succs() {
-                if !seen[s] && !self.blocks[s].is_barrier() {
-                    seen[s] = true;
-                    stack.push(s);
+            let phase: Vec<BlockId> = (0..n).filter(|&b| seen[b]).collect();
+            for &x in &phase {
+                for &y in &phase {
+                    conc[x][y] = true;
                 }
             }
         }
-        seen
+        conc
     }
 }
 
@@ -598,22 +604,19 @@ mod tests {
     }
 
     #[test]
-    fn barrier_free_reach_stops_at_barriers() {
+    fn phases_split_at_barriers() {
         let c = cfg_of("out[0] = 1; __syncthreads(); out[1] = 2;");
-        let reach = c.barrier_free_reach(0);
-        let after_bar = (0..c.blocks.len())
+        let bar = (0..c.blocks.len())
             .find(|&b| c.blocks[b].is_barrier())
-            .map(|b| c.blocks[b].term.succs()[0])
-            .expect("after");
-        assert!(!reach[after_bar], "reach must not cross the barrier");
-    }
-
-    #[test]
-    fn phase_starts_include_entry_and_barrier_successors() {
-        let c = cfg_of("out[0] = 1; __syncthreads(); out[1] = 2;");
-        let starts = c.phase_starts();
-        assert!(starts.contains(&0));
-        assert_eq!(starts.len(), 2);
+            .expect("barrier block");
+        let after = c.blocks[bar].term.succs()[0];
+        let conc = c.phase_concurrency(None);
+        assert!(conc[0][0] && conc[after][after]);
+        assert!(!conc[0][after], "the barrier separates the two phases");
+        assert!(
+            c.phase_concurrency(Some(bar))[0][after],
+            "ignoring it merges them"
+        );
     }
 
     #[test]

@@ -10,30 +10,34 @@
 //!
 //! * [`mod@cfg`] lowers a kernel AST to a per-kernel control-flow graph with
 //!   barrier-isolated blocks, post-dominators, and control dependences;
-//! * [`uniformity`] runs a forward dataflow classifying every value as
-//!   block-uniform, warp-uniform, or divergent, and — where possible — pins
-//!   it down as an exact affine function of `threadIdx.x`;
-//! * [`lints`] builds three lints on top: **barrier divergence**
+//! * `interp` is the one forward abstract interpreter over that graph:
+//!   every scalar gets a uniformity level (block-uniform, warp-uniform,
+//!   divergent), an interval, and — where possible — an exact form in
+//!   `threadIdx.x` and `blockIdx.x`; its last pass records every shared and
+//!   global access with the value of its index;
+//! * [`lints`] reads that result for four lints: **barrier divergence**
 //!   (`__syncthreads()` / `bar.sync` control-dependent on non-uniform
 //!   conditions), **partial-barrier structure** (non-warp-multiple or
 //!   mismatched `bar.sync` counts, arrival sets that disagree with declared
-//!   participant counts), and **definite shared-memory races** (two provable
+//!   participant counts), **definite shared-memory races** (two provable
 //!   thread ids in different warps hitting the same element in one
-//!   barrier-delimited phase);
-//! * [`ranges`] runs interval × affine-in-tid value ranges, which power
-//!   the must-only out-of-bounds lints and range-proven barrier
-//!   elimination;
+//!   barrier-delimited phase), and **must out-of-bounds accesses**;
+//! * [`ranges`] reads it for range-proven barrier elimination and the
+//!   per-kernel summaries behind the fuse gate's fast path;
+//! * `threads` holds the exact thread-id sets those claims are made over;
 //! * [`cache`] memoizes the lints and range summaries process-wide.
 //!
-//! The race lint is deliberately a *must* analysis — silence on anything it
-//! cannot model exactly — so `hfuse-core` can reject statically-unsafe fusion
+//! Every entry point runs one fixpoint per call. The race and out-of-bounds
+//! lints are deliberately *must* analyses — silent on anything they cannot
+//! model exactly — so `hfuse-core` can reject statically-unsafe fusion
 //! candidates without ever rejecting a safe one.
 
 pub mod cache;
 pub mod cfg;
+mod interp;
 pub mod lints;
 pub mod ranges;
-pub mod uniformity;
+mod threads;
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -44,11 +48,11 @@ use cuda_frontend::diag::{Diagnostic, SpanTable};
 pub use cache::{
     analysis_cache_stats, analyze_kernel_memoized, summarize_ranges_memoized, AnalysisCacheStats,
 };
-pub use lints::{CODE_BARRIER_DIVERGENCE, CODE_PARTIAL_BARRIER, CODE_SHARED_RACE};
-pub use ranges::{
-    eliminate_redundant_barriers, summarize_ranges, KernelRangeSummary, CODE_GLOBAL_OOB,
-    CODE_SHARED_OOB,
+pub use lints::{
+    CODE_BARRIER_DIVERGENCE, CODE_GLOBAL_OOB, CODE_PARTIAL_BARRIER, CODE_SHARED_OOB,
+    CODE_SHARED_RACE,
 };
+pub use ranges::{eliminate_redundant_barriers, summarize_ranges, KernelRangeSummary};
 
 /// Options for [`analyze_kernel`].
 #[derive(Debug, Clone, Default)]
@@ -73,21 +77,10 @@ pub fn analyze_kernel(
     spans: Option<&SpanTable>,
     opts: &AnalysisOptions,
 ) -> Vec<Diagnostic> {
-    let graph = cfg::Cfg::build(f);
-    let ua = uniformity::UniformityAnalysis::run(&graph, f, opts.block_threads);
-    let ctx = lints::LintCtx {
-        block_threads: opts.block_threads,
-    };
-    let mut diags = lints::barrier_lints(&graph, &ua, spans, &ctx);
-    diags.extend(lints::race_lints(&graph, &ua, f, spans, &ctx));
-    diags.extend(ranges::oob_lints(
-        &graph,
-        &ua,
-        f,
-        spans,
-        &ctx,
-        opts.global_extents.as_deref(),
-    ));
+    let a = interp::Analysis::run(f, opts.block_threads);
+    let mut diags = lints::barrier_lints(&a, spans);
+    diags.extend(lints::race_lints(&a, spans));
+    diags.extend(lints::oob_lints(&a, spans, opts.global_extents.as_deref()));
     diags.sort_by_key(|d| d.span.map(|s| (s.line, s.col)));
     diags
 }

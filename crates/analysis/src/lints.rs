@@ -1,24 +1,25 @@
-//! The three fusion-safety lints: barrier divergence, partial-barrier
-//! structure, and *definite* shared-memory races.
+//! The fusion-safety lints: barrier divergence, partial-barrier structure,
+//! *definite* shared-memory races, and *must* out-of-bounds accesses, all
+//! read off one run of the abstract interpreter.
 //!
-//! The race lint is a must-analysis: it reports only when it can exhibit two
-//! concrete thread ids, in different warps, touching the same shared-memory
-//! element in the same barrier-delimited phase with at least one non-atomic
-//! write. Every unknown (unparsable guard, loop-variant index, address-taken
-//! array, multi-dimensional thread indexing) makes it *silent*, never noisy —
-//! so a diagnostic is a proof, modulo reachability of block-uniform guards.
-//! The barrier lints lean the other way: a barrier whose execution depends on
-//! a non-uniform condition the analysis cannot pin down exactly is an error.
+//! The race and out-of-bounds lints are must-analyses: they report only
+//! what they can exhibit — two concrete thread ids in different warps
+//! touching the same shared element in one barrier-delimited phase with at
+//! least one non-atomic write, or a thread that definitely executes an
+//! access realizing an index outside the array. Every unknown (unsolvable
+//! guard, loop-variant index, address-taken array, multi-dimensional thread
+//! indexing) makes them *silent*, never noisy — so a diagnostic is a proof,
+//! modulo reachability of block-uniform guards. The barrier lints lean the
+//! other way: a barrier whose execution depends on a non-uniform condition
+//! the analysis cannot pin down exactly is an error.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 
-use cuda_frontend::ast::{AssignOp, Axis, BuiltinVar, Expr, Function, Stmt};
 use cuda_frontend::diag::{Diagnostic, Severity, SpanTable};
 
-use crate::cfg::{BlockId, CStmt, CStmtKind, Cfg, Term};
-use crate::uniformity::{
-    eval, eval_mut, eval_pred, AbsVal, IntervalSet, State, Uniformity, UniformityAnalysis,
-};
+use crate::cfg::CStmtKind;
+use crate::interp::{AccessFact, Analysis, Form, Place, Val};
+use crate::threads::{div_floor, racing_pair_exists, IntervalSet};
 
 /// Diagnostic code for barriers under divergent control.
 pub const CODE_BARRIER_DIVERGENCE: &str = "barrier-divergence";
@@ -26,94 +27,31 @@ pub const CODE_BARRIER_DIVERGENCE: &str = "barrier-divergence";
 pub const CODE_PARTIAL_BARRIER: &str = "partial-barrier";
 /// Diagnostic code for definite shared-memory races.
 pub const CODE_SHARED_RACE: &str = "shared-race";
-
-/// Options threaded through the lints.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LintCtx {
-    /// `blockDim.x`, when the launch configuration is known (it always is at
-    /// fuse time). `None` means "lint standalone source": thread-set-versus-
-    /// block-size checks that need the block size are skipped, and the τ
-    /// universe defaults to the hardware maximum of 1024.
-    pub block_threads: Option<u32>,
-}
-
-impl LintCtx {
-    pub(crate) fn universe(&self) -> i64 {
-        self.block_threads.map_or(1024, i64::from)
-    }
-}
+/// Diagnostic code for provable shared-memory out-of-bounds accesses.
+pub const CODE_SHARED_OOB: &str = "shared-out-of-bounds";
+/// Diagnostic code for provable global-memory out-of-bounds accesses.
+pub const CODE_GLOBAL_OOB: &str = "global-out-of-bounds";
 
 fn diag(code: &str, span_idx: Option<usize>, spans: Option<&SpanTable>, msg: String) -> Diagnostic {
     let span = span_idx.and_then(|i| spans.and_then(|t| t.get(i)));
     Diagnostic::new(Severity::Error, code, span, msg)
 }
 
-// ---------------------------------------------------------------------------
-// Barrier lints
-// ---------------------------------------------------------------------------
-
-/// The arrival set of a block: which τ reach it, as far as the parsable
-/// control dependences say.
-pub(crate) enum Arrival {
-    /// Exactly this set (constrained only by parsable non-uniform guards).
-    Exact(IntervalSet),
-    /// Some non-uniform controlling condition was not parsable.
-    Unknown,
-}
-
-pub(crate) fn arrival_set(
-    cfg: &Cfg,
-    ua: &UniformityAnalysis,
-    block: BlockId,
-    ctx: &LintCtx,
-) -> Arrival {
-    let universe = ctx.universe();
-    let mut set = IntervalSet::full(universe);
-    for cd in &ua.cds[block] {
-        let Term::Branch { cond, .. } = &cfg.blocks[cd.branch].term else {
-            continue;
-        };
-        let Some(st) = ua.outs[cd.branch].as_ref() else {
-            continue;
-        };
-        if eval(cond, st, ctx.block_threads).u == Uniformity::BlockUniform {
-            // Uniform guards cannot split the block; whether the barrier runs
-            // at all is a reachability question, not a divergence one.
-            continue;
-        }
-        match eval_pred(cond, st, universe, ctx.block_threads) {
-            Some(p) => {
-                let p = if cd.polarity {
-                    p
-                } else {
-                    p.complement(universe)
-                };
-                set = set.intersect(&p);
-            }
-            None => return Arrival::Unknown,
-        }
-    }
-    Arrival::Exact(set)
-}
-
 /// Runs the barrier-divergence and partial-barrier lints.
-pub fn barrier_lints(
-    cfg: &Cfg,
-    ua: &UniformityAnalysis,
-    spans: Option<&SpanTable>,
-    ctx: &LintCtx,
-) -> Vec<Diagnostic> {
-    let universe = ctx.universe();
+pub(crate) fn barrier_lints(a: &Analysis, spans: Option<&SpanTable>) -> Vec<Diagnostic> {
+    let universe = a.universe();
+    let known = a.block_threads.is_some();
     let mut out = Vec::new();
-    let mut bar_counts: HashMap<u32, u32> = HashMap::new();
-    for (b, bb) in cfg.blocks.iter().enumerate() {
+    let mut bar_counts: BTreeMap<u32, u32> = BTreeMap::new();
+    for (b, bb) in a.cfg.blocks.iter().enumerate() {
         let Some(stmt) = bb.stmts.first() else {
             continue;
         };
         let span_idx = stmt.span_idx;
+        let arrival = a.arrivals[b].threads.as_ref();
         match stmt.kind {
-            CStmtKind::Sync => match arrival_set(cfg, ua, b, ctx) {
-                Arrival::Unknown => out.push(diag(
+            CStmtKind::Sync => match arrival {
+                None => out.push(diag(
                     CODE_BARRIER_DIVERGENCE,
                     span_idx,
                     spans,
@@ -121,21 +59,17 @@ pub fn barrier_lints(
                      threads of the same block may disagree on reaching this barrier"
                         .into(),
                 )),
-                Arrival::Exact(set) => {
-                    if ctx.block_threads.is_some() && !set.is_full(universe) {
-                        out.push(diag(
-                            CODE_BARRIER_DIVERGENCE,
-                            span_idx,
-                            spans,
-                            format!(
-                                "__syncthreads() is only reached by {} of {} threads \
-                                 of the block",
-                                set.count(),
-                                universe
-                            ),
-                        ));
-                    }
-                }
+                Some(set) if known && !set.is_full(universe) => out.push(diag(
+                    CODE_BARRIER_DIVERGENCE,
+                    span_idx,
+                    spans,
+                    format!(
+                        "__syncthreads() is only reached by {} of {} threads of the block",
+                        set.count(),
+                        universe
+                    ),
+                )),
+                Some(_) => {}
             },
             CStmtKind::BarSync { id, count } => {
                 if count % 32 != 0 {
@@ -162,8 +96,8 @@ pub fn barrier_lints(
                         ));
                     }
                 }
-                match arrival_set(cfg, ua, b, ctx) {
-                    Arrival::Unknown => out.push(diag(
+                match arrival {
+                    None => out.push(diag(
                         CODE_BARRIER_DIVERGENCE,
                         span_idx,
                         spans,
@@ -173,32 +107,22 @@ pub fn barrier_lints(
                              is unknown"
                         ),
                     )),
-                    Arrival::Exact(set) => {
-                        if ctx.block_threads.is_some() {
-                            if set.count() != i64::from(count) {
-                                out.push(diag(
-                                    CODE_PARTIAL_BARRIER,
-                                    span_idx,
-                                    spans,
-                                    format!(
-                                        "bar.sync {id} declares {count} participants \
-                                         but {} threads arrive",
-                                        set.count()
-                                    ),
-                                ));
-                            } else if !set.is_warp_aligned() {
-                                out.push(diag(
-                                    CODE_PARTIAL_BARRIER,
-                                    span_idx,
-                                    spans,
-                                    format!(
-                                        "the threads arriving at bar.sync {id} do not \
-                                         form whole warps"
-                                    ),
-                                ));
-                            }
-                        }
-                    }
+                    Some(set) if known && set.count() != i64::from(count) => out.push(diag(
+                        CODE_PARTIAL_BARRIER,
+                        span_idx,
+                        spans,
+                        format!(
+                            "bar.sync {id} declares {count} participants but {} threads arrive",
+                            set.count()
+                        ),
+                    )),
+                    Some(set) if known && !set.is_warp_aligned() => out.push(diag(
+                        CODE_PARTIAL_BARRIER,
+                        span_idx,
+                        spans,
+                        format!("the threads arriving at bar.sync {id} do not form whole warps"),
+                    )),
+                    Some(_) => {}
                 }
             }
             _ => {}
@@ -207,362 +131,89 @@ pub fn barrier_lints(
     out
 }
 
-// ---------------------------------------------------------------------------
-// Shared-memory race lint
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Clone)]
-struct Access {
-    arr: String,
-    write: bool,
-    atomic: bool,
-    block: BlockId,
-    /// Index as `a·τ + b` (Const is `a = 0`); `None` disables the access.
-    idx: Option<(i64, i64)>,
-    span_idx: Option<usize>,
-}
-
-struct Collector<'a> {
-    shared: HashSet<String>,
-    poisoned: HashSet<String>,
-    accesses: Vec<Access>,
-    block: BlockId,
-    tset: Option<&'a IntervalSet>,
-    span_idx: Option<usize>,
-    state: &'a State,
-    block_threads: Option<u32>,
-}
-
-impl Collector<'_> {
-    fn record(&mut self, arr: &str, idx: &Expr, write: bool, atomic: bool) {
-        let resolved = self.resolve_index(idx);
-        self.accesses.push(Access {
-            arr: arr.to_owned(),
-            write,
-            atomic,
-            block: self.block,
-            idx: resolved,
-            span_idx: self.span_idx,
-        });
-    }
-
-    /// Resolves an index expression to an exact affine function of τ over the
-    /// access's thread set, or `None`.
-    fn resolve_index(&self, idx: &Expr) -> Option<(i64, i64)> {
-        let v = eval(idx, self.state, self.block_threads).val?;
-        match v {
-            AbsVal::Const(c) => Some((0, c)),
-            AbsVal::Affine { a, b } => Some((a, b)),
-            AbsVal::TidMod { a, b, m, off } => {
-                // `(a·τ + b) % m` collapses to `a·τ + b − k·m` only when the
-                // executing threads keep the argument inside one non-negative
-                // period (C truncated remainder equals math mod only there).
-                let tset = self.tset?;
-                let lo = a
-                    .checked_mul(if a >= 0 { tset.min()? } else { tset.max()? })?
-                    .checked_add(b)?;
-                let hi = a
-                    .checked_mul(if a >= 0 { tset.max()? } else { tset.min()? })?
-                    .checked_add(b)?;
-                let k = div_floor(lo, m);
-                if k >= 0 && div_floor(hi, m) == k {
-                    Some((a, (b - k * m).checked_add(off)?))
-                } else {
-                    None
-                }
+/// An access index as an exact `a·τ + b` over the threads `tset` that
+/// execute it. `(a·τ + b) % m` collapses to `a·τ + b − k·m` only when those
+/// threads keep the argument inside one non-negative period (C truncated
+/// remainder equals math mod only there).
+fn tid_index(idx: &Val, tset: &IntervalSet) -> Option<(i64, i64)> {
+    match idx.form? {
+        Form::Mod { a, b, m, off } => {
+            let (first, last) = if a >= 0 {
+                (tset.min()?, tset.max()?)
+            } else {
+                (tset.max()?, tset.min()?)
+            };
+            let lo = a.checked_mul(first)?.checked_add(b)?;
+            let hi = a.checked_mul(last)?.checked_add(b)?;
+            let k = div_floor(lo, m);
+            if k >= 0 && div_floor(hi, m) == k {
+                Some((a, (b - k * m).checked_add(off)?))
+            } else {
+                None
             }
         }
-    }
-
-    fn walk(&mut self, e: &Expr) {
-        match e {
-            Expr::Assign(op, lhs, rhs) => {
-                self.walk_lvalue(lhs, matches!(op, AssignOp::Compound(_)));
-                self.walk(rhs);
-            }
-            Expr::IncDec { target, .. } => self.walk_lvalue(target, true),
-            Expr::Call(name, args) => {
-                let is_atomic = matches!(name.as_str(), "atomicAdd" | "atomicMax" | "atomicExch");
-                let mut rest = &args[..];
-                if is_atomic {
-                    if let Some(Expr::AddrOf(inner)) = args.first() {
-                        if let Expr::Index(base, idx) = inner.as_ref() {
-                            if let Expr::Ident(arr) = base.as_ref() {
-                                if self.shared.contains(arr) {
-                                    self.record(&arr.clone(), idx, true, true);
-                                    self.walk(idx);
-                                    rest = &args[1..];
-                                }
-                            }
-                        }
-                    }
-                }
-                for a in rest {
-                    self.walk(a);
-                }
-            }
-            Expr::Index(base, idx) => {
-                if let Expr::Ident(arr) = base.as_ref() {
-                    if self.shared.contains(arr) {
-                        self.record(&arr.clone(), idx, false, false);
-                    }
-                } else {
-                    self.walk(base);
-                }
-                self.walk(idx);
-            }
-            Expr::AddrOf(inner) => {
-                // Any address-taken shared array escapes the index-level
-                // model (the atomic arg0 form is intercepted above).
-                match inner.as_ref() {
-                    Expr::Index(base, idx) => {
-                        if let Expr::Ident(arr) = base.as_ref() {
-                            self.poisoned.insert(arr.clone());
-                        } else {
-                            self.walk(base);
-                        }
-                        self.walk(idx);
-                    }
-                    Expr::Ident(name) => {
-                        self.poisoned.insert(name.clone());
-                    }
-                    other => self.walk(other),
-                }
-            }
-            Expr::Ident(name) => {
-                // A bare use of an array name (pointer decay, casts,
-                // arithmetic) escapes the model too.
-                if self.shared.contains(name) {
-                    self.poisoned.insert(name.clone());
-                }
-            }
-            Expr::Unary(_, a) | Expr::Cast(_, a) | Expr::Deref(a) => self.walk(a),
-            Expr::Binary(_, a, b) => {
-                self.walk(a);
-                self.walk(b);
-            }
-            Expr::Ternary(a, b, c) => {
-                self.walk(a);
-                self.walk(b);
-                self.walk(c);
-            }
-            Expr::IntLit(..) | Expr::FloatLit(..) | Expr::Builtin(_) => {}
-        }
-    }
-
-    fn walk_lvalue(&mut self, lhs: &Expr, also_reads: bool) {
-        if let Expr::Index(base, idx) = lhs {
-            if let Expr::Ident(arr) = base.as_ref() {
-                if self.shared.contains(arr) {
-                    let arr = arr.clone();
-                    self.record(&arr, idx, true, false);
-                    if also_reads {
-                        self.record(&arr, idx, false, false);
-                    }
-                    self.walk(idx);
-                    return;
-                }
-            }
-        }
-        self.walk(lhs);
-    }
-}
-
-fn div_floor(a: i64, b: i64) -> i64 {
-    let q = a / b;
-    if (a % b != 0) && ((a < 0) != (b < 0)) {
-        q - 1
-    } else {
-        q
-    }
-}
-
-pub(crate) fn uses_multidim_threads(f: &Function) -> bool {
-    fn expr_uses(e: &Expr) -> bool {
-        let mut found = false;
-        visit_exprs(e, &mut |x| {
-            if let Expr::Builtin(BuiltinVar::ThreadIdx(Axis::Y | Axis::Z)) = x {
-                found = true;
-            }
-        });
-        found
-    }
-    let mut found = false;
-    cuda_frontend::diag::preorder_stmts(f, &mut |s| {
-        if found {
-            return;
-        }
-        found = match s {
-            Stmt::Decl(d) => d.init.as_ref().is_some_and(expr_uses),
-            Stmt::Expr(e) | Stmt::While(e, _) | Stmt::DoWhile(_, e) => expr_uses(e),
-            Stmt::If(e, ..) => expr_uses(e),
-            Stmt::For { cond, step, .. } => {
-                cond.as_ref().is_some_and(expr_uses) || step.as_ref().is_some_and(expr_uses)
-            }
-            Stmt::Switch { scrutinee, .. } => expr_uses(scrutinee),
-            Stmt::Return(e) => e.as_ref().is_some_and(expr_uses),
-            _ => false,
-        };
-    });
-    found
-}
-
-fn visit_exprs(e: &Expr, f: &mut impl FnMut(&Expr)) {
-    f(e);
-    match e {
-        Expr::Unary(_, a) | Expr::Cast(_, a) | Expr::AddrOf(a) | Expr::Deref(a) => {
-            visit_exprs(a, f)
-        }
-        Expr::Binary(_, a, b) | Expr::Index(a, b) | Expr::Assign(_, a, b) => {
-            visit_exprs(a, f);
-            visit_exprs(b, f);
-        }
-        Expr::Ternary(a, b, c) => {
-            visit_exprs(a, f);
-            visit_exprs(b, f);
-            visit_exprs(c, f);
-        }
-        Expr::IncDec { target, .. } => visit_exprs(target, f),
-        Expr::Call(_, args) => args.iter().for_each(|a| visit_exprs(a, f)),
-        _ => {}
+        form => form.tid_affine(),
     }
 }
 
 /// Runs the definite shared-memory race lint.
-pub fn race_lints(
-    cfg: &Cfg,
-    ua: &UniformityAnalysis,
-    f: &Function,
-    spans: Option<&SpanTable>,
-    ctx: &LintCtx,
-) -> Vec<Diagnostic> {
+pub(crate) fn race_lints(a: &Analysis, spans: Option<&SpanTable>) -> Vec<Diagnostic> {
     // With 2-D/3-D thread indexing, τ alone neither identifies a thread nor
     // its warp, so "different warp" claims would be unsound. Stay silent.
-    if uses_multidim_threads(f) {
+    if a.multidim {
         return Vec::new();
     }
-
-    // Per-block executing thread sets (None = some guard unparsable).
-    let tsets: Vec<Option<IntervalSet>> = (0..cfg.blocks.len())
-        .map(|b| match arrival_set(cfg, ua, b, ctx) {
-            Arrival::Exact(s) => Some(s),
-            Arrival::Unknown => None,
+    // An array whose address escapes or is offset leaves the index model.
+    let poisoned: HashSet<&str> = a
+        .accesses
+        .iter()
+        .filter(|x| !x.direct)
+        .filter_map(|x| match &x.place {
+            Place::Shared(n) => Some(n.as_str()),
+            _ => None,
         })
         .collect();
-
-    // Collect shared arrays, poisoned arrays, and every access.
-    let mut shared: HashSet<String> = HashSet::new();
-    for bb in &cfg.blocks {
-        for s in &bb.stmts {
-            if let CStmtKind::Decl(d) = &s.kind {
-                if d.quals.shared || d.quals.extern_shared {
-                    shared.insert(d.name.clone());
-                }
-            }
-        }
-    }
-    let mut poisoned: HashSet<String> = HashSet::new();
-    let mut accesses: Vec<Access> = Vec::new();
-    for (b, bb) in cfg.blocks.iter().enumerate() {
-        let Some(in_state) = ua.ins[b].as_ref() else {
-            continue;
-        };
-        let mut state = in_state.clone();
-        let visit = |c: &mut Collector, e: &Expr, span: Option<usize>| {
-            c.span_idx = span;
-            c.walk(e);
-        };
-        for s in &bb.stmts {
-            let mut c = Collector {
-                shared: shared.clone(),
-                poisoned: std::mem::take(&mut poisoned),
-                accesses: std::mem::take(&mut accesses),
-                block: b,
-                tset: tsets[b].as_ref(),
-                span_idx: s.span_idx,
-                state: &state,
-                block_threads: ctx.block_threads,
-            };
-            match &s.kind {
-                CStmtKind::Decl(d) => {
-                    if let Some(init) = &d.init {
-                        visit(&mut c, init, s.span_idx);
-                    }
-                }
-                CStmtKind::Expr(e) => visit(&mut c, e, s.span_idx),
-                CStmtKind::Sync | CStmtKind::BarSync { .. } => {}
-            }
-            poisoned = c.poisoned;
-            accesses = c.accesses;
-            // Advance the state past this statement.
-            apply_stmt(s, &mut state, ctx.block_threads);
-        }
-        if let Term::Branch { cond, span_idx, .. } = &bb.term {
-            let mut c = Collector {
-                shared: shared.clone(),
-                poisoned: std::mem::take(&mut poisoned),
-                accesses: std::mem::take(&mut accesses),
-                block: b,
-                tset: tsets[b].as_ref(),
-                span_idx: *span_idx,
-                state: &state,
-                block_threads: ctx.block_threads,
-            };
-            c.walk(cond);
-            poisoned = c.poisoned;
-            accesses = c.accesses;
-        }
-    }
-
-    // Phase-concurrency: two accesses may run unsynchronised iff some phase
-    // start reaches both blocks without crossing a barrier.
-    let reaches: Vec<Vec<bool>> = cfg
-        .phase_starts()
-        .into_iter()
-        .map(|p| cfg.barrier_free_reach(p))
-        .collect();
-    let concurrent = |b1: BlockId, b2: BlockId| reaches.iter().any(|r| r[b1] && r[b2]);
-
-    let live: Vec<&Access> = accesses
+    let live: Vec<(&AccessFact, &str, &IntervalSet, (i64, i64))> = a
+        .accesses
         .iter()
-        .filter(|a| !poisoned.contains(&a.arr) && a.idx.is_some())
+        .filter_map(|x| {
+            let Place::Shared(arr) = &x.place else {
+                return None;
+            };
+            let tset = a.arrivals[x.block].threads.as_ref()?;
+            let idx = tid_index(&x.idx, tset)?;
+            (!poisoned.contains(arr.as_str())).then_some((x, arr.as_str(), tset, idx))
+        })
         .collect();
+    let concurrent = a.cfg.phase_concurrency(None);
 
     let mut out = Vec::new();
-    let mut reported: HashSet<(String, Option<usize>, Option<usize>)> = HashSet::new();
-    for (i, a) in live.iter().enumerate() {
-        for b2 in &live[i..] {
-            if a.arr != b2.arr
-                || !(a.write || b2.write)
-                || (a.atomic && b2.atomic)
-                || !concurrent(a.block, b2.block)
+    let mut reported: HashSet<(&str, Option<usize>, Option<usize>)> = HashSet::new();
+    for (i, &(x, arr, sx, ix)) in live.iter().enumerate() {
+        for &(y, arr_y, sy, iy) in &live[i..] {
+            if arr != arr_y
+                || !(x.write || y.write)
+                || (x.atomic && y.atomic)
+                || !concurrent[x.block][y.block]
             {
                 continue;
             }
-            let (Some(sa), Some(sb)) = (&tsets[a.block], &tsets[b2.block]) else {
-                continue;
-            };
-            if sa.count() > 0
-                && racing_pair_exists(a.idx.unwrap(), sa, b2.idx.unwrap(), sb)
-                && reported.insert((
-                    a.arr.clone(),
-                    a.span_idx.min(b2.span_idx),
-                    a.span_idx.max(b2.span_idx),
-                ))
+            if sx.count() > 0
+                && racing_pair_exists(ix, sx, iy, sy)
+                && reported.insert((arr, x.span_idx.min(y.span_idx), x.span_idx.max(y.span_idx)))
             {
-                let what = match (a.write, b2.write) {
+                let what = match (x.write, y.write) {
                     (true, true) => "two writes",
                     _ => "a read and a write",
                 };
                 out.push(diag(
                     CODE_SHARED_RACE,
-                    a.span_idx.or(b2.span_idx),
+                    x.span_idx.or(y.span_idx),
                     spans,
                     format!(
-                        "definite data race on shared array `{}`: {} from threads \
+                        "definite data race on shared array `{arr}`: {what} from threads \
                          in different warps touch the same element with no \
-                         intervening barrier",
-                        a.arr, what
+                         intervening barrier"
                     ),
                 ));
             }
@@ -571,55 +222,247 @@ pub fn race_lints(
     out
 }
 
-fn apply_stmt(s: &CStmt, state: &mut State, block_threads: Option<u32>) {
-    match &s.kind {
-        CStmtKind::Decl(d) => {
-            let fact = if d.array_len.is_some() {
-                crate::uniformity::Fact::uniform()
-            } else {
-                match &d.init {
-                    Some(init) => eval_mut(init, state, block_threads),
-                    None => crate::uniformity::Fact::divergent(),
-                }
-            };
-            state.insert(d.name.clone(), fact);
-        }
-        CStmtKind::Expr(e) => {
-            eval_mut(e, state, block_threads);
-        }
-        CStmtKind::Sync | CStmtKind::BarSync { .. } => {}
-    }
+/// Claims built on arithmetic that left the 32-bit range could have wrapped
+/// at runtime (the dialect's `int` is 32-bit); keep only claims whose
+/// violating endpoint is itself representable.
+fn sane32(v: i64) -> bool {
+    i32::try_from(v).is_ok()
 }
 
-/// True when concrete `τ1 ∈ sa`, `τ2 ∈ sb` exist with `τ1 ≠ τ2`, in different
-/// warps, such that `a1·τ1 + b1 == a2·τ2 + b2`.
-pub(crate) fn racing_pair_exists(
-    (a1, b1): (i64, i64),
-    sa: &IntervalSet,
-    (a2, b2): (i64, i64),
-    sb: &IntervalSet,
-) -> bool {
-    for t1 in sa.members() {
-        let Some(target) = a1.checked_mul(t1).and_then(|v| v.checked_add(b1)) else {
+/// Runs the must-only out-of-bounds lint for shared and global accesses.
+///
+/// `global_extents` maps pointer-parameter names to their length *in
+/// elements*; absent entries make global accesses unchecked.
+pub(crate) fn oob_lints(
+    a: &Analysis,
+    spans: Option<&SpanTable>,
+    global_extents: Option<&BTreeMap<String, i64>>,
+) -> Vec<Diagnostic> {
+    // τ-based definite-arrival claims need 1-D indexing and a known width.
+    if a.block_threads.is_none() || a.multidim {
+        return Vec::new();
+    }
+    let s_ext = a.shared_extents();
+    let mut out = Vec::new();
+    let mut reported: HashSet<(&'static str, Option<usize>, &str)> = HashSet::new();
+    for x in &a.accesses {
+        let (code, name, extent) = match &x.place {
+            Place::Shared(n) => match s_ext.get(n.as_str()) {
+                Some(e) => (CODE_SHARED_OOB, n, *e),
+                None => continue,
+            },
+            Place::Global(n) => match global_extents.and_then(|m| m.get(n)) {
+                Some(e) => (CODE_GLOBAL_OOB, n, *e),
+                None => continue,
+            },
+            Place::Wild => continue,
+        };
+        let Some(def) = a.arrivals[x.block].definite().filter(|d| !d.is_empty()) else {
             continue;
         };
-        if a2 != 0 {
-            let d = target - b2;
-            if d % a2 != 0 {
-                continue;
+        let violation = match x.idx.form.and_then(Form::tid_affine) {
+            // Affine: the extreme indices over the definitely-executing
+            // threads are actually realized.
+            Some((t, c)) => {
+                let at = |tau: i64| t.checked_mul(tau).and_then(|v| v.checked_add(c));
+                let (Some(p), Some(q)) = (def.min().and_then(at), def.max().and_then(at)) else {
+                    continue;
+                };
+                let (lo, hi) = (p.min(q), p.max(q));
+                if hi >= extent && sane32(hi) {
+                    Some(format!("index {hi} (length {extent})"))
+                } else if lo < 0 && sane32(lo) {
+                    Some(format!("index {lo}"))
+                } else {
+                    None
+                }
             }
-            let t2 = d / a2;
-            if sb.contains(t2) && t2 != t1 && t2 / 32 != t1 / 32 {
-                return true;
+            // Range: out of bounds only if *all* values are.
+            None => {
+                let iv = x.idx.iv;
+                if iv.lo >= extent && sane32(iv.lo) {
+                    Some(format!("indices {}.. (length {extent})", iv.lo))
+                } else if iv.hi < 0 && sane32(iv.hi) {
+                    Some(format!("indices ..{}", iv.hi))
+                } else {
+                    None
+                }
             }
+        };
+        let Some(what) = violation else { continue };
+        if !reported.insert((code, x.span_idx, name)) {
+            continue;
+        }
+        let kind = if x.write { "write" } else { "read" };
+        let space = if code == CODE_SHARED_OOB {
+            "shared array"
         } else {
-            if target != b2 {
-                continue;
-            }
-            if sb.members().any(|t2| t2 != t1 && t2 / 32 != t1 / 32) {
-                return true;
-            }
+            "global buffer"
+        };
+        out.push(diag(
+            code,
+            x.span_idx,
+            spans,
+            format!(
+                "out-of-bounds {kind} of {space} `{name}`: a thread that \
+                 definitely executes this access uses {what}"
+            ),
+        ));
+    }
+    out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cuda_frontend::parse_kernel_with_spans;
+
+    fn lint_with_extents(
+        src: &str,
+        threads: u32,
+        extents: &BTreeMap<String, i64>,
+    ) -> Vec<Diagnostic> {
+        let (f, spans) = parse_kernel_with_spans(src).expect("test kernel parses");
+        let a = Analysis::run(&f, Some(threads));
+        oob_lints(&a, Some(&spans), Some(extents))
+    }
+
+    fn lint(src: &str, threads: u32) -> Vec<Diagnostic> {
+        lint_with_extents(src, threads, &BTreeMap::new())
+    }
+
+    #[test]
+    fn affine_tid_write_in_bounds_is_silent() {
+        let src = "__global__ void k(int* out) {\n\
+                   __shared__ int s[64];\n\
+                   int t = threadIdx.x;\n\
+                   s[t] = t;\n\
+                   out[t] = s[t];\n\
+                   }";
+        assert!(lint(src, 64).is_empty());
+    }
+
+    #[test]
+    fn off_by_one_shared_write_is_caught() {
+        let src = "__global__ void k(int* out) {\n\
+                   __shared__ int s[64];\n\
+                   int t = threadIdx.x;\n\
+                   s[t + 1] = t;\n\
+                   out[t] = s[t];\n\
+                   }";
+        let diags = lint(src, 64);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags[0].code, CODE_SHARED_OOB);
+        assert!(diags[0].span.is_some());
+    }
+
+    #[test]
+    fn negative_index_is_caught() {
+        let src = "__global__ void k(int* out) {\n\
+                   __shared__ int s[64];\n\
+                   int t = threadIdx.x;\n\
+                   s[t - 1] = t;\n\
+                   out[t] = 0;\n\
+                   }";
+        let diags = lint(src, 64);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags[0].code, CODE_SHARED_OOB);
+    }
+
+    #[test]
+    fn guarded_access_is_silent() {
+        let src = "__global__ void k(int* out) {\n\
+                   __shared__ int s[32];\n\
+                   int t = threadIdx.x;\n\
+                   if (t < 31) { s[t + 1] = t; }\n\
+                   out[t] = 0;\n\
+                   }";
+        assert!(lint(src, 64).is_empty());
+    }
+
+    #[test]
+    fn clamped_index_stays_silent() {
+        let src = "__global__ void k(int* out) {\n\
+                   __shared__ int s[64];\n\
+                   int t = threadIdx.x;\n\
+                   int j = t + 9;\n\
+                   if (j > 63) { j = 63; }\n\
+                   if (j < 0) { j = 0; }\n\
+                   s[j] = t;\n\
+                   out[t] = 0;\n\
+                   }";
+        assert!(lint(src, 64).is_empty());
+    }
+
+    #[test]
+    fn uniform_guard_suppresses_the_claim() {
+        // The access is OOB, but it only runs when a uniform (unknown-value)
+        // condition holds — a must lint cannot claim it executes.
+        let src = "__global__ void k(int* out, int n) {\n\
+                   __shared__ int s[64];\n\
+                   int t = threadIdx.x;\n\
+                   if (n > 0) { s[t + 64] = t; }\n\
+                   out[t] = 0;\n\
+                   }";
+        assert!(lint(src, 64).is_empty());
+    }
+
+    #[test]
+    fn global_extent_map_enables_global_oob() {
+        let src = "__global__ void k(int* out) {\n\
+                   int t = threadIdx.x;\n\
+                   out[t + 64] = t;\n\
+                   }";
+        assert!(lint(src, 64).is_empty(), "no extents, no claim");
+        let mut ext = BTreeMap::new();
+        ext.insert("out".to_owned(), 64i64);
+        let diags = lint_with_extents(src, 64, &ext);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags[0].code, CODE_GLOBAL_OOB);
+    }
+
+    #[test]
+    fn loop_widening_with_guard_narrowing_is_silent() {
+        let src = "__global__ void k(int* out) {\n\
+                   __shared__ int s[64];\n\
+                   int t = threadIdx.x;\n\
+                   int acc = 0;\n\
+                   for (int i = 0; i < 64; i = i + 1) { acc = acc + s[i]; }\n\
+                   out[t] = acc;\n\
+                   }";
+        assert!(lint(src, 64).is_empty());
+    }
+
+    #[test]
+    fn loop_overrun_is_caught() {
+        let src = "__global__ void k(int* out) {\n\
+                   __shared__ int s[64];\n\
+                   int t = threadIdx.x;\n\
+                   s[t * 2] = t;\n\
+                   out[t] = 0;\n\
+                   }";
+        // t*2 realizes 126 at t=63 >= 64.
+        let diags = lint(src, 64);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags[0].code, CODE_SHARED_OOB);
+    }
+
+    #[test]
+    fn escaping_shared_array_silences_the_race_lint() {
+        // Every thread writes `s[0]`: a definite race, until the array
+        // escapes through a bare-name dereference the index model cannot
+        // follow.
+        let racy = "__global__ void k(float* out) {\n\
+                    __shared__ float s[64];\n\
+                    int t = threadIdx.x;\n\
+                    s[0] = t;\n\
+                    out[t] = s[0];\n\
+                    }";
+        let escaped = racy.replace("out[t] = s[0];", "*s = 1.0f; out[t] = s[0];");
+        for (src, racy) in [(racy, true), (escaped.as_str(), false)] {
+            let (f, spans) = parse_kernel_with_spans(src).expect("test kernel parses");
+            let diags = race_lints(&Analysis::run(&f, Some(64)), Some(&spans));
+            assert_eq!(!diags.is_empty(), racy, "{src}: {diags:?}");
         }
     }
-    false
 }

@@ -1,20 +1,5 @@
-//! Value-range abstract interpretation: intervals plus affine-in-`tid`/`bid`
-//! forms for every scalar at every program point.
+//! Consumers of the interpreter's ranges and accesses beyond the lints.
 //!
-//! The domain is a product of a classic integer interval lattice (with
-//! `i64::MIN`/`i64::MAX` standing in for ∓∞) and an optional *exact* affine
-//! form `t·τ + b·β + c` (τ = `threadIdx.x`, β = `blockIdx.x`). Loops are
-//! handled with widening-to-infinity after a fixed number of in-state updates
-//! followed by two narrowing passes; branch edges refine the interval of any
-//! scalar compared against a computable bound.
-//!
-//! Three consumers sit on top:
-//!
-//! * [`oob_lints`] — *must*-style static out-of-bounds diagnostics for shared
-//!   and global array accesses ([`CODE_SHARED_OOB`], [`CODE_GLOBAL_OOB`]).
-//!   A diagnostic is only emitted when a thread that *definitely* executes
-//!   the access realizes an index that is provably outside the array extent,
-//!   so the lint stays silent on every well-formed kernel.
 //! * [`eliminate_redundant_barriers`] — drops a `__syncthreads()` when every
 //!   pair of accesses it separates is provably non-conflicting (different
 //!   spaces, different arrays, disjoint index ranges, or no cross-warp
@@ -25,1437 +10,17 @@
 //!   bit lets the fuse-time safety gate skip re-analyzing the fused function
 //!   when both originals are already proven safe.
 //!
-//! Soundness assumptions, argued in DESIGN.md §15: signed-integer overflow is
-//! undefined behavior in the source dialect (so arithmetic is modeled over
-//! unbounded integers), and distinct global pointer parameters never alias
-//! (the simulator launches every benchmark with distinct buffers).
+//! Each runs the interpreter once per call (once per removal round in
+//! [`eliminate_redundant_barriers`]).
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
-use std::sync::Arc;
+use std::collections::BTreeMap;
 
-use cuda_frontend::ast::{
-    ArrayLen, AssignOp, Axis, BinOp, BuiltinVar, Expr, Function, Stmt, Ty, UnOp,
-};
-use cuda_frontend::diag::{Diagnostic, SpanTable};
+use cuda_frontend::ast::{Function, Stmt};
 
-use crate::cfg::{BasicBlock, BlockId, CStmtKind, Cfg, Term};
-use crate::lints::{arrival_set, racing_pair_exists, uses_multidim_threads, Arrival, LintCtx};
-use crate::uniformity::{eval, eval_pred, IntervalSet, Uniformity, UniformityAnalysis};
-
-/// Diagnostic code for provable shared-memory out-of-bounds accesses.
-pub const CODE_SHARED_OOB: &str = "shared-out-of-bounds";
-/// Diagnostic code for provable global-memory out-of-bounds accesses.
-pub const CODE_GLOBAL_OOB: &str = "global-out-of-bounds";
-
-/// In-state updates a block tolerates before widening kicks in.
-const WIDEN_AFTER: u32 = 3;
-
-// ---------------------------------------------------------------------------
-// The interval domain
-// ---------------------------------------------------------------------------
-
-/// An inclusive integer interval; `i64::MIN`/`i64::MAX` are ∓∞.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Interval {
-    /// Lower bound (`i64::MIN` = −∞).
-    pub lo: i64,
-    /// Upper bound (`i64::MAX` = +∞).
-    pub hi: i64,
-}
-
-/// Extended-precision sentinel: anything at least this large is ±∞.
-const INF: i128 = i128::MAX / 4;
-
-fn ext(v: i64) -> i128 {
-    match v {
-        i64::MIN => -INF,
-        i64::MAX => INF,
-        v => i128::from(v),
-    }
-}
-
-fn unext(v: i128) -> i64 {
-    if v <= -(INF / 2) {
-        i64::MIN
-    } else if v >= INF / 2 {
-        i64::MAX
-    } else {
-        v.clamp(i128::from(i64::MIN) + 1, i128::from(i64::MAX) - 1) as i64
-    }
-}
-
-fn ext_mul(a: i128, b: i128) -> i128 {
-    if a == 0 || b == 0 {
-        return 0;
-    }
-    if a.abs() >= INF / 2 || b.abs() >= INF / 2 {
-        return a.signum() * b.signum() * INF;
-    }
-    a * b
-}
-
-impl Interval {
-    /// The full line (⊤).
-    pub fn top() -> Interval {
-        Interval {
-            lo: i64::MIN,
-            hi: i64::MAX,
-        }
-    }
-
-    /// The singleton `[v, v]`.
-    pub fn point(v: i64) -> Interval {
-        Interval { lo: v, hi: v }
-    }
-
-    /// `[lo, hi]` (callers must keep `lo <= hi`).
-    pub fn new(lo: i64, hi: i64) -> Interval {
-        debug_assert!(lo <= hi);
-        Interval { lo, hi }
-    }
-
-    /// True when no information is left.
-    pub fn is_top(&self) -> bool {
-        self.lo == i64::MIN && self.hi == i64::MAX
-    }
-
-    /// Least upper bound.
-    pub fn join(&self, o: &Interval) -> Interval {
-        Interval {
-            lo: self.lo.min(o.lo),
-            hi: self.hi.max(o.hi),
-        }
-    }
-
-    /// Greatest lower bound; `None` when the meet is empty.
-    pub fn meet(&self, o: &Interval) -> Option<Interval> {
-        let lo = self.lo.max(o.lo);
-        let hi = self.hi.min(o.hi);
-        (lo <= hi).then_some(Interval { lo, hi })
-    }
-
-    /// Standard interval widening: any escaping bound jumps to ±∞.
-    pub fn widen(&self, new: &Interval) -> Interval {
-        Interval {
-            lo: if new.lo < self.lo { i64::MIN } else { self.lo },
-            hi: if new.hi > self.hi { i64::MAX } else { self.hi },
-        }
-    }
-
-    fn add(&self, o: &Interval) -> Interval {
-        Interval {
-            lo: unext(ext(self.lo) + ext(o.lo)),
-            hi: unext(ext(self.hi) + ext(o.hi)),
-        }
-    }
-
-    fn sub(&self, o: &Interval) -> Interval {
-        Interval {
-            lo: unext(ext(self.lo) - ext(o.hi)),
-            hi: unext(ext(self.hi) - ext(o.lo)),
-        }
-    }
-
-    fn neg(&self) -> Interval {
-        Interval {
-            lo: unext(-ext(self.hi)),
-            hi: unext(-ext(self.lo)),
-        }
-    }
-
-    fn mul(&self, o: &Interval) -> Interval {
-        let corners = [
-            ext_mul(ext(self.lo), ext(o.lo)),
-            ext_mul(ext(self.lo), ext(o.hi)),
-            ext_mul(ext(self.hi), ext(o.lo)),
-            ext_mul(ext(self.hi), ext(o.hi)),
-        ];
-        Interval {
-            lo: unext(corners.iter().copied().min().unwrap()),
-            hi: unext(corners.iter().copied().max().unwrap()),
-        }
-    }
-
-    /// C truncating division; sound only for divisors strictly positive.
-    fn div(&self, o: &Interval) -> Interval {
-        if o.lo <= 0 {
-            return Interval::top();
-        }
-        let q = |n: i64, d: i64| -> i128 {
-            let (n, d) = (ext(n), ext(d));
-            if n.abs() >= INF / 2 {
-                // ±∞ / positive = ±∞ (d may itself be +∞: quotient sign is n's).
-                n.signum() * INF
-            } else if d >= INF / 2 {
-                0
-            } else {
-                n / d
-            }
-        };
-        let corners = [
-            q(self.lo, o.lo),
-            q(self.lo, o.hi),
-            q(self.hi, o.lo),
-            q(self.hi, o.hi),
-        ];
-        Interval {
-            lo: unext(corners.iter().copied().min().unwrap()),
-            hi: unext(corners.iter().copied().max().unwrap()),
-        }
-    }
-
-    /// C truncating remainder by a strictly positive divisor.
-    fn rem(&self, o: &Interval) -> Interval {
-        if o.lo <= 0 {
-            return Interval::top();
-        }
-        if o.hi == i64::MAX {
-            // `x % m <= x` for non-negative x; nothing else is known.
-            return if self.lo >= 0 {
-                Interval::new(0, self.hi)
-            } else {
-                Interval::top()
-            };
-        }
-        let mag = o.hi - 1;
-        if self.lo >= 0 {
-            Interval::new(0, self.hi.min(mag))
-        } else {
-            Interval::new(-mag, mag)
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The affine component and the product state
-// ---------------------------------------------------------------------------
-
-/// An exact affine form `t·τ + b·β + c` (τ = `threadIdx.x`, β = `blockIdx.x`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AffineTB {
-    /// Coefficient of `threadIdx.x`.
-    pub t: i64,
-    /// Coefficient of `blockIdx.x`.
-    pub b: i64,
-    /// Constant term.
-    pub c: i64,
-}
-
-impl AffineTB {
-    fn konst(c: i64) -> AffineTB {
-        AffineTB { t: 0, b: 0, c }
-    }
-
-    fn is_const(&self) -> bool {
-        self.t == 0 && self.b == 0
-    }
-
-    fn add(&self, o: &AffineTB) -> Option<AffineTB> {
-        Some(AffineTB {
-            t: self.t.checked_add(o.t)?,
-            b: self.b.checked_add(o.b)?,
-            c: self.c.checked_add(o.c)?,
-        })
-    }
-
-    fn sub(&self, o: &AffineTB) -> Option<AffineTB> {
-        Some(AffineTB {
-            t: self.t.checked_sub(o.t)?,
-            b: self.b.checked_sub(o.b)?,
-            c: self.c.checked_sub(o.c)?,
-        })
-    }
-
-    fn scale(&self, k: i64) -> Option<AffineTB> {
-        Some(AffineTB {
-            t: self.t.checked_mul(k)?,
-            b: self.b.checked_mul(k)?,
-            c: self.c.checked_mul(k)?,
-        })
-    }
-}
-
-/// One scalar's abstract value: an interval plus an optional exact affine form.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AbsRange {
-    /// Interval over-approximation of the value.
-    pub iv: Interval,
-    /// Exact affine form when the value is provably `t·τ + b·β + c`.
-    pub aff: Option<AffineTB>,
-}
-
-impl AbsRange {
-    /// No information.
-    pub fn top() -> AbsRange {
-        AbsRange {
-            iv: Interval::top(),
-            aff: None,
-        }
-    }
-
-    fn konst(c: i64) -> AbsRange {
-        AbsRange {
-            iv: Interval::point(c),
-            aff: Some(AffineTB::konst(c)),
-        }
-    }
-
-    fn join(&self, o: &AbsRange) -> AbsRange {
-        AbsRange {
-            iv: self.iv.join(&o.iv),
-            aff: match (self.aff, o.aff) {
-                (Some(a), Some(b)) if a == b => Some(a),
-                _ => None,
-            },
-        }
-    }
-}
-
-/// Per-program-point environment: scalar (or builtin pseudo-key) → value.
-/// Builtins use dotted pseudo-keys (`threadIdx.x`) which cannot collide with
-/// identifiers, so branch refinement can narrow them like any scalar.
-pub type RState = HashMap<String, AbsRange>;
-
-/// Evaluation context threaded through the interpreter.
-struct Ev<'a> {
-    /// `blockDim.x` when exactly known (1-D kernels with a known launch).
-    bt: Option<u32>,
-    /// Scalars whose address escapes; never tracked.
-    taken: &'a HashSet<String>,
-}
-
-fn builtin_key(b: &BuiltinVar) -> &'static str {
-    match b {
-        BuiltinVar::ThreadIdx(Axis::X) => "threadIdx.x",
-        BuiltinVar::ThreadIdx(Axis::Y) => "threadIdx.y",
-        BuiltinVar::ThreadIdx(Axis::Z) => "threadIdx.z",
-        BuiltinVar::BlockIdx(Axis::X) => "blockIdx.x",
-        BuiltinVar::BlockIdx(Axis::Y) => "blockIdx.y",
-        BuiltinVar::BlockIdx(Axis::Z) => "blockIdx.z",
-        BuiltinVar::BlockDim(Axis::X) => "blockDim.x",
-        BuiltinVar::BlockDim(Axis::Y) => "blockDim.y",
-        BuiltinVar::BlockDim(Axis::Z) => "blockDim.z",
-        BuiltinVar::GridDim(Axis::X) => "gridDim.x",
-        BuiltinVar::GridDim(Axis::Y) => "gridDim.y",
-        BuiltinVar::GridDim(Axis::Z) => "gridDim.z",
-    }
-}
-
-fn builtin_default(b: &BuiltinVar, ev: &Ev) -> AbsRange {
-    match b {
-        BuiltinVar::ThreadIdx(Axis::X) => AbsRange {
-            iv: Interval::new(0, ev.bt.map_or(1023, |t| i64::from(t) - 1)),
-            aff: Some(AffineTB { t: 1, b: 0, c: 0 }),
-        },
-        BuiltinVar::ThreadIdx(_) => AbsRange {
-            iv: Interval::new(0, 1023),
-            aff: None,
-        },
-        BuiltinVar::BlockIdx(Axis::X) => AbsRange {
-            iv: Interval::new(0, i64::MAX),
-            aff: Some(AffineTB { t: 0, b: 1, c: 0 }),
-        },
-        BuiltinVar::BlockIdx(_) => AbsRange {
-            iv: Interval::new(0, i64::MAX),
-            aff: None,
-        },
-        BuiltinVar::BlockDim(Axis::X) => match ev.bt {
-            Some(t) => AbsRange::konst(i64::from(t)),
-            None => AbsRange {
-                iv: Interval::new(1, 1024),
-                aff: None,
-            },
-        },
-        BuiltinVar::BlockDim(_) => AbsRange {
-            iv: Interval::new(1, 1024),
-            aff: None,
-        },
-        BuiltinVar::GridDim(_) => AbsRange {
-            iv: Interval::new(1, i64::MAX),
-            aff: None,
-        },
-    }
-}
-
-/// The key under which a condition operand can be refined: plain identifiers
-/// and builtin pseudo-keys.
-fn refine_key(e: &Expr) -> Option<String> {
-    match e {
-        Expr::Ident(n) => Some(n.clone()),
-        Expr::Builtin(b) => Some(builtin_key(b).to_owned()),
-        _ => None,
-    }
-}
-
-fn bin_range(op: BinOp, a: &AbsRange, b: &AbsRange) -> AbsRange {
-    let iv = match op {
-        BinOp::Add => a.iv.add(&b.iv),
-        BinOp::Sub => a.iv.sub(&b.iv),
-        BinOp::Mul => a.iv.mul(&b.iv),
-        BinOp::Div => a.iv.div(&b.iv),
-        BinOp::Rem => a.iv.rem(&b.iv),
-        BinOp::BitAnd => {
-            // `x & m` with a non-negative constant mask lands in `[0, m]`
-            // regardless of `x`'s sign (two's complement).
-            let mask = [a, b].into_iter().find_map(|r| {
-                let k = r.aff.filter(AffineTB::is_const)?.c;
-                (k >= 0).then_some(k)
-            });
-            match mask {
-                Some(m) => Interval::new(0, m),
-                None => Interval::top(),
-            }
-        }
-        op if op.is_comparison() || op.is_logical() => Interval::new(0, 1),
-        _ => Interval::top(),
-    };
-    let aff = match op {
-        BinOp::Add => a.aff.zip(b.aff).and_then(|(x, y)| x.add(&y)),
-        BinOp::Sub => a.aff.zip(b.aff).and_then(|(x, y)| x.sub(&y)),
-        BinOp::Mul => match (a.aff, b.aff) {
-            (Some(x), Some(y)) if y.is_const() => x.scale(y.c),
-            (Some(x), Some(y)) if x.is_const() => y.scale(x.c),
-            _ => None,
-        },
-        _ => None,
-    };
-    AbsRange { iv, aff }
-}
-
-/// Evaluates `e` in `st`, applying assignment/inc-dec side effects.
-fn ieval_mut(e: &Expr, st: &mut RState, ev: &Ev) -> AbsRange {
-    match e {
-        Expr::IntLit(v, _) => AbsRange::konst(*v),
-        Expr::FloatLit(..) => AbsRange::top(),
-        Expr::Ident(n) => st.get(n).copied().unwrap_or_else(AbsRange::top),
-        Expr::Builtin(b) => st
-            .get(builtin_key(b))
-            .copied()
-            .unwrap_or_else(|| builtin_default(b, ev)),
-        Expr::Unary(op, a) => {
-            let v = ieval_mut(a, st, ev);
-            match op {
-                UnOp::Neg => AbsRange {
-                    iv: v.iv.neg(),
-                    aff: v.aff.and_then(|x| x.scale(-1)),
-                },
-                UnOp::Not => AbsRange {
-                    iv: Interval::new(0, 1),
-                    aff: None,
-                },
-                UnOp::BitNot => AbsRange::top(),
-            }
-        }
-        Expr::Binary(op, a, b) => {
-            let va = ieval_mut(a, st, ev);
-            let vb = ieval_mut(b, st, ev);
-            bin_range(*op, &va, &vb)
-        }
-        Expr::Assign(op, lhs, rhs) => {
-            let rv = ieval_mut(rhs, st, ev);
-            let v = match op {
-                AssignOp::Assign => rv,
-                AssignOp::Compound(bop) => {
-                    let cur = ieval_mut(lhs, st, ev);
-                    bin_range(*bop, &cur, &rv)
-                }
-            };
-            match lhs.as_ref() {
-                Expr::Ident(n) => {
-                    if ev.taken.contains(n) {
-                        st.remove(n);
-                    } else {
-                        st.insert(n.clone(), v);
-                    }
-                }
-                // A store through an index/deref changes no tracked scalar,
-                // but its index subexpressions may carry side effects.
-                Expr::Index(_, idx) => {
-                    ieval_mut(idx, st, ev);
-                }
-                _ => {}
-            }
-            v
-        }
-        Expr::IncDec { inc, pre, target } => {
-            let old = ieval_mut(target, st, ev);
-            let one = AbsRange::konst(1);
-            let new = bin_range(if *inc { BinOp::Add } else { BinOp::Sub }, &old, &one);
-            if let Expr::Ident(n) = target.as_ref() {
-                if ev.taken.contains(n) {
-                    st.remove(n);
-                } else {
-                    st.insert(n.clone(), new);
-                }
-            }
-            if *pre {
-                new
-            } else {
-                old
-            }
-        }
-        Expr::Ternary(c, a, b) => {
-            ieval_mut(c, st, ev);
-            let va = ieval_mut(a, st, ev);
-            let vb = ieval_mut(b, st, ev);
-            va.join(&vb)
-        }
-        Expr::Call(name, args) => {
-            let vals: Vec<AbsRange> = args.iter().map(|a| ieval_mut(a, st, ev)).collect();
-            match (name.as_str(), vals.as_slice()) {
-                ("min", [a, b]) => AbsRange {
-                    iv: Interval::new(a.iv.lo.min(b.iv.lo), a.iv.hi.min(b.iv.hi)),
-                    aff: None,
-                },
-                ("max", [a, b]) => AbsRange {
-                    iv: Interval::new(a.iv.lo.max(b.iv.lo), a.iv.hi.max(b.iv.hi)),
-                    aff: None,
-                },
-                _ => AbsRange::top(),
-            }
-        }
-        Expr::Cast(ty, a) => {
-            let v = ieval_mut(a, st, ev);
-            if ty.is_integer() {
-                v
-            } else {
-                AbsRange::top()
-            }
-        }
-        Expr::Index(base, idx) => {
-            ieval_mut(base, st, ev);
-            ieval_mut(idx, st, ev);
-            AbsRange::top()
-        }
-        Expr::AddrOf(a) | Expr::Deref(a) => {
-            ieval_mut(a, st, ev);
-            AbsRange::top()
-        }
-    }
-}
-
-/// Side-effect-free evaluation (on a scratch clone when effects may occur).
-fn ieval(e: &Expr, st: &RState, ev: &Ev) -> AbsRange {
-    match e {
-        // Fast paths for the common effect-free shapes.
-        Expr::IntLit(v, _) => AbsRange::konst(*v),
-        Expr::Ident(n) => st.get(n).copied().unwrap_or_else(AbsRange::top),
-        Expr::Builtin(b) => st
-            .get(builtin_key(b))
-            .copied()
-            .unwrap_or_else(|| builtin_default(b, ev)),
-        _ => ieval_mut(e, &mut st.clone(), ev),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// State lattice operations
-// ---------------------------------------------------------------------------
-
-fn join_states(a: &RState, b: &RState) -> RState {
-    let mut out = RState::new();
-    for (k, va) in a {
-        if let Some(vb) = b.get(k) {
-            out.insert(k.clone(), va.join(vb));
-        }
-    }
-    out
-}
-
-fn widen_states(old: &RState, new: &RState) -> RState {
-    let mut out = RState::new();
-    for (k, vo) in old {
-        if let Some(vn) = new.get(k) {
-            out.insert(
-                k.clone(),
-                AbsRange {
-                    iv: vo.iv.widen(&vn.iv),
-                    aff: match (vo.aff, vn.aff) {
-                        (Some(x), Some(y)) if x == y => Some(x),
-                        _ => None,
-                    },
-                },
-            );
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Branch-edge refinement
-// ---------------------------------------------------------------------------
-
-fn negate_cmp(op: BinOp) -> Option<BinOp> {
-    Some(match op {
-        BinOp::Lt => BinOp::Ge,
-        BinOp::Le => BinOp::Gt,
-        BinOp::Gt => BinOp::Le,
-        BinOp::Ge => BinOp::Lt,
-        BinOp::Eq => BinOp::Ne,
-        BinOp::Ne => BinOp::Eq,
-        _ => return None,
-    })
-}
-
-fn swap_cmp(op: BinOp) -> BinOp {
-    match op {
-        BinOp::Lt => BinOp::Gt,
-        BinOp::Le => BinOp::Ge,
-        BinOp::Gt => BinOp::Lt,
-        BinOp::Ge => BinOp::Le,
-        other => other,
-    }
-}
-
-/// Narrows `key` by `key <op> bound`; false means the edge is unreachable.
-fn refine_var(st: &mut RState, key: &str, op: BinOp, bound: &Interval, ev: &Ev) -> bool {
-    let constraint = match op {
-        BinOp::Lt if bound.hi != i64::MAX => Interval::new(i64::MIN, bound.hi - 1),
-        BinOp::Le => Interval::new(i64::MIN, bound.hi),
-        BinOp::Gt if bound.lo != i64::MIN => Interval::new(bound.lo + 1, i64::MAX),
-        BinOp::Ge => Interval::new(bound.lo, i64::MAX),
-        BinOp::Eq => *bound,
-        _ => return true,
-    };
-    let cur = match st.get(key) {
-        Some(v) => *v,
-        None => match key {
-            // Builtins get their default range seeded so the meet sticks.
-            "threadIdx.x" => builtin_default(&BuiltinVar::ThreadIdx(Axis::X), ev),
-            "blockIdx.x" => builtin_default(&BuiltinVar::BlockIdx(Axis::X), ev),
-            _ => AbsRange::top(),
-        },
-    };
-    match cur.iv.meet(&constraint) {
-        Some(iv) => {
-            st.insert(key.to_owned(), AbsRange { iv, aff: cur.aff });
-            true
-        }
-        None => false,
-    }
-}
-
-/// Applies what `cond == polarity` implies to `st`; false = edge unreachable.
-fn refine_cond(st: &mut RState, cond: &Expr, polarity: bool, ev: &Ev) -> bool {
-    match cond {
-        Expr::Unary(UnOp::Not, inner) => refine_cond(st, inner, !polarity, ev),
-        Expr::Binary(BinOp::LogAnd, a, b) if polarity => {
-            refine_cond(st, a, true, ev) && refine_cond(st, b, true, ev)
-        }
-        Expr::Binary(BinOp::LogOr, a, b) if !polarity => {
-            refine_cond(st, a, false, ev) && refine_cond(st, b, false, ev)
-        }
-        Expr::Binary(op, a, b) if op.is_comparison() => {
-            let op = if polarity {
-                *op
-            } else {
-                match negate_cmp(*op) {
-                    Some(o) => o,
-                    None => return true,
-                }
-            };
-            let mut live = true;
-            if let Some(k) = refine_key(a) {
-                let bound = ieval(b, st, ev).iv;
-                live = refine_var(st, &k, op, &bound, ev);
-            }
-            if live {
-                if let Some(k) = refine_key(b) {
-                    let bound = ieval(a, st, ev).iv;
-                    live = refine_var(st, &k, swap_cmp(op), &bound, ev);
-                }
-            }
-            live
-        }
-        Expr::Ident(_) | Expr::Builtin(_) if !polarity => {
-            let k = refine_key(cond).unwrap();
-            refine_var(st, &k, BinOp::Eq, &Interval::point(0), ev)
-        }
-        Expr::IntLit(v, _) => (*v != 0) == polarity,
-        _ => true,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The fixpoint driver
-// ---------------------------------------------------------------------------
-
-/// Per-block entry/exit range states for one kernel.
-pub struct RangeAnalysis {
-    /// State at each block's entry (`None` = unreachable).
-    pub ins: Vec<Option<RState>>,
-    /// State at each block's exit (`None` = unreachable).
-    pub outs: Vec<Option<RState>>,
-}
-
-fn address_taken(f: &Function) -> HashSet<String> {
-    fn walk_expr(e: &Expr, out: &mut HashSet<String>) {
-        if let Expr::AddrOf(inner) = e {
-            if let Expr::Ident(n) = inner.as_ref() {
-                out.insert(n.clone());
-            }
-        }
-        match e {
-            Expr::Unary(_, a) | Expr::Cast(_, a) | Expr::AddrOf(a) | Expr::Deref(a) => {
-                walk_expr(a, out)
-            }
-            Expr::Binary(_, a, b) | Expr::Index(a, b) | Expr::Assign(_, a, b) => {
-                walk_expr(a, out);
-                walk_expr(b, out);
-            }
-            Expr::Ternary(a, b, c) => {
-                walk_expr(a, out);
-                walk_expr(b, out);
-                walk_expr(c, out);
-            }
-            Expr::IncDec { target, .. } => walk_expr(target, out),
-            Expr::Call(_, args) => args.iter().for_each(|a| walk_expr(a, out)),
-            _ => {}
-        }
-    }
-    let mut out = HashSet::new();
-    cuda_frontend::diag::preorder_stmts(f, &mut |s| {
-        for_stmt_exprs(s, &mut |e| walk_expr(e, &mut out));
-    });
-    out
-}
-
-fn for_stmt_exprs(s: &Stmt, f: &mut impl FnMut(&Expr)) {
-    match s {
-        Stmt::Decl(d) => {
-            if let Some(init) = &d.init {
-                f(init);
-            }
-        }
-        Stmt::Expr(e) | Stmt::While(e, _) | Stmt::DoWhile(_, e) => f(e),
-        Stmt::If(e, ..) => f(e),
-        Stmt::For { cond, step, .. } => {
-            if let Some(c) = cond {
-                f(c);
-            }
-            if let Some(st) = step {
-                f(st);
-            }
-        }
-        Stmt::Switch { scrutinee, .. } => f(scrutinee),
-        Stmt::Return(Some(e)) => f(e),
-        _ => {}
-    }
-}
-
-fn transfer_block(bb: &BasicBlock, mut st: RState, ev: &Ev) -> RState {
-    for s in &bb.stmts {
-        match &s.kind {
-            CStmtKind::Decl(d) => {
-                if d.array_len.is_some() || ev.taken.contains(&d.name) {
-                    st.remove(&d.name);
-                } else {
-                    match &d.init {
-                        Some(init) => {
-                            let v = ieval_mut(init, &mut st, ev);
-                            st.insert(d.name.clone(), v);
-                        }
-                        None => {
-                            st.remove(&d.name);
-                        }
-                    }
-                }
-            }
-            CStmtKind::Expr(e) => {
-                ieval_mut(e, &mut st, ev);
-            }
-            CStmtKind::Sync | CStmtKind::BarSync { .. } => {}
-        }
-    }
-    st
-}
-
-/// Successor edges with their refined states (`None` = unreachable edge).
-fn edge_states(bb: &BasicBlock, out: &RState, ev: &Ev) -> Vec<(BlockId, Option<RState>)> {
-    match &bb.term {
-        Term::Jump(t) => vec![(*t, Some(out.clone()))],
-        Term::Branch { cond, t, f, .. } => {
-            let mk = |polarity: bool| {
-                let mut st = out.clone();
-                ieval_mut(cond, &mut st, ev);
-                refine_cond(&mut st, cond, polarity, ev).then_some(st)
-            };
-            vec![(*t, mk(true)), (*f, mk(false))]
-        }
-        Term::Exit => Vec::new(),
-    }
-}
-
-impl RangeAnalysis {
-    /// Runs the interval/affine fixpoint over `cfg`.
-    ///
-    /// `block_threads` must be the exact `blockDim.x` — pass `None` for
-    /// kernels using 2-D/3-D thread indexing (the caller checks), where the
-    /// total block size says nothing about the x extent.
-    pub fn run(cfg: &Cfg, f: &Function, block_threads: Option<u32>) -> RangeAnalysis {
-        let taken = address_taken(f);
-        let ev = Ev {
-            bt: block_threads,
-            taken: &taken,
-        };
-        let n = cfg.blocks.len();
-        let mut ins: Vec<Option<RState>> = vec![None; n];
-        let mut outs: Vec<Option<RState>> = vec![None; n];
-        ins[0] = Some(RState::new());
-        let mut updates = vec![0u32; n];
-        let mut inq = vec![false; n];
-        let mut work = VecDeque::from([0usize]);
-        inq[0] = true;
-        // Widening guarantees convergence; the counter is a belt-and-braces
-        // bail against lattice bugs, never hit in practice.
-        let mut fuel = 64 * n + 512;
-        while let Some(b) = work.pop_front() {
-            inq[b] = false;
-            if fuel == 0 {
-                break;
-            }
-            fuel -= 1;
-            let Some(in_st) = ins[b].clone() else {
-                continue;
-            };
-            let out = transfer_block(&cfg.blocks[b], in_st, &ev);
-            if outs[b].as_ref() == Some(&out) {
-                continue;
-            }
-            for (succ, edge) in edge_states(&cfg.blocks[b], &out, &ev) {
-                let Some(edge) = edge else { continue };
-                let merged = match &ins[succ] {
-                    None => edge,
-                    Some(old) => {
-                        let j = join_states(old, &edge);
-                        if updates[succ] >= WIDEN_AFTER {
-                            widen_states(old, &j)
-                        } else {
-                            j
-                        }
-                    }
-                };
-                if ins[succ].as_ref() != Some(&merged) {
-                    updates[succ] += 1;
-                    ins[succ] = Some(merged);
-                    if !inq[succ] {
-                        inq[succ] = true;
-                        work.push_back(succ);
-                    }
-                }
-            }
-            outs[b] = Some(out);
-        }
-        // Two narrowing passes: recompute entry states from the (sound)
-        // post-fixpoint exits without widening, clawing back loop bounds
-        // that guard refinement knows.
-        let preds = cfg.preds();
-        for _ in 0..2 {
-            for b in 0..n {
-                if let Some(in_st) = ins[b].clone() {
-                    outs[b] = Some(transfer_block(&cfg.blocks[b], in_st, &ev));
-                }
-            }
-            for b in 1..n {
-                if ins[b].is_none() {
-                    continue;
-                }
-                let mut acc: Option<RState> = None;
-                for &p in &preds[b] {
-                    let Some(out) = &outs[p] else { continue };
-                    for (succ, edge) in edge_states(&cfg.blocks[p], out, &ev) {
-                        if succ != b {
-                            continue;
-                        }
-                        let Some(e) = edge else { continue };
-                        acc = Some(match acc {
-                            None => e,
-                            Some(a) => join_states(&a, &e),
-                        });
-                    }
-                }
-                ins[b] = acc;
-            }
-        }
-        for b in 0..n {
-            outs[b] = ins[b]
-                .clone()
-                .map(|st| transfer_block(&cfg.blocks[b], st, &ev));
-        }
-        RangeAnalysis { ins, outs }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Access collection with pointer provenance
-// ---------------------------------------------------------------------------
-
-/// Where an access lands.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum Place {
-    /// A `__shared__` array, by name.
-    Shared(String),
-    /// A global pointer parameter, by name.
-    Global(String),
-    /// Unknown provenance — conflicts with everything.
-    Wild,
-}
-
-/// One shared/global memory access with everything the consumers need.
-#[derive(Debug, Clone)]
-pub(crate) struct AccessFact {
-    pub(crate) place: Place,
-    pub(crate) write: bool,
-    pub(crate) atomic: bool,
-    pub(crate) block: BlockId,
-    pub(crate) span_idx: Option<usize>,
-    /// Element-index abstract value (⊤ for provenance-derived pointers).
-    pub(crate) idx: AbsRange,
-}
-
-#[derive(Clone, PartialEq, Eq)]
-enum Prov {
-    Shared(String),
-    Global(String),
-    Wild,
-}
-
-struct ProvCtx {
-    shared: HashSet<String>,
-    params: HashSet<String>,
-    ptr_locals: HashMap<String, Prov>,
-}
-
-impl ProvCtx {
-    fn of_expr(&self, e: &Expr) -> Prov {
-        match e {
-            Expr::Ident(n) => {
-                if self.shared.contains(n) {
-                    Prov::Shared(n.clone())
-                } else if self.params.contains(n) {
-                    Prov::Global(n.clone())
-                } else {
-                    self.ptr_locals.get(n).cloned().unwrap_or(Prov::Wild)
-                }
-            }
-            Expr::Cast(_, inner) => self.of_expr(inner),
-            Expr::AddrOf(inner) => match inner.as_ref() {
-                Expr::Index(base, _) => self.of_expr(base),
-                Expr::Deref(p) => self.of_expr(p),
-                _ => Prov::Wild,
-            },
-            Expr::Binary(BinOp::Add | BinOp::Sub, a, b) => {
-                let pa = self.of_expr(a);
-                if pa != Prov::Wild {
-                    pa
-                } else {
-                    self.of_expr(b)
-                }
-            }
-            _ => Prov::Wild,
-        }
-    }
-}
-
-fn build_provenance(f: &Function) -> ProvCtx {
-    let mut shared = HashSet::new();
-    let mut ptr_decls: Vec<String> = Vec::new();
-    cuda_frontend::diag::preorder_stmts(f, &mut |s| {
-        if let Stmt::Decl(d) = s {
-            if d.quals.shared || d.quals.extern_shared {
-                shared.insert(d.name.clone());
-            } else if matches!(d.ty, Ty::Ptr(_)) && d.array_len.is_none() {
-                ptr_decls.push(d.name.clone());
-            }
-        }
-    });
-    let params: HashSet<String> = f
-        .params
-        .iter()
-        .filter(|p| matches!(p.ty, Ty::Ptr(_)))
-        .map(|p| p.name.clone())
-        .collect();
-    let mut ctx = ProvCtx {
-        shared,
-        params,
-        ptr_locals: HashMap::new(),
-    };
-    // Flow-insensitive: merge every init/assignment a pointer local sees;
-    // three rounds resolve chains (`p = q; r = p + 1`).
-    let ptr_set: HashSet<String> = ptr_decls.into_iter().collect();
-    for _ in 0..3 {
-        let mut next = ctx.ptr_locals.clone();
-        cuda_frontend::diag::preorder_stmts(f, &mut |s| {
-            let mut merge = |name: &str, rhs: &Expr| {
-                let p = ctx.of_expr(rhs);
-                match next.get(name) {
-                    None => {
-                        next.insert(name.to_owned(), p);
-                    }
-                    Some(old) if *old != p => {
-                        next.insert(name.to_owned(), Prov::Wild);
-                    }
-                    _ => {}
-                }
-            };
-            match s {
-                Stmt::Decl(d) if ptr_set.contains(&d.name) => {
-                    if let Some(init) = &d.init {
-                        merge(&d.name, init);
-                    }
-                }
-                Stmt::Expr(Expr::Assign(AssignOp::Assign, lhs, rhs)) => {
-                    if let Expr::Ident(n) = lhs.as_ref() {
-                        if ptr_set.contains(n) {
-                            merge(n, rhs);
-                        }
-                    }
-                }
-                _ => {}
-            }
-        });
-        if next == ctx.ptr_locals {
-            break;
-        }
-        ctx.ptr_locals = next;
-    }
-    ctx
-}
-
-struct AccessCollector<'a> {
-    prov: &'a ProvCtx,
-    ev: &'a Ev<'a>,
-    block: BlockId,
-    span_idx: Option<usize>,
-    state: &'a RState,
-    accesses: Vec<AccessFact>,
-}
-
-impl AccessCollector<'_> {
-    fn place_of(&self, p: Prov) -> Option<Place> {
-        match p {
-            Prov::Shared(n) => Some(Place::Shared(n)),
-            Prov::Global(n) => Some(Place::Global(n)),
-            Prov::Wild => Some(Place::Wild),
-        }
-    }
-
-    fn record(&mut self, base: &Expr, idx: Option<&Expr>, write: bool, atomic: bool) {
-        let prov = self.prov.of_expr(base);
-        // Direct `name[idx]` on a shared array or pointer param gets an exact
-        // index; anything provenance-derived is ⊤ (the base offset is lost).
-        let exact = matches!(
-            (base, &prov),
-            (Expr::Ident(_), Prov::Shared(_)) | (Expr::Ident(_), Prov::Global(_))
-        );
-        let idx = match (idx, exact) {
-            (Some(e), true) => ieval(e, self.state, self.ev),
-            _ => AbsRange::top(),
-        };
-        // Thread-private locals (non-pointer non-shared arrays) never reach
-        // here: `of_expr` maps them to Wild, which is what we want only for
-        // pointers — filter true locals out at the call sites instead.
-        if let Some(place) = self.place_of(prov) {
-            self.accesses.push(AccessFact {
-                place,
-                write,
-                atomic,
-                block: self.block,
-                span_idx: self.span_idx,
-                idx,
-            });
-        }
-    }
-
-    fn is_private_array(&self, base: &Expr) -> bool {
-        // `name[...]` where name is neither shared, nor a pointer param, nor
-        // a tracked pointer local: a thread-private local array. Private
-        // memory can't race across threads; skip it entirely.
-        if let Expr::Ident(n) = base {
-            return !self.prov.shared.contains(n)
-                && !self.prov.params.contains(n)
-                && !self.prov.ptr_locals.contains_key(n);
-        }
-        false
-    }
-
-    fn walk(&mut self, e: &Expr) {
-        match e {
-            Expr::Assign(op, lhs, rhs) => {
-                self.walk_store(lhs, matches!(op, AssignOp::Compound(_)));
-                self.walk(rhs);
-            }
-            Expr::IncDec { target, .. } => self.walk_store(target, true),
-            Expr::Index(base, idx) => {
-                if !self.is_private_array(base) {
-                    self.record(base, Some(idx), false, false);
-                }
-                self.walk(idx);
-                if !matches!(base.as_ref(), Expr::Ident(_)) {
-                    self.walk_pointer(base);
-                }
-            }
-            Expr::Deref(inner) => {
-                if !self.is_private_array(inner) {
-                    self.record(inner, None, false, false);
-                }
-                self.walk_pointer(inner);
-            }
-            Expr::Call(name, args) => {
-                let is_atomic = matches!(name.as_str(), "atomicAdd" | "atomicMax" | "atomicExch");
-                let mut rest = &args[..];
-                if is_atomic {
-                    if let Some(Expr::AddrOf(inner)) = args.first() {
-                        if let Expr::Index(base, idx) = inner.as_ref() {
-                            if !self.is_private_array(base) {
-                                self.record(base, Some(idx), true, true);
-                            }
-                            self.walk(idx);
-                            rest = &args[1..];
-                        }
-                    }
-                }
-                for a in rest {
-                    self.walk(a);
-                }
-            }
-            Expr::AddrOf(inner) => {
-                // An address escaping into a walked context (a call argument,
-                // integer arithmetic): assume an unknown write through it.
-                match inner.as_ref() {
-                    Expr::Index(base, idx) => {
-                        if !self.is_private_array(base) {
-                            self.record(base, None, true, false);
-                        }
-                        self.walk(idx);
-                    }
-                    Expr::Ident(n) => {
-                        if self.prov.shared.contains(n)
-                            || self.prov.params.contains(n)
-                            || self.prov.ptr_locals.contains_key(n)
-                        {
-                            self.record(inner, None, true, false);
-                        }
-                    }
-                    other => self.walk(other),
-                }
-            }
-            Expr::Ident(n) => {
-                // A bare array/pointer name in a walked (non-provenance)
-                // context has escaped: assume an unknown write.
-                if self.prov.shared.contains(n)
-                    || self.prov.ptr_locals.contains_key(n)
-                    || self.prov.params.contains(n)
-                {
-                    self.record(e, None, true, false);
-                }
-            }
-            Expr::Unary(_, a) | Expr::Cast(_, a) => self.walk(a),
-            Expr::Binary(_, a, b) => {
-                self.walk(a);
-                self.walk(b);
-            }
-            Expr::Ternary(a, b, c) => {
-                self.walk(a);
-                self.walk(b);
-                self.walk(c);
-            }
-            Expr::IntLit(..) | Expr::FloatLit(..) | Expr::Builtin(_) => {}
-        }
-    }
-
-    fn walk_store(&mut self, lhs: &Expr, compound: bool) {
-        let _ = compound; // a write subsumes the paired read for conflicts
-        match lhs {
-            Expr::Index(base, idx) => {
-                if !self.is_private_array(base) {
-                    self.record(base, Some(idx), true, false);
-                }
-                self.walk(idx);
-                if !matches!(base.as_ref(), Expr::Ident(_)) {
-                    self.walk_pointer(base);
-                }
-            }
-            Expr::Deref(inner) => {
-                if !self.is_private_array(inner) {
-                    self.record(inner, None, true, false);
-                }
-                self.walk_pointer(inner);
-            }
-            _ => {} // scalar/pointer assignment: provenance handles it
-        }
-    }
-
-    /// Walks a pointer-typed expression without letting bare array names
-    /// count as escapes (the provenance map owns them); nested index
-    /// expressions are still walked for accesses like `p[a[i]]`.
-    fn walk_pointer(&mut self, e: &Expr) {
-        match e {
-            Expr::Ident(_) => {}
-            Expr::Cast(_, inner) => self.walk_pointer(inner),
-            Expr::AddrOf(inner) => match inner.as_ref() {
-                Expr::Index(_, idx) => self.walk(idx),
-                Expr::Deref(p) => self.walk_pointer(p),
-                _ => {}
-            },
-            Expr::Binary(BinOp::Add | BinOp::Sub, a, b) => {
-                self.walk_pointer(a);
-                // The non-pointer side is an ordinary scalar expression.
-                if self.prov.of_expr(b) == Prov::Wild {
-                    self.walk(b);
-                } else {
-                    self.walk_pointer(b);
-                }
-            }
-            other => self.walk(other),
-        }
-    }
-}
-
-fn collect_accesses(cfg: &Cfg, f: &Function, ra: &RangeAnalysis, ev: &Ev) -> Vec<AccessFact> {
-    let prov = build_provenance(f);
-    let mut accesses = Vec::new();
-    for (b, bb) in cfg.blocks.iter().enumerate() {
-        let Some(in_state) = ra.ins[b].as_ref() else {
-            continue;
-        };
-        let mut state = in_state.clone();
-        for s in &bb.stmts {
-            {
-                let mut c = AccessCollector {
-                    prov: &prov,
-                    ev,
-                    block: b,
-                    span_idx: s.span_idx,
-                    state: &state,
-                    accesses: std::mem::take(&mut accesses),
-                };
-                match &s.kind {
-                    CStmtKind::Decl(d) => {
-                        if let Some(init) = &d.init {
-                            if matches!(d.ty, Ty::Ptr(_)) {
-                                c.walk_pointer(init);
-                            } else {
-                                c.walk(init);
-                            }
-                        }
-                    }
-                    CStmtKind::Expr(e) => {
-                        // A whole-statement pointer assignment is provenance.
-                        if let Expr::Assign(AssignOp::Assign, lhs, rhs) = e {
-                            if let Expr::Ident(n) = lhs.as_ref() {
-                                if prov.ptr_locals.contains_key(n) {
-                                    c.walk_pointer(rhs);
-                                } else {
-                                    c.walk(e);
-                                }
-                            } else {
-                                c.walk(e);
-                            }
-                        } else {
-                            c.walk(e);
-                        }
-                    }
-                    CStmtKind::Sync | CStmtKind::BarSync { .. } => {}
-                }
-                accesses = c.accesses;
-            }
-            // Advance the range state past this statement.
-            let bb_one = BasicBlock {
-                stmts: vec![s.clone()],
-                term: Term::Exit,
-            };
-            state = transfer_block(&bb_one, state, ev);
-        }
-        if let Term::Branch { cond, span_idx, .. } = &bb.term {
-            let mut c = AccessCollector {
-                prov: &prov,
-                ev,
-                block: b,
-                span_idx: *span_idx,
-                state: &state,
-                accesses: std::mem::take(&mut accesses),
-            };
-            c.walk(cond);
-            accesses = c.accesses;
-        }
-    }
-    accesses
-}
-
-// ---------------------------------------------------------------------------
-// Definite arrival sets (under-approximation)
-// ---------------------------------------------------------------------------
-
-/// The set of τ that *definitely* execute `block`, or `None` when any
-/// controlling condition is uniform (reachability, not divergence) or not
-/// exactly parsable. Dual of [`arrival_set`]: that one over-approximates.
-fn definite_arrival(
-    cfg: &Cfg,
-    ua: &UniformityAnalysis,
-    block: BlockId,
-    ctx: &LintCtx,
-) -> Option<IntervalSet> {
-    ua.ins[block].as_ref()?;
-    let universe = ctx.universe();
-    let mut set = IntervalSet::full(universe);
-    for cd in &ua.cds[block] {
-        let Term::Branch { cond, .. } = &cfg.blocks[cd.branch].term else {
-            continue;
-        };
-        let st = ua.outs[cd.branch].as_ref()?;
-        if eval(cond, st, ctx.block_threads).u == Uniformity::BlockUniform {
-            // A uniform guard decides whether the block runs at all; we
-            // cannot claim any thread definitely reaches it.
-            return None;
-        }
-        let p = eval_pred(cond, st, universe, ctx.block_threads)?;
-        let p = if cd.polarity {
-            p
-        } else {
-            p.complement(universe)
-        };
-        set = set.intersect(&p);
-    }
-    Some(set)
-}
-
-// ---------------------------------------------------------------------------
-// Consumer 1: static out-of-bounds lints
-// ---------------------------------------------------------------------------
-
-fn shared_extents(f: &Function, ev: &Ev) -> HashMap<String, i64> {
-    let mut out = HashMap::new();
-    cuda_frontend::diag::preorder_stmts(f, &mut |s| {
-        if let Stmt::Decl(d) = s {
-            if d.quals.shared {
-                if let Some(ArrayLen::Fixed(len)) = &d.array_len {
-                    let v = ieval(len, &RState::new(), ev);
-                    if let Some(a) = v.aff.filter(AffineTB::is_const) {
-                        if a.c > 0 {
-                            out.insert(d.name.clone(), a.c);
-                        }
-                    }
-                }
-            }
-        }
-    });
-    out
-}
-
-/// Claims built on arithmetic that left the 32-bit range could have wrapped
-/// at runtime (the dialect's `int` is 32-bit); keep only claims whose
-/// violating endpoint is itself representable.
-fn sane32(v: i64) -> bool {
-    i32::try_from(v).is_ok()
-}
-
-/// Runs the must-only out-of-bounds lint for shared and global accesses.
-///
-/// `global_extents` maps pointer-parameter names to their length *in
-/// elements*; absent entries make global accesses unchecked.
-pub fn oob_lints(
-    cfg: &Cfg,
-    ua: &UniformityAnalysis,
-    f: &Function,
-    spans: Option<&SpanTable>,
-    ctx: &LintCtx,
-    global_extents: Option<&BTreeMap<String, i64>>,
-) -> Vec<Diagnostic> {
-    // τ-based definite-arrival claims need 1-D indexing and a known width.
-    if ctx.block_threads.is_none() || uses_multidim_threads(f) {
-        return Vec::new();
-    }
-    let taken = address_taken(f);
-    let ev = Ev {
-        bt: ctx.block_threads,
-        taken: &taken,
-    };
-    let ra = RangeAnalysis::run(cfg, f, ctx.block_threads);
-    let accesses = collect_accesses(cfg, f, &ra, &ev);
-    let s_ext = shared_extents(f, &ev);
-
-    let mut definite: Vec<Option<Option<IntervalSet>>> = vec![None; cfg.blocks.len()];
-    let mut out = Vec::new();
-    let mut reported: HashSet<(&'static str, Option<usize>, String)> = HashSet::new();
-    for a in &accesses {
-        let (code, name, extent) = match &a.place {
-            Place::Shared(n) => match s_ext.get(n) {
-                Some(e) => (CODE_SHARED_OOB, n, *e),
-                None => continue,
-            },
-            Place::Global(n) => match global_extents.and_then(|m| m.get(n)) {
-                Some(e) => (CODE_GLOBAL_OOB, n, *e),
-                None => continue,
-            },
-            Place::Wild => continue,
-        };
-        let def = definite[a.block]
-            .get_or_insert_with(|| definite_arrival(cfg, ua, a.block, ctx))
-            .clone();
-        let Some(def) = def else { continue };
-        if def.is_empty() {
-            continue;
-        }
-        // Realized index extremes over the definitely-executing threads.
-        let (lo, hi) = match a.idx.aff {
-            Some(aff) if aff.b == 0 => {
-                let at = |t: i64| aff.t.checked_mul(t).and_then(|v| v.checked_add(aff.c));
-                match (def.min().and_then(at), def.max().and_then(at)) {
-                    (Some(x), Some(y)) => (x.min(y), x.max(y)),
-                    _ => continue,
-                }
-            }
-            _ => {
-                // Interval fallback: every possible value must be outside.
-                (a.idx.iv.lo, a.idx.iv.hi)
-            }
-        };
-        let exact = matches!(a.idx.aff, Some(aff) if aff.b == 0);
-        let violation = if exact {
-            // Affine: the extreme indices are actually realized.
-            if hi >= extent && sane32(hi) {
-                Some(format!("index {hi} (length {extent})"))
-            } else if lo < 0 && sane32(lo) {
-                Some(format!("index {lo}"))
-            } else {
-                None
-            }
-        } else if lo >= extent && sane32(lo) {
-            // Range: out of bounds only if *all* values are.
-            Some(format!("indices {lo}.. (length {extent})"))
-        } else if hi < 0 && sane32(hi) {
-            Some(format!("indices ..{hi}"))
-        } else {
-            None
-        };
-        let Some(what) = violation else { continue };
-        if !reported.insert((code, a.span_idx, name.clone())) {
-            continue;
-        }
-        let span = a.span_idx.and_then(|i| spans.and_then(|t| t.get(i)));
-        let kind = if a.write { "write" } else { "read" };
-        let space = if code == CODE_SHARED_OOB {
-            "shared array"
-        } else {
-            "global buffer"
-        };
-        out.push(Diagnostic::new(
-            cuda_frontend::diag::Severity::Error,
-            code,
-            span,
-            format!(
-                "out-of-bounds {kind} of {space} `{name}`: a thread that \
-                 definitely executes this access uses {what}"
-            ),
-        ));
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Consumer 2: redundant-barrier elimination
-// ---------------------------------------------------------------------------
+use crate::cfg::{BlockId, CStmtKind, Cfg};
+use crate::interp::{AccessFact, Analysis, Form, Place};
+use crate::lints::oob_lints;
+use crate::threads::{racing_pair_exists, IntervalSet};
 
 fn contains_goto(f: &Function) -> bool {
     let mut found = false;
@@ -1463,44 +28,6 @@ fn contains_goto(f: &Function) -> bool {
         found |= matches!(s, Stmt::Goto(_) | Stmt::Label(_));
     });
     found
-}
-
-/// Block-pair phase concurrency, with `ignore` treated as not-a-barrier.
-fn concurrency(cfg: &Cfg, ignore: Option<BlockId>) -> Vec<Vec<bool>> {
-    let n = cfg.blocks.len();
-    let is_bar = |b: BlockId| cfg.blocks[b].is_barrier() && Some(b) != ignore;
-    let mut starts: Vec<BlockId> = vec![0];
-    for b in 0..n {
-        if is_bar(b) {
-            starts.extend(cfg.blocks[b].term.succs());
-        }
-    }
-    starts.sort_unstable();
-    starts.dedup();
-    let mut conc = vec![vec![false; n]; n];
-    for &p in &starts {
-        let mut seen = vec![false; n];
-        let mut stack = vec![p];
-        seen[p] = true;
-        while let Some(b) = stack.pop() {
-            if is_bar(b) && b != p {
-                continue; // the phase ends at the next barrier
-            }
-            for s in cfg.blocks[b].term.succs() {
-                if !seen[s] {
-                    seen[s] = true;
-                    stack.push(s);
-                }
-            }
-        }
-        let phase: Vec<BlockId> = (0..n).filter(|&b| seen[b]).collect();
-        for &x in &phase {
-            for &y in &phase {
-                conc[x][y] = true;
-            }
-        }
-    }
-    conc
 }
 
 fn reaches_self(cfg: &Cfg, b: BlockId) -> bool {
@@ -1526,7 +53,7 @@ fn reaches_self(cfg: &Cfg, b: BlockId) -> bool {
 /// simulator's distinct-buffer launches), different spaces, provably
 /// disjoint index ranges, or no cross-warp thread pair hitting the same
 /// element (within one warp the min-PC scheduler preserves program order).
-fn pair_safe(x: &AccessFact, y: &AccessFact, tsets: &[Option<IntervalSet>]) -> bool {
+fn pair_safe(x: &AccessFact, y: &AccessFact, tsets: &[Option<&IntervalSet>]) -> bool {
     if !x.write && !y.write {
         return true;
     }
@@ -1550,10 +77,22 @@ fn pair_safe(x: &AccessFact, y: &AccessFact, tsets: &[Option<IntervalSet>]) -> b
     // cross-warp thread pair on the same element (same-warp pairs execute in
     // program order under min-PC SIMT scheduling, so the barrier was not
     // ordering them anyway).
-    if let (Some(a1), Some(a2)) = (x.idx.aff, y.idx.aff) {
-        if a1.b == a2.b {
-            if let (Some(s1), Some(s2)) = (&tsets[x.block], &tsets[y.block]) {
-                if !racing_pair_exists((a1.t, a1.c), s1, (a2.t, a2.c), s2) {
+    if let (
+        Some(Form::Affine {
+            t: t1,
+            b: b1,
+            c: c1,
+        }),
+        Some(Form::Affine {
+            t: t2,
+            b: b2,
+            c: c2,
+        }),
+    ) = (x.idx.form, y.idx.form)
+    {
+        if b1 == b2 {
+            if let (Some(s1), Some(s2)) = (tsets[x.block], tsets[y.block]) {
+                if !racing_pair_exists((t1, c1), s1, (t2, c2), s2) {
                     return true;
                 }
             }
@@ -1659,33 +198,19 @@ pub fn eliminate_redundant_barriers(f: &mut Function, block_threads: Option<u32>
     // Re-derive everything after each removal: merging two phases changes
     // every downstream concurrency fact.
     'outer: loop {
-        let cfg = Cfg::build(f);
-        let multidim = uses_multidim_threads(f);
-        let taken = address_taken(f);
-        let ev = Ev {
-            bt: if multidim { None } else { block_threads },
-            taken: &taken,
-        };
-        let ctx = LintCtx { block_threads };
-        let ua = UniformityAnalysis::run(&cfg, f, ctx.block_threads);
-        let ra = RangeAnalysis::run(&cfg, f, ev.bt);
-        let accesses = collect_accesses(&cfg, f, &ra, &ev);
+        let a = Analysis::run(f, block_threads);
+        let cfg = &a.cfg;
         // Over-approximate arrival sets feed the cross-warp refutation; with
         // multi-dimensional indexing τ identifies neither thread nor warp,
         // so the affine refutation is disabled (place/range facts remain).
-        let tsets: Vec<Option<IntervalSet>> = (0..cfg.blocks.len())
-            .map(|b| {
-                if multidim {
-                    return None;
-                }
-                match arrival_set(&cfg, &ua, b, &ctx) {
-                    Arrival::Exact(s) => Some(s),
-                    Arrival::Unknown => None,
-                }
-            })
+        let tsets: Vec<Option<&IntervalSet>> = a
+            .arrivals
+            .iter()
+            .map(|arr| arr.threads.as_ref().filter(|_| !a.multidim))
             .collect();
+        let accesses = &a.accesses;
         let pdom = cfg.postdominators();
-        let conc_all = concurrency(&cfg, None);
+        let conc_all = cfg.phase_concurrency(None);
         // `b` indexes `cfg.blocks`, `pdom`, and the concurrency tables alike.
         #[allow(clippy::needless_range_loop)]
         for b in 0..cfg.blocks.len() {
@@ -1695,10 +220,10 @@ pub fn eliminate_redundant_barriers(f: &mut Function, block_threads: Option<u32>
             );
             // Only full-block barriers every thread crosses exactly once per
             // kernel run are candidates (no loops, no conditional arrival).
-            if !first_is_sync || !pdom[0][b] || reaches_self(&cfg, b) {
+            if !first_is_sync || !pdom[0][b] || reaches_self(cfg, b) {
                 continue;
             }
-            let conc_without = concurrency(&cfg, Some(b));
+            let conc_without = cfg.phase_concurrency(Some(b));
             let mut safe = true;
             'pairs: for (i, x) in accesses.iter().enumerate() {
                 for y in &accesses[i..] {
@@ -1713,7 +238,7 @@ pub fn eliminate_redundant_barriers(f: &mut Function, block_threads: Option<u32>
             if !safe {
                 continue;
             }
-            let Some(rank) = sync_rank_of_block(&cfg, b) else {
+            let Some(rank) = sync_rank_of_block(cfg, b) else {
                 continue;
             };
             let mut k = 0;
@@ -1728,7 +253,7 @@ pub fn eliminate_redundant_barriers(f: &mut Function, block_threads: Option<u32>
 }
 
 // ---------------------------------------------------------------------------
-// Consumer 3: per-kernel summaries for the fuse gate
+// Per-kernel summaries for the fuse gate
 // ---------------------------------------------------------------------------
 
 /// Cheap per-kernel facts derived from the range analysis, memoized by the
@@ -1770,82 +295,53 @@ impl KernelRangeSummary {
 
 /// Computes the [`KernelRangeSummary`] for one kernel at one block width.
 pub fn summarize_ranges(f: &Function, block_threads: Option<u32>) -> KernelRangeSummary {
-    let cfg = Cfg::build(f);
-    let multidim = uses_multidim_threads(f);
+    let a = Analysis::run(f, block_threads);
     let has_goto = contains_goto(f);
-    let taken = address_taken(f);
-    let ev = Ev {
-        bt: if multidim { None } else { block_threads },
-        taken: &taken,
+    let barriers = a
+        .cfg
+        .blocks
+        .iter()
+        .flat_map(|bb| &bb.stmts)
+        .filter(|s| matches!(s.kind, CStmtKind::Sync | CStmtKind::BarSync { .. }))
+        .count() as u32;
+    let affine = |x: &AccessFact| match x.idx.form {
+        Some(Form::Affine { t, .. }) => Some((t, x.idx.form)),
+        _ => None,
     };
-    let ra = RangeAnalysis::run(&cfg, f, ev.bt);
-    let accesses = collect_accesses(&cfg, f, &ra, &ev);
-
-    let mut barriers = 0u32;
-    for bb in &cfg.blocks {
-        for s in &bb.stmts {
-            if matches!(s.kind, CStmtKind::Sync | CStmtKind::BarSync { .. }) {
-                barriers += 1;
-            }
-        }
-    }
-    let mut shared: HashSet<String> = HashSet::new();
-    cuda_frontend::diag::preorder_stmts(f, &mut |s| {
-        if let Stmt::Decl(d) = s {
-            if d.quals.shared || d.quals.extern_shared {
-                shared.insert(d.name.clone());
-            }
-        }
-    });
-
-    let unresolved = accesses.iter().filter(|a| a.idx.aff.is_none()).count() as u32;
-    let any_wild = accesses.iter().any(|a| a.place == Place::Wild);
-    let race_free_certain = if multidim || has_goto {
+    let unresolved = a.accesses.iter().filter(|x| affine(x).is_none()).count() as u32;
+    let race_free_certain = if a.multidim || has_goto {
         false
-    } else if shared.is_empty() {
+    } else if a.prov.shared.is_empty() {
         // The race lint only looks at shared arrays.
         true
-    } else if any_wild {
+    } else if a.accesses.iter().any(|x| x.place == Place::Wild) {
         false
     } else {
-        shared.iter().all(|name| {
-            let on_it: Vec<&AccessFact> = accesses
+        a.prov.shared.iter().all(|name| {
+            let on_it: Vec<&AccessFact> = a
+                .accesses
                 .iter()
-                .filter(|a| a.place == Place::Shared(name.clone()))
+                .filter(|x| matches!(&x.place, Place::Shared(n) if n == name))
                 .collect();
-            let all_reads = on_it.iter().all(|a| !a.write);
-            let all_atomic = !on_it.is_empty() && on_it.iter().all(|a| a.atomic);
-            let identical_injective = match on_it.first().and_then(|a| a.idx.aff) {
-                Some(first) if first.t != 0 => on_it.iter().all(|a| a.idx.aff == Some(first)),
+            let all_reads = on_it.iter().all(|x| !x.write);
+            let all_atomic = !on_it.is_empty() && on_it.iter().all(|x| x.atomic);
+            let identical_injective = match on_it.first().and_then(|x| affine(x)) {
+                Some((t, first)) if t != 0 => on_it.iter().all(|x| x.idx.form == first),
                 _ => false,
             };
             all_reads || all_atomic || identical_injective
         })
     };
-
-    let oob_clean = if multidim || block_threads.is_none() {
-        true
-    } else {
-        let ua = UniformityAnalysis::run(&cfg, f, block_threads);
-        let ctx = LintCtx { block_threads };
-        oob_lints(&cfg, &ua, f, None, &ctx, None).is_empty()
-    };
-
     KernelRangeSummary {
         barriers,
-        multidim,
+        multidim: a.multidim,
         has_goto,
-        shared_arrays: shared.len() as u32,
-        accesses: accesses.len() as u32,
+        shared_arrays: a.prov.shared.len() as u32,
+        accesses: a.accesses.len() as u32,
         unresolved,
         race_free_certain,
-        oob_clean,
+        oob_clean: oob_lints(&a, None, None).is_empty(),
     }
-}
-
-/// Arc-wrapped [`summarize_ranges`] for the memoization layer.
-pub fn summarize_ranges_arc(f: &Function, block_threads: Option<u32>) -> Arc<KernelRangeSummary> {
-    Arc::new(summarize_ranges(f, block_threads))
 }
 
 /// Extents hash for cache keys: order-independent over `name=len` pairs.
@@ -1868,167 +364,8 @@ mod tests {
     use super::*;
     use cuda_frontend::parse_kernel_with_spans;
 
-    fn parsed(src: &str) -> (Function, SpanTable) {
-        parse_kernel_with_spans(src).expect("test kernel parses")
-    }
-
-    fn lint(src: &str, threads: u32) -> Vec<Diagnostic> {
-        let (f, spans) = parsed(src);
-        let cfg = Cfg::build(&f);
-        let ua = UniformityAnalysis::run(&cfg, &f, Some(threads));
-        let ctx = LintCtx {
-            block_threads: Some(threads),
-        };
-        oob_lints(&cfg, &ua, &f, Some(&spans), &ctx, None)
-    }
-
-    fn lint_with_extents(
-        src: &str,
-        threads: u32,
-        extents: &BTreeMap<String, i64>,
-    ) -> Vec<Diagnostic> {
-        let (f, spans) = parsed(src);
-        let cfg = Cfg::build(&f);
-        let ua = UniformityAnalysis::run(&cfg, &f, Some(threads));
-        let ctx = LintCtx {
-            block_threads: Some(threads),
-        };
-        oob_lints(&cfg, &ua, &f, Some(&spans), &ctx, Some(extents))
-    }
-
-    #[test]
-    fn interval_arithmetic_saturates() {
-        let a = Interval::new(0, i64::MAX);
-        let b = Interval::point(2);
-        assert_eq!(a.mul(&b), Interval::new(0, i64::MAX));
-        assert_eq!(
-            Interval::new(-3, 5).mul(&Interval::point(-2)),
-            Interval::new(-10, 6)
-        );
-        assert_eq!(
-            Interval::new(0, 100).rem(&Interval::point(8)),
-            Interval::new(0, 7)
-        );
-        assert_eq!(
-            Interval::new(10, 100).div(&Interval::point(4)),
-            Interval::new(2, 25)
-        );
-    }
-
-    #[test]
-    fn affine_tid_write_in_bounds_is_silent() {
-        let src = "__global__ void k(int* out) {\n\
-                   __shared__ int s[64];\n\
-                   int t = threadIdx.x;\n\
-                   s[t] = t;\n\
-                   out[t] = s[t];\n\
-                   }";
-        assert!(lint(src, 64).is_empty());
-    }
-
-    #[test]
-    fn off_by_one_shared_write_is_caught() {
-        let src = "__global__ void k(int* out) {\n\
-                   __shared__ int s[64];\n\
-                   int t = threadIdx.x;\n\
-                   s[t + 1] = t;\n\
-                   out[t] = s[t];\n\
-                   }";
-        let diags = lint(src, 64);
-        assert_eq!(diags.len(), 1, "{diags:?}");
-        assert_eq!(diags[0].code, CODE_SHARED_OOB);
-        assert!(diags[0].span.is_some());
-    }
-
-    #[test]
-    fn negative_index_is_caught() {
-        let src = "__global__ void k(int* out) {\n\
-                   __shared__ int s[64];\n\
-                   int t = threadIdx.x;\n\
-                   s[t - 1] = t;\n\
-                   out[t] = 0;\n\
-                   }";
-        let diags = lint(src, 64);
-        assert_eq!(diags.len(), 1, "{diags:?}");
-        assert_eq!(diags[0].code, CODE_SHARED_OOB);
-    }
-
-    #[test]
-    fn guarded_access_is_silent() {
-        let src = "__global__ void k(int* out) {\n\
-                   __shared__ int s[32];\n\
-                   int t = threadIdx.x;\n\
-                   if (t < 31) { s[t + 1] = t; }\n\
-                   out[t] = 0;\n\
-                   }";
-        assert!(lint(src, 64).is_empty());
-    }
-
-    #[test]
-    fn clamped_index_stays_silent() {
-        let src = "__global__ void k(int* out) {\n\
-                   __shared__ int s[64];\n\
-                   int t = threadIdx.x;\n\
-                   int j = t + 9;\n\
-                   if (j > 63) { j = 63; }\n\
-                   if (j < 0) { j = 0; }\n\
-                   s[j] = t;\n\
-                   out[t] = 0;\n\
-                   }";
-        assert!(lint(src, 64).is_empty());
-    }
-
-    #[test]
-    fn uniform_guard_suppresses_the_claim() {
-        // The access is OOB, but it only runs when a uniform (unknown-value)
-        // condition holds — a must lint cannot claim it executes.
-        let src = "__global__ void k(int* out, int n) {\n\
-                   __shared__ int s[64];\n\
-                   int t = threadIdx.x;\n\
-                   if (n > 0) { s[t + 64] = t; }\n\
-                   out[t] = 0;\n\
-                   }";
-        assert!(lint(src, 64).is_empty());
-    }
-
-    #[test]
-    fn global_extent_map_enables_global_oob() {
-        let src = "__global__ void k(int* out) {\n\
-                   int t = threadIdx.x;\n\
-                   out[t + 64] = t;\n\
-                   }";
-        assert!(lint(src, 64).is_empty(), "no extents, no claim");
-        let mut ext = BTreeMap::new();
-        ext.insert("out".to_owned(), 64i64);
-        let diags = lint_with_extents(src, 64, &ext);
-        assert_eq!(diags.len(), 1, "{diags:?}");
-        assert_eq!(diags[0].code, CODE_GLOBAL_OOB);
-    }
-
-    #[test]
-    fn loop_widening_with_guard_narrowing_is_silent() {
-        let src = "__global__ void k(int* out) {\n\
-                   __shared__ int s[64];\n\
-                   int t = threadIdx.x;\n\
-                   int acc = 0;\n\
-                   for (int i = 0; i < 64; i = i + 1) { acc = acc + s[i]; }\n\
-                   out[t] = acc;\n\
-                   }";
-        assert!(lint(src, 64).is_empty());
-    }
-
-    #[test]
-    fn loop_overrun_is_caught() {
-        let src = "__global__ void k(int* out) {\n\
-                   __shared__ int s[64];\n\
-                   int t = threadIdx.x;\n\
-                   s[t * 2] = t;\n\
-                   out[t] = 0;\n\
-                   }";
-        // t*2 realizes 126 at t=63 >= 64.
-        let diags = lint(src, 64);
-        assert_eq!(diags.len(), 1, "{diags:?}");
-        assert_eq!(diags[0].code, CODE_SHARED_OOB);
+    fn parsed(src: &str) -> Function {
+        parse_kernel_with_spans(src).expect("test kernel parses").0
     }
 
     #[test]
@@ -2042,7 +379,7 @@ mod tests {
                    __syncthreads();\n\
                    out[t] = v;\n\
                    }";
-        let (mut f, _) = parsed(src);
+        let mut f = parsed(src);
         let removed = eliminate_redundant_barriers(&mut f, Some(64));
         assert_eq!(removed, 1, "only the trailing barrier is redundant");
         let mut syncs = 0;
@@ -2061,7 +398,7 @@ mod tests {
                    __syncthreads();\n\
                    out[t] = s[63 - t];\n\
                    }";
-        let (mut f, _) = parsed(src);
+        let mut f = parsed(src);
         assert_eq!(eliminate_redundant_barriers(&mut f, Some(64)), 0);
     }
 
@@ -2076,7 +413,7 @@ mod tests {
                    __syncthreads();\n\
                    if (t < 32) { out[t] = s[31 - t]; }\n\
                    }";
-        let (mut f, _) = parsed(src);
+        let mut f = parsed(src);
         assert_eq!(eliminate_redundant_barriers(&mut f, Some(64)), 1);
     }
 
@@ -2091,7 +428,7 @@ mod tests {
                    }\n\
                    out[t] = s[t];\n\
                    }";
-        let (mut f, _) = parsed(src);
+        let mut f = parsed(src);
         assert_eq!(eliminate_redundant_barriers(&mut f, Some(64)), 0);
     }
 
@@ -2116,7 +453,7 @@ mod tests {
                    int g = blockIdx.x * blockDim.x + t;\n\
                    if (g < n) { out[g] = in[g] * 2.0f; }\n\
                    }";
-        let (f, _) = parsed(src);
+        let f = parsed(src);
         let s = summarize_ranges(&f, Some(128));
         assert!(s.fast_gate_clean(), "{s:?}");
         assert_eq!(s.barriers, 0);
@@ -2132,7 +469,7 @@ mod tests {
                    __syncthreads();\n\
                    out[t] = s[63 - t];\n\
                    }";
-        let (f, _) = parsed(src);
+        let f = parsed(src);
         let s = summarize_ranges(&f, Some(64));
         assert!(!s.fast_gate_clean());
         assert_eq!(s.barriers, 1);
@@ -2147,7 +484,7 @@ mod tests {
                    s[t] = in[t];\n\
                    out[t] = s[t] + 1;\n\
                    }";
-        let (f, _) = parsed(src);
+        let f = parsed(src);
         let s = summarize_ranges(&f, Some(64));
         assert!(s.race_free_certain, "{s:?}");
         assert!(s.fast_gate_clean());

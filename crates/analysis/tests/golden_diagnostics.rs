@@ -407,3 +407,33 @@ __global__ void k(float* out) {
     let l1 = diags[1].span.unwrap().line;
     assert!(l0 < l1);
 }
+
+#[test]
+fn ternary_arms_assigning_one_index_are_joined() {
+    // Every thread takes the first arm, so `j` is 5, never 100. The arms
+    // must run on separate states and be joined: evaluating them in
+    // sequence would leave `j == 100` and report a definite out-of-bounds
+    // write that no thread performs.
+    let src = "\
+__global__ void k(float* out) {
+    __shared__ float s[64];
+    int j = 0;
+    int c = (threadIdx.x < 1024) ? (j = 5) : (j = 100);
+    s[j] = threadIdx.x;
+    __syncthreads();
+    out[blockIdx.x * 64 + threadIdx.x] = s[threadIdx.x] + c;
+}
+";
+    let diags = diags_of(src, Some(64));
+    assert!(diags.is_empty(), "{diags:?}");
+
+    let one_store = "\
+__global__ void one_store(float* o) {
+    o[blockIdx.x * 64 + threadIdx.x] = 7.0f;
+}
+";
+    let k1 = cuda_frontend::parse_kernel(src).unwrap();
+    let k2 = cuda_frontend::parse_kernel(one_store).unwrap();
+    let fused = hfuse_core::fuse::horizontal_fuse(&k1, (64, 1, 1), &k2, (64, 1, 1));
+    assert!(fused.is_ok(), "{:?}", fused.err());
+}

@@ -195,7 +195,8 @@ pub struct SearchReport {
     pub best_function: Function,
     /// The compiled best kernel (with the winning register bound applied).
     pub best_kernel: KernelIr,
-    /// Fused block dimension.
+    /// Fused block dimension of the winner: the sum of its partition
+    /// (`SearchOptions::d0` unless the pair is not tunable).
     pub d0: u32,
     /// Wall-clock milliseconds spent compiling candidates.
     pub compile_ms: f64,
@@ -862,6 +863,8 @@ pub(crate) fn search_fusion_config_impl(
     opts: SearchOptions,
 ) -> Result<SearchReport, HfuseError> {
     let s = search_members(base, &[in1, in2], opts, sweep_partitions)?;
+    // The winner's block size: `opts.d0` only when the pair is tunable.
+    let d0 = s.candidates[s.best_idx].0.iter().sum();
     Ok(SearchReport {
         candidates: s
             .candidates
@@ -875,7 +878,7 @@ pub(crate) fn search_fusion_config_impl(
         best_idx: s.best_idx,
         best_function: s.best_function,
         best_kernel: s.best_kernel,
-        d0: opts.d0,
+        d0,
         compile_ms: s.compile_ms,
         profile_ms: s.profile_ms,
     })
@@ -1259,6 +1262,7 @@ mod tests {
         assert_eq!(report.candidates.len(), 2); // one partition, two variants
         assert_eq!(report.best().d1, 128);
         assert_eq!(report.best().d2, 128);
+        assert_eq!(report.d0, 256);
     }
 
     #[test]

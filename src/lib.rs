@@ -13,8 +13,9 @@
 //! * [`sim`] (`gpu-sim`) — the cycle-level SIMT GPU simulator used in place
 //!   of the paper's 1080Ti/V100 hardware.
 //! * [`analysis`] (`hfuse-analysis`) — static fusion-safety analysis: CFG
-//!   construction, uniformity dataflow, and the barrier-divergence /
-//!   shared-memory race / partial-barrier lints behind `hfuse lint`.
+//!   construction, one abstract interpreter, and the barrier-divergence /
+//!   partial-barrier / shared-memory race / out-of-bounds lints behind
+//!   `hfuse lint`.
 //! * [`fusion`] (`hfuse-core`) — the paper's contribution: horizontal fusion,
 //!   the vertical-fusion baseline, and the profiling-driven search, behind
 //!   both the one-shot free functions and the incremental

@@ -259,7 +259,7 @@ best=2 d0=1024
 ";
 
 const BLAKE256_BLAKE2B: &str = "
-best=0 d0=1024
+best=0 d0=512
 256+256 reg=None cycles=443396 pruned_at=None model=128072 util=0x4058fe183e9d1ef9 stall=0x0 occ=0x4047ba4d13551774 class=[1767936, 1024, 0, 0, 0, 0, 512, 0, 0, 3584, 0]
 256+256 reg=Some(32) cycles=459732 pruned_at=None model=103109 util=0x40581abf165b33d7 stall=0x4058f4f794065356 occ=0x405704c7b75a03ea class=[1767936, 1024, 0, 0, 0, 0, 512, 0, 0, 3584, 0]
 ";
