@@ -7,6 +7,14 @@
 //! simulate in milliseconds — this uniformly scales both the native and the
 //! fused executions, preserving the comparisons the paper makes.
 
+use crate::error::SimError;
+use crate::exec::WARP_SIZE;
+use crate::timing::MAX_CYCLES;
+
+/// Most scoreboard-checked registers of one instruction (three sources and
+/// a destination), hence most spilled operands it can pay for.
+const MAX_OPERANDS: u64 = 4;
+
 /// Instruction latency classes, in cycles from issue to result-ready.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Latencies {
@@ -174,6 +182,71 @@ impl GpuConfig {
     pub fn max_warps_per_sm(&self) -> u32 {
         self.max_threads_per_sm / 32
     }
+
+    /// Checks that the configuration can be simulated: every count is
+    /// positive (a zero scheduler count or segment size would divide by
+    /// zero; zero SMs, MSHRs or DRAM bandwidth would stall until the
+    /// deadlock detector fired), and the worst-case issue latency added to
+    /// the engine's cycle ceiling stays below 2³¹, the range of the timing
+    /// engine's packed scoreboard. `shared_per_sm` may be zero: kernels
+    /// without shared memory still fit.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError`] naming the first offending field.
+    pub fn validate(&self) -> Result<(), SimError> {
+        let counts = [
+            ("num_sms", self.num_sms),
+            ("regs_per_sm", self.regs_per_sm),
+            ("max_threads_per_sm", self.max_threads_per_sm),
+            ("max_blocks_per_sm", self.max_blocks_per_sm),
+            ("schedulers_per_sm", self.schedulers_per_sm),
+            ("mshrs_per_sm", self.mshrs_per_sm),
+            (
+                "dram_transactions_per_cycle",
+                self.dram_transactions_per_cycle,
+            ),
+            ("segment_bytes", self.segment_bytes),
+        ];
+        if let Some((field, _)) = counts.iter().find(|(_, v)| *v == 0) {
+            return Err(SimError::new(format!(
+                "GPU config `{}`: {field} must be positive",
+                self.name
+            )));
+        }
+        let worst = self.max_issue_latency();
+        if MAX_CYCLES + worst >= 1 << 31 {
+            return Err(SimError::new(format!(
+                "GPU config `{}`: latencies too large (worst-case issue latency {worst} \
+                 cycles past the {MAX_CYCLES}-cycle limit reaches 2^31)",
+                self.name
+            )));
+        }
+        Ok(())
+    }
+
+    /// An upper bound on the cycles from an instruction's issue to its
+    /// result: the dearest latency class at its worst — every lane in its
+    /// own segment or colliding on one address, queueing at most one more
+    /// DRAM round trip (MSHRs full), every operand spilled.
+    fn max_issue_latency(&self) -> u64 {
+        let l = &self.latencies;
+        let lanes = WARP_SIZE as u64 - 1;
+        let base = [
+            u64::from(l.alu),
+            u64::from(l.div),
+            u64::from(l.special),
+            u64::from(l.shuffle),
+            u64::from(l.shared_mem),
+            u64::from(l.local_mem),
+            u64::from(l.shared_atomic) + lanes * u64::from(l.shared_atomic_retry),
+            2 * u64::from(l.global_mem) + lanes * u64::from(l.uncoalesced_extra),
+            u64::from(l.global_atomic)
+                + u64::from(l.global_mem)
+                + 2 * lanes * u64::from(l.uncoalesced_extra),
+        ];
+        base.into_iter().max().unwrap_or(0) + MAX_OPERANDS * u64::from(l.spill_access)
+    }
 }
 
 #[cfg(test)]
@@ -209,6 +282,108 @@ mod tests {
         assert!(v.num_sms > p.num_sms);
         assert!(v.dram_transactions_per_cycle > p.dram_transactions_per_cycle);
         assert!(v.latencies.alu < p.latencies.alu);
+    }
+
+    /// Asserts that `validate` rejects the config `edit` makes, naming
+    /// `field`.
+    fn assert_rejects(edit: impl FnOnce(&mut GpuConfig), field: &str) {
+        let mut cfg = GpuConfig::test_tiny();
+        edit(&mut cfg);
+        let err = cfg.validate().expect_err("invalid config accepted");
+        assert!(err.message().contains(field), "{err}");
+    }
+
+    #[test]
+    fn presets_validate() {
+        for cfg in [
+            GpuConfig::pascal_like(),
+            GpuConfig::volta_like(),
+            GpuConfig::test_tiny(),
+        ] {
+            cfg.validate().expect("preset is valid");
+        }
+    }
+
+    #[test]
+    fn zero_sms_rejected() {
+        assert_rejects(|c| c.num_sms = 0, "num_sms");
+    }
+
+    #[test]
+    fn zero_registers_rejected() {
+        assert_rejects(|c| c.regs_per_sm = 0, "regs_per_sm");
+    }
+
+    #[test]
+    fn zero_threads_rejected() {
+        assert_rejects(|c| c.max_threads_per_sm = 0, "max_threads_per_sm");
+    }
+
+    #[test]
+    fn zero_block_slots_rejected() {
+        assert_rejects(|c| c.max_blocks_per_sm = 0, "max_blocks_per_sm");
+    }
+
+    #[test]
+    fn zero_schedulers_rejected() {
+        assert_rejects(|c| c.schedulers_per_sm = 0, "schedulers_per_sm");
+    }
+
+    #[test]
+    fn zero_mshrs_rejected() {
+        assert_rejects(|c| c.mshrs_per_sm = 0, "mshrs_per_sm");
+    }
+
+    #[test]
+    fn zero_dram_bandwidth_rejected() {
+        assert_rejects(
+            |c| c.dram_transactions_per_cycle = 0,
+            "dram_transactions_per_cycle",
+        );
+    }
+
+    #[test]
+    fn zero_segment_bytes_rejected() {
+        assert_rejects(|c| c.segment_bytes = 0, "segment_bytes");
+    }
+
+    #[test]
+    fn zero_shared_memory_is_allowed() {
+        let mut cfg = GpuConfig::test_tiny();
+        cfg.shared_per_sm = 0;
+        cfg.validate().expect("kernels without shared memory fit");
+    }
+
+    #[test]
+    fn each_latency_is_bounded() {
+        // Every latency field alone can push the worst case past 2^31,
+        // and a realistic value of each is accepted.
+        type Field = fn(&mut Latencies) -> &mut u32;
+        let fields: [(&str, Field); 12] = [
+            ("alu", |l| &mut l.alu),
+            ("div", |l| &mut l.div),
+            ("special", |l| &mut l.special),
+            ("shuffle", |l| &mut l.shuffle),
+            ("shared_mem", |l| &mut l.shared_mem),
+            ("shared_atomic", |l| &mut l.shared_atomic),
+            ("shared_atomic_retry", |l| &mut l.shared_atomic_retry),
+            ("global_mem", |l| &mut l.global_mem),
+            ("global_atomic", |l| &mut l.global_atomic),
+            ("local_mem", |l| &mut l.local_mem),
+            ("spill_access", |l| &mut l.spill_access),
+            ("uncoalesced_extra", |l| &mut l.uncoalesced_extra),
+        ];
+        let room = (1u64 << 31) - MAX_CYCLES;
+        for (name, field) in fields {
+            let mut cfg = GpuConfig::test_tiny();
+            *field(&mut cfg.latencies) = room as u32;
+            assert!(cfg.validate().is_err(), "{name} = {room} accepted");
+            let mut cfg = GpuConfig::test_tiny();
+            *field(&mut cfg.latencies) = 1000;
+            cfg.validate()
+                .unwrap_or_else(|e| panic!("{name} = 1000 rejected: {e}"));
+        }
+        assert_rejects(|c| c.latencies.global_mem = u32::MAX, "latencies");
     }
 
     #[test]

@@ -15,6 +15,7 @@ use thread_ir::lower_kernel;
 
 use crate::config::GpuConfig;
 use crate::launch::{Launch, ParamValue};
+use crate::metrics::BudgetedRun;
 use crate::timing::Gpu;
 
 fn compile(src: &str) -> thread_ir::KernelIr {
@@ -422,6 +423,162 @@ fn fast_forward_matches_naive_divergent_branches() {
 fn fast_forward_matches_naive_partial_barrier() {
     assert_paths_identical(GpuConfig::test_tiny(), partial_barrier_launch);
     assert_paths_identical(GpuConfig::pascal_like(), partial_barrier_launch);
+}
+
+/// `base` with so few MSHRs and so little DRAM bandwidth that memory
+/// warps spend most cycles capacity-blocked: scheduler verdicts that saw
+/// such a warp get cached and must be cleared by completions and refills.
+fn starved(base: GpuConfig) -> GpuConfig {
+    GpuConfig {
+        mshrs_per_sm: 8,
+        dram_transactions_per_cycle: 1,
+        ..base
+    }
+}
+
+#[test]
+fn fast_forward_matches_naive_capacity_starved() {
+    for cfg in [
+        starved(GpuConfig::test_tiny()),
+        starved(GpuConfig::pascal_like()),
+    ] {
+        assert_paths_identical(cfg.clone(), memory_bound_launch);
+        assert_paths_identical(cfg, multi_stream_launches);
+    }
+}
+
+fn staggered_barrier_launch(gpu: &mut Gpu) -> Vec<Launch> {
+    // Four warps per block, one per scheduler, each spinning a different
+    // number of iterations before every `__syncthreads()`: the early warps
+    // park and their schedulers cache a `Sync` verdict, which only the last
+    // warp's `bar.sync`, issued by another scheduler, can release.
+    let ir = compile(
+        "__global__ void stagger(unsigned int* out, unsigned int* in) {\
+           __shared__ unsigned int s[128];\
+           unsigned int t = threadIdx.x;\
+           unsigned int x = in[blockIdx.x * 128u + t];\
+           for (int r = 0; r < 3; r++) {\
+             for (unsigned int i = 0u; i < (t / 32u) * 6u + 1u; i++) {\
+               x = x * 1664525u + 1013904223u;\
+             }\
+             s[t] = x;\
+             __syncthreads();\
+             x = x ^ s[127u - t];\
+             __syncthreads();\
+           }\
+           out[blockIdx.x * 128u + t] = x;\
+         }",
+    );
+    let data: Vec<u32> = (0..256).map(|i| i * 7 + 3).collect();
+    let i = gpu.memory_mut().alloc_from_u32(&data);
+    let o = gpu.memory_mut().alloc_u32(256);
+    vec![Launch::new(ir, 2, (128, 1, 1))
+        .arg(ParamValue::Ptr(o))
+        .arg(ParamValue::Ptr(i))]
+}
+
+#[test]
+fn fast_forward_matches_naive_cross_scheduler_barrier() {
+    assert_paths_identical(GpuConfig::test_tiny(), staggered_barrier_launch);
+    assert_paths_identical(GpuConfig::pascal_like(), staggered_barrier_launch);
+}
+
+fn spilled_shared_launch(gpu: &mut Gpu) -> Vec<Launch> {
+    // Conflicting shared atomics hold the shared pipe for many cycles while
+    // global loads keep the global pipe and the MSHRs busy. A tight register
+    // bound spills operands of the shared accesses, so they need both
+    // pipes: a warp held by the shared pipe (`Exec`) turns `Memory` when
+    // another warp's issue takes the global pipe or the last MSHR.
+    let mut ir = compile(
+        "__global__ void mix(unsigned int* out, unsigned int* in, int n) {\
+           __shared__ unsigned int s[128];\
+           unsigned int t = threadIdx.x;\
+           unsigned int a = t;\
+           unsigned int b = t * 3u;\
+           unsigned int c = t ^ 5u;\
+           for (int i = 0; i < 8; i++) {\
+             atomicAdd(&s[i % 2], a);\
+             s[t] = a + b;\
+             a = a + in[(t * 33u + (unsigned int)i * 7u) % (unsigned int)n];\
+             b = b ^ s[t];\
+             c = c * 3u + a;\
+           }\
+           out[blockIdx.x * 128u + t] = a ^ b ^ c;\
+         }",
+    );
+    assert!(
+        thread_ir::spill::apply_register_bound(&mut ir, 4) > 0,
+        "nothing spilled"
+    );
+    let n = 1024;
+    let data: Vec<u32> = (0..n).map(|i: u32| i.wrapping_mul(2654435761)).collect();
+    let i = gpu.memory_mut().alloc_from_u32(&data);
+    let o = gpu.memory_mut().alloc_u32(512);
+    vec![Launch::new(ir, 4, (128, 1, 1))
+        .arg(ParamValue::Ptr(o))
+        .arg(ParamValue::Ptr(i))
+        .arg(ParamValue::I32(n as i32))]
+}
+
+#[test]
+fn fast_forward_matches_naive_spilled_shared_accesses() {
+    for cfg in [
+        GpuConfig::test_tiny(),
+        GpuConfig::pascal_like(),
+        starved(GpuConfig::test_tiny()),
+        starved(GpuConfig::pascal_like()),
+    ] {
+        assert_paths_identical(cfg, spilled_shared_launch);
+    }
+}
+
+#[test]
+fn budget_aborts_match_naive_bounds_when_capacity_starved() {
+    // At every budget the naive loop aborts on the first cycle past it; the
+    // fast loop may land later, but never past the true total, and its
+    // clock never falls as the budget grows. A budget at the total
+    // completes exactly as the naive run does.
+    for cfg in [
+        starved(GpuConfig::test_tiny()),
+        starved(GpuConfig::pascal_like()),
+    ] {
+        let mut base = Gpu::new(cfg);
+        let launches = memory_bound_launch(&mut base);
+        let full = base.clone().run_naive(&launches).expect("naive run");
+        let total = full.total_cycles;
+        let mut prev = 0;
+        for budget in [1, total / 8, total / 3, total / 2, total - 200, total - 2] {
+            let fast = base
+                .clone()
+                .run_impl(&launches, false, budget)
+                .expect("fast budgeted run");
+            let naive = base
+                .clone()
+                .run_impl(&launches, true, budget)
+                .expect("naive budgeted run");
+            assert_eq!(
+                naive,
+                BudgetedRun::Aborted {
+                    cycles_so_far: budget + 1
+                },
+                "naive loop at budget {budget}"
+            );
+            let BudgetedRun::Aborted { cycles_so_far } = fast else {
+                panic!("budget {budget} of {total} completed");
+            };
+            assert!(
+                budget < cycles_so_far && cycles_so_far <= total,
+                "budget {budget}: abort clock {cycles_so_far} outside ({budget}, {total}]"
+            );
+            assert!(cycles_so_far >= prev, "abort clock fell below {prev}");
+            prev = cycles_so_far;
+        }
+        let at_total = base
+            .clone()
+            .run_impl(&launches, false, total)
+            .expect("fast budgeted run");
+        assert_eq!(at_total, BudgetedRun::Completed(full));
+    }
 }
 
 #[test]

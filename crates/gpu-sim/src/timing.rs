@@ -28,8 +28,19 @@ use crate::sanitizer::{sanitize_enabled_by_env, Sanitizer, SanitizerReport};
 /// dispatch anywhere on the device (a barrier deadlock or engine bug).
 const DEADLOCK_CYCLES: u64 = 50_000;
 
-/// Hard ceiling on simulated cycles.
-const MAX_CYCLES: u64 = 2_000_000_000;
+/// Hard ceiling on simulated cycles. Below 2³¹, so every cycle the engine
+/// compares against fits the 31-bit fields of the scoreboard and the gates.
+pub(crate) const MAX_CYCLES: u64 = 2_000_000_000;
+
+/// Scoreboard entry bits 0–30: the cycle the register's value is ready.
+const READY_MASK: u32 = (1 << 31) - 1;
+/// Scoreboard entry bit 31: the register's pending writer touches memory.
+const MEM_PENDING: u32 = 1 << 31;
+
+/// Gate sentinel: every live lane of the warp is parked at a barrier.
+const GATE_BLOCKED: u32 = u32::MAX - 1;
+/// Gate sentinel: the warp slot is retired, empty or its warp has exited.
+const GATE_DONE: u32 = u32::MAX;
 
 /// The simulated GPU: a configuration plus device memory.
 #[derive(Debug, Clone)]
@@ -107,8 +118,10 @@ impl Gpu {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError`] on faults or barrier deadlock.
+    /// Returns [`SimError`] on an invalid configuration
+    /// ([`GpuConfig::validate`]), faults or barrier deadlock.
     pub fn run_functional(&mut self, launches: &[Launch]) -> Result<(), SimError> {
+        self.config.validate()?;
         let seg = self.config.segment_bytes;
         if let Some(s) = self.sanitizer.as_deref_mut() {
             s.begin_run();
@@ -186,9 +199,7 @@ impl Gpu {
         interval: u64,
         no_skip: bool,
     ) -> Result<(RunResult, Vec<crate::metrics::TraceSample>), SimError> {
-        for l in launches {
-            l.validate()?;
-        }
+        self.check_launches(launches)?;
         let mut engine = Engine::new(&self.config, launches);
         engine.no_skip = no_skip;
         engine.trace_interval = interval.max(1);
@@ -215,7 +226,8 @@ impl Gpu {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError`] on faults, deadlock, unschedulable blocks, or
+    /// Returns [`SimError`] on an invalid configuration
+    /// ([`GpuConfig::validate`]), faults, deadlock, unschedulable blocks, or
     /// cycle-limit overrun.
     pub fn run(&mut self, launches: &[Launch]) -> Result<RunResult, SimError> {
         self.run_impl(launches, skip_disabled_by_env(), u64::MAX)
@@ -257,12 +269,26 @@ impl Gpu {
         self.run_impl(launches, skip_disabled_by_env(), budget)
     }
 
-    fn run_impl(
+    pub(crate) fn run_impl(
         &mut self,
         launches: &[Launch],
         no_skip: bool,
         budget: u64,
     ) -> Result<BudgetedRun, SimError> {
+        self.check_launches(launches)?;
+        let mut engine = Engine::new(&self.config, launches);
+        engine.no_skip = no_skip;
+        engine.budget = budget;
+        if let Some(s) = self.sanitizer.as_deref_mut() {
+            s.begin_run();
+        }
+        engine.run(&mut self.memory, self.sanitizer.as_deref_mut())
+    }
+
+    /// The checks every timed run makes before simulating: a valid
+    /// configuration, valid launches, and blocks that fit on an SM.
+    fn check_launches(&self, launches: &[Launch]) -> Result<(), SimError> {
+        self.config.validate()?;
         for l in launches {
             l.validate()?;
             let blocks = crate::occupancy::blocks_per_sm(
@@ -278,13 +304,7 @@ impl Gpu {
                 )));
             }
         }
-        let mut engine = Engine::new(&self.config, launches);
-        engine.no_skip = no_skip;
-        engine.budget = budget;
-        if let Some(s) = self.sanitizer.as_deref_mut() {
-            s.begin_run();
-        }
-        engine.run(&mut self.memory, self.sanitizer.as_deref_mut())
+        Ok(())
     }
 }
 
@@ -373,18 +393,56 @@ enum StallReason {
     Other,
 }
 
+/// A resident warp. Whether it may be tried at all lives in the SM's dense
+/// [`Gate`] array, so the issue scan touches a `WarpSlot` only for a warp
+/// whose gate is open.
 struct WarpSlot {
     block_slot: usize,
     warp_idx: usize,
-    /// Scoreboard: cycle at which each register's value is ready.
-    ready: Vec<u64>,
-    /// Whether the pending writer of each register is a memory instruction.
-    mem_pending: Vec<bool>,
-    /// Cached earliest cycle at which a scoreboard-blocked warp can retry.
-    stall_until: u64,
-    stall_reason: StallReason,
+    /// Scoreboard, one word per virtual register: the cycle its value is
+    /// ready in bits 0–30 ([`READY_MASK`]), and in bit 31 ([`MEM_PENDING`])
+    /// whether its pending writer touches memory.
+    ready: Vec<u32>,
+    /// The block's cached [`BlockExec::peek_warp`] for this warp.
     peek: WarpPeek,
-    done: bool,
+}
+
+/// The issue gate of one warp slot, refreshed wherever the slot's peek is.
+/// `until` is [`GATE_DONE`] for an empty slot or an exited warp,
+/// [`GATE_BLOCKED`] while the warp is parked at a barrier, and otherwise the
+/// cycle before which the warp cannot issue (its scoreboard stall; `reason`
+/// classifies it). A gate at or below the current cycle is open.
+#[derive(Clone, Copy)]
+struct Gate {
+    until: u32,
+    reason: StallReason,
+}
+
+impl Gate {
+    const OPEN: Gate = Gate {
+        until: 0,
+        reason: StallReason::Other,
+    };
+    const DONE: Gate = Gate {
+        until: GATE_DONE,
+        reason: StallReason::Other,
+    };
+
+    /// The gate of a warp whose peek is `peek`, keeping this gate's stall
+    /// cycle while the warp stays runnable. A warp a barrier just released
+    /// issued its `bar.sync` on an earlier scan of its scheduler, so the
+    /// stall that issue left has passed and the gate opens at once.
+    fn for_peek(self, peek: WarpPeek) -> Gate {
+        match peek {
+            WarpPeek::Done => Gate::DONE,
+            WarpPeek::Blocked => Gate {
+                until: GATE_BLOCKED,
+                reason: StallReason::Sync,
+            },
+            WarpPeek::Exec { .. } if self.until >= GATE_BLOCKED => Gate::OPEN,
+            WarpPeek::Exec { .. } => self,
+        }
+    }
 }
 
 struct BlockSlot {
@@ -397,9 +455,23 @@ struct BlockSlot {
 /// Cached outcome of one scheduler's issue scan. While every warp of a
 /// scheduler is blocked, re-walking them each cycle re-derives the same
 /// stall verdict; the scan is skipped — replaying the cached verdict — until
-/// either the earliest wakeup time its warps reported arrives, or an event
-/// on the SM (an issue, a completion, a block dispatch/retirement, a DRAM
-/// token sign flip) invalidates the cache.
+/// the earliest wakeup time its warps reported arrives, or an event that can
+/// change the verdict clears it:
+///
+/// - a block dispatch or retirement, or a `Barrier` issue, on the SM clears
+///   every verdict there (warps appear, vanish, or leave a barrier);
+/// - a memory completion on the SM, or the DRAM token bucket turning from
+///   starved to available, clears only the verdicts whose scan saw a warp
+///   blocked on MSHR capacity or tokens (`cap_blocked`);
+/// - any other issue clears only the issuing scheduler's own verdict.
+///
+/// The last rule is sound because an ordinary issue changes no other warp's
+/// peek, and can only keep the SM's pipes busy for longer and make MSHRs and
+/// tokens scarcer: a blocked warp of another scheduler stays blocked, for
+/// the same reason, until at least the wakeup its cached verdict names. The
+/// one warp whose *reason* an issue can change — it needs the global pipe
+/// but was held only by the shared pipe (`Exec`), and a busier global pipe
+/// or scarcer capacity makes it `Memory` — makes its scan uncacheable.
 #[derive(Clone, Copy)]
 struct SchedCache {
     valid: bool,
@@ -426,6 +498,8 @@ impl SchedCache {
 struct SmState {
     blocks: Vec<Option<BlockSlot>>,
     warps: Vec<Option<WarpSlot>>,
+    /// Issue gate of each warp slot, parallel to `warps`.
+    gates: Vec<Gate>,
     /// Warp-slot indices assigned to each scheduler.
     sched_warps: Vec<Vec<usize>>,
     rr: Vec<usize>,
@@ -452,6 +526,7 @@ impl SmState {
         SmState {
             blocks: Vec::new(),
             warps: Vec::new(),
+            gates: Vec::new(),
             sched_warps: vec![Vec::new(); cfg.schedulers_per_sm as usize],
             rr: vec![0; cfg.schedulers_per_sm as usize],
             sched_cache: vec![SchedCache::invalid(); cfg.schedulers_per_sm as usize],
@@ -469,6 +544,13 @@ impl SmState {
     fn invalidate_sched_cache(&mut self) {
         for c in &mut self.sched_cache {
             c.valid = false;
+        }
+    }
+
+    /// Clears the verdicts a freed MSHR or a refilled token can change.
+    fn invalidate_cap_blocked(&mut self) {
+        for c in &mut self.sched_cache {
+            c.valid &= !c.cap_blocked;
         }
     }
 
@@ -506,7 +588,7 @@ struct Engine<'a> {
     /// with work outstanding (`u64::MAX` = unbudgeted).
     budget: u64,
     /// Earliest future cycle at which any warp blocked during the current
-    /// sweep can change state (scoreboard `stall_until`, memory-pipe free
+    /// sweep can change state (a stalled warp's gate cycle, memory-pipe free
     /// time). Collected *during* the issue sweep — which already visits
     /// every blocked warp — so the fast-forward needs no second scan.
     sweep_wakeup: u64,
@@ -520,6 +602,10 @@ struct Engine<'a> {
     scan_wakeup: u64,
     /// Scratch: whether the scan in flight hit an MSHR/token-blocked warp.
     scan_cap_blocked: bool,
+    /// Scratch: whether the scan in flight saw a warp that needs the global
+    /// pipe held back only by the shared pipe. Another issue can turn that
+    /// warp's `Exec` stall into a `Memory` one, so such a scan is not cached.
+    scan_reclassifiable: bool,
     /// Sampling interval for [`Gpu::run_traced`] (0 = no tracing).
     trace_interval: u64,
     trace: Vec<crate::metrics::TraceSample>,
@@ -565,6 +651,7 @@ impl<'a> Engine<'a> {
             sweep_cap_blocked: false,
             scan_wakeup: u64::MAX,
             scan_cap_blocked: false,
+            scan_reclassifiable: false,
             trace_interval: 0,
             trace: Vec::new(),
             window_issued: 0,
@@ -588,7 +675,7 @@ impl<'a> Engine<'a> {
                 .min(token_burst);
             if was_starved && self.dram_tokens > 0 {
                 for sm in &mut self.sms {
-                    sm.invalidate_sched_cache();
+                    sm.invalidate_cap_blocked();
                 }
             }
 
@@ -607,7 +694,7 @@ impl<'a> Engine<'a> {
                 }
                 if popped {
                     // Freed MSHRs can unblock capacity-gated warps here.
-                    sm.invalidate_sched_cache();
+                    sm.invalidate_cap_blocked();
                     progress = true;
                 }
             }
@@ -630,9 +717,10 @@ impl<'a> Engine<'a> {
                     sweep.slots += 1;
                     // A scheduler whose previous scan found every warp
                     // blocked replays its cached verdict until the earliest
-                    // wakeup its warps reported, or until an event on this
-                    // SM invalidates the cache. The naive loop never uses
-                    // the cache — it is the reference the cache must match.
+                    // wakeup its warps reported, or until an event that can
+                    // change it clears the cache (see `SchedCache`). The
+                    // naive loop never uses the cache — it is the reference
+                    // the cache must match.
                     let cached = self.sms[sm_idx].sched_cache[sched];
                     let reason = if !self.no_skip && cached.valid && cached.wakeup > cycle {
                         self.sweep_wakeup = self.sweep_wakeup.min(cached.wakeup);
@@ -641,20 +729,21 @@ impl<'a> Engine<'a> {
                     } else {
                         self.scan_wakeup = u64::MAX;
                         self.scan_cap_blocked = false;
+                        self.scan_reclassifiable = false;
                         match self.issue_one(memory, san.as_deref_mut(), sm_idx, sched, cycle)? {
                             IssueResult::Issued => {
                                 self.metrics.issued_slots += 1;
                                 progress = true;
-                                // The issue may have freed a barrier, moved
-                                // a pipe, or consumed tokens: every verdict
-                                // on this SM is stale.
-                                self.sms[sm_idx].invalidate_sched_cache();
+                                // Only this scheduler's verdict is stale; a
+                                // `Barrier` issue has cleared the whole SM's
+                                // in `account_issue`.
+                                self.sms[sm_idx].sched_cache[sched].valid = false;
                                 continue;
                             }
                             IssueResult::Stalled(reason) => {
                                 if !self.no_skip {
                                     self.sms[sm_idx].sched_cache[sched] = SchedCache {
-                                        valid: true,
+                                        valid: !self.scan_reclassifiable,
                                         reason,
                                         wakeup: self.scan_wakeup,
                                         cap_blocked: self.scan_cap_blocked,
@@ -725,9 +814,9 @@ impl<'a> Engine<'a> {
             // Event-driven fast-forward. A cycle with no issue, no
             // dispatch, and no retirement leaves the device in a state where
             // every following cycle repeats the exact same sweep until the
-            // next event that can change the sweep's outcome: a
-            // scoreboard-stalled warp reaching its `stall_until`, a memory
-            // pipe freeing, or a trace-sample boundary. Transaction
+            // next event that can change the sweep's outcome: a stalled
+            // warp's gate cycle arriving, a memory pipe freeing, or a
+            // trace-sample boundary. Transaction
             // completions only decrement `inflight`, which the sweep ignores
             // unless some warp was held back by MSHR capacity or DRAM
             // tokens (`sweep_cap_blocked`) — so a window may span them, as
@@ -762,7 +851,7 @@ impl<'a> Engine<'a> {
                         consider(t, &mut completion_event);
                     }
                 }
-                let token_event = if self.dram_tokens <= 0 && rate > 0 {
+                let token_event = if self.dram_tokens <= 0 {
                     // First cycle whose refill makes tokens positive again.
                     let j = (1 - self.dram_tokens + rate - 1) / rate;
                     Some(cycle - 1 + j as u64)
@@ -927,23 +1016,23 @@ impl<'a> Engine<'a> {
 
         let mut warp_slots = Vec::with_capacity(num_warps);
         for w in 0..num_warps {
+            let peek = exec.peek_warp(w);
             let slot = WarpSlot {
                 block_slot,
                 warp_idx: w,
                 ready: vec![0; launch.kernel.num_regs as usize],
-                mem_pending: vec![false; launch.kernel.num_regs as usize],
-                stall_until: 0,
-                stall_reason: StallReason::Other,
-                peek: exec.peek_warp(w),
-                done: false,
+                peek,
             };
+            let gate = Gate::OPEN.for_peek(peek);
             let ws = match sm.warps.iter().position(|x| x.is_none()) {
                 Some(i) => {
                     sm.warps[i] = Some(slot);
+                    sm.gates[i] = gate;
                     i
                 }
                 None => {
                     sm.warps.push(Some(slot));
+                    sm.gates.push(gate);
                     sm.warps.len() - 1
                 }
             };
@@ -975,6 +1064,7 @@ impl<'a> Engine<'a> {
                 sm.threads_used -= ctx.threads_per_block;
                 for &ws in &block.warp_slots {
                     sm.warps[ws] = None;
+                    sm.gates[ws] = Gate::DONE;
                 }
                 for sched in &mut sm.sched_warps {
                     sched.retain(|x| !block.warp_slots.contains(x));
@@ -992,11 +1082,11 @@ impl<'a> Engine<'a> {
     /// Attempts to issue one instruction on scheduler `sched` of SM
     /// `sm_idx`.
     ///
-    /// Walks the scheduler's warps in round-robin order from `rr`. The
-    /// cheap gates — retired or done, parked at a barrier, scoreboard-
-    /// stalled until a known cycle — are tested inline; only a warp that
-    /// passes them reaches [`Self::try_issue_warp`]'s scoreboard and pipe
-    /// checks. The stall verdict is the first blocked warp's reason.
+    /// Walks the scheduler's warps in round-robin order from `rr`. Each
+    /// warp's [`Gate`] — retired or done, parked at a barrier, stalled until
+    /// a known cycle — is read from the SM's dense gate array; only a warp
+    /// whose gate is open reaches [`Self::try_issue_warp`]'s scoreboard and
+    /// pipe checks. The stall verdict is the first blocked warp's reason.
     fn issue_one(
         &mut self,
         memory: &mut GpuMemory,
@@ -1009,40 +1099,42 @@ impl<'a> Engine<'a> {
         if n_warps == 0 {
             return Ok(IssueResult::Stalled(StallReason::Other));
         }
+        // The loop stops at `MAX_CYCLES`, so `now` fits a gate's cycle.
+        let now32 = now as u32;
         let mut first_block_reason: Option<StallReason> = None;
         let mut pos = self.sms[sm_idx].rr[sched] % n_warps;
         for _ in 0..n_warps {
             let sm = &self.sms[sm_idx];
             let ws = sm.sched_warps[sched][pos];
-            let reason = match sm.warps[ws].as_ref() {
-                None => None,
-                Some(w) if w.done => None,
-                Some(w) => match w.peek {
-                    WarpPeek::Done => None,
-                    WarpPeek::Blocked => Some(StallReason::Sync),
-                    WarpPeek::Exec { .. } if w.stall_until > now => {
-                        self.scan_wakeup = self.scan_wakeup.min(w.stall_until);
-                        Some(w.stall_reason)
-                    }
-                    WarpPeek::Exec { pc, mask } => {
-                        let blocked = self.try_issue_warp(
-                            memory,
-                            san.as_deref_mut(),
-                            sm_idx,
-                            ws,
-                            pc,
-                            mask,
-                            now,
-                        )?;
-                        if blocked.is_none() {
-                            // Issued: advance round-robin past this warp.
-                            pos += 1;
-                            self.sms[sm_idx].rr[sched] = if pos == n_warps { 0 } else { pos };
-                            return Ok(IssueResult::Issued);
-                        }
-                        blocked
-                    }
-                },
+            let gate = sm.gates[ws];
+            debug_assert!(
+                gate_matches_peek(gate, sm.warps[ws].as_ref()),
+                "gate of warp slot {ws} disagrees with its peek"
+            );
+            let reason = if gate.until <= now32 {
+                let Some(WarpSlot {
+                    peek: WarpPeek::Exec { pc, mask },
+                    ..
+                }) = sm.warps[ws]
+                else {
+                    unreachable!("an open gate belongs to a runnable warp")
+                };
+                let blocked =
+                    self.try_issue_warp(memory, san.as_deref_mut(), sm_idx, ws, pc, mask, now)?;
+                if blocked.is_none() {
+                    // Issued: advance round-robin past this warp.
+                    pos += 1;
+                    self.sms[sm_idx].rr[sched] = if pos == n_warps { 0 } else { pos };
+                    return Ok(IssueResult::Issued);
+                }
+                blocked
+            } else if gate.until == GATE_DONE {
+                None
+            } else {
+                if gate.until != GATE_BLOCKED {
+                    self.scan_wakeup = self.scan_wakeup.min(u64::from(gate.until));
+                }
+                Some(gate.reason)
             };
             if let Some(r) = reason {
                 first_block_reason.get_or_insert(r);
@@ -1058,10 +1150,10 @@ impl<'a> Engine<'a> {
     }
 
     /// Tries to issue the min-PC group `(pc, mask)` of warp slot `ws`,
-    /// which has passed the scan's gates (live, not parked, not
-    /// scoreboard-stalled until a known cycle). Returns `Ok(None)` when
-    /// issued, `Ok(Some(reason))` when blocked by an operand or a memory
-    /// pipe.
+    /// whose gate is open (live, not parked, not stalled until a known
+    /// cycle). Returns `Ok(None)` when issued, `Ok(Some(reason))` when
+    /// blocked by an operand or a memory pipe; an operand stall closes the
+    /// warp's gate until the operand is ready.
     #[allow(clippy::too_many_arguments)]
     fn try_issue_warp(
         &mut self,
@@ -1074,8 +1166,8 @@ impl<'a> Engine<'a> {
         now: u64,
     ) -> Result<Option<StallReason>, SimError> {
         let sm = &mut self.sms[sm_idx];
-        let warp = sm.warps[ws].as_mut().expect("gated warp exists");
-        let block_slot = warp.block_slot;
+        let warp = sm.warps[ws].as_ref().expect("gated warp exists");
+        let (block_slot, warp_idx) = (warp.block_slot, warp.warp_idx);
         let launch_idx = sm.blocks[block_slot]
             .as_ref()
             .expect("warp's block resident")
@@ -1089,29 +1181,31 @@ impl<'a> Engine<'a> {
 
         // Scoreboard: operand readiness (RAW) and destination (WAW), via
         // the launch's precomputed operand list (no per-attempt allocation).
-        let warp = sm.warps[ws].as_mut().expect("warp checked Some");
-        let mut need: u64 = 0;
-        let mut blocked_by_mem = false;
+        let now32 = now as u32;
+        let mut need: u32 = 0;
+        let mut pending: u32 = 0;
         for &r in ctx.operands(pc) {
-            let t = warp.ready[r as usize];
-            if t > now {
-                need = need.max(t);
-                blocked_by_mem |= warp.mem_pending[r as usize];
+            let entry = warp.ready[r as usize];
+            if entry & READY_MASK > now32 {
+                need = need.max(entry & READY_MASK);
+                pending |= entry;
             }
         }
-        if need > now {
-            warp.stall_until = need;
-            warp.stall_reason = if blocked_by_mem {
+        if need > now32 {
+            let reason = if pending & MEM_PENDING != 0 {
                 StallReason::Memory
             } else {
                 StallReason::Exec
             };
-            self.scan_wakeup = self.scan_wakeup.min(need);
-            return Ok(Some(warp.stall_reason));
+            sm.gates[ws] = Gate {
+                until: need,
+                reason,
+            };
+            self.scan_wakeup = self.scan_wakeup.min(u64::from(need));
+            return Ok(Some(reason));
         }
 
         // Structural hazards: the two memory pipelines.
-        let warp_idx = sm.warps[ws].as_ref().expect("warp checked Some").warp_idx;
         let space = sm.blocks[block_slot]
             .as_ref()
             .expect("warp's block resident")
@@ -1140,6 +1234,7 @@ impl<'a> Engine<'a> {
             // Shared-pipe serialization shows up as pipe-busy, not memory
             // dependency, matching nvprof's classification.
             self.scan_wakeup = self.scan_wakeup.min(sm.shared_pipe_free);
+            self.scan_reclassifiable |= uses_global_pipe;
             return Ok(Some(StallReason::Exec));
         }
 
@@ -1168,11 +1263,11 @@ impl<'a> Engine<'a> {
     fn queue_penalty(&self, sm_idx: usize) -> u32 {
         let sm = &self.sms[sm_idx];
         let lat = self.cfg.latencies.global_mem as u64;
-        (lat * u64::from(sm.inflight) / u64::from(self.cfg.mshrs_per_sm.max(1))) as u32
+        (lat * u64::from(sm.inflight) / u64::from(self.cfg.mshrs_per_sm)) as u32
     }
 
     /// Post-issue timing bookkeeping: latency, scoreboard update, memory
-    /// pipeline occupancy, cache refreshes, retirement bookkeeping.
+    /// pipeline occupancy, peek and gate refreshes, retirement bookkeeping.
     fn account_issue(
         &mut self,
         sm_idx: usize,
@@ -1241,28 +1336,29 @@ impl<'a> Engine<'a> {
             self.metrics.mem_transactions += u64::from(tx);
         }
 
-        // Scoreboard update.
-        {
-            let warp = sm.warps[ws].as_mut().expect("issuing warp exists");
-            if let Some(d) = inst.dst() {
-                warp.ready[d as usize] = now + u64::from(latency);
-                warp.mem_pending[d as usize] = touches_dram;
-            }
-            warp.stall_until = now + 1;
-            warp.stall_reason = StallReason::Other;
+        // Scoreboard update. The warp's gate stays open: its scheduler scans
+        // it again no earlier than the next cycle. A ready time past
+        // `READY_MASK` lies beyond `MAX_CYCLES`, where the run stops anyway.
+        let warp = sm.warps[ws].as_mut().expect("issuing warp exists");
+        if let Some(d) = inst.dst() {
+            let ready = (now + u64::from(latency)).min(u64::from(READY_MASK)) as u32;
+            warp.ready[d as usize] = if touches_dram {
+                ready | MEM_PENDING
+            } else {
+                ready
+            };
         }
 
-        // Refresh cached peeks: barriers may wake other warps of the block.
-        let block_slot = sm.warps[ws]
-            .as_ref()
-            .expect("issuing warp exists")
-            .block_slot;
+        // Refresh cached peeks and gates: a barrier may release other warps
+        // of the block, which changes verdicts on every scheduler.
+        let block_slot = warp.block_slot;
         let SmState {
             blocks,
             warps,
+            gates,
             live_warps_total,
             ..
-        } = sm;
+        } = &mut *sm;
         let block = blocks[block_slot].as_mut().expect("block resident");
         if matches!(outcome.kind, IssueKind::Barrier) {
             for &other in &block.warp_slots {
@@ -1270,37 +1366,50 @@ impl<'a> Engine<'a> {
                     &block.exec,
                     &mut block.live_warps,
                     live_warps_total,
-                    warps[other].as_mut(),
+                    warps[other].as_mut().expect("block's warp resident"),
+                    &mut gates[other],
                 );
             }
+            sm.invalidate_sched_cache();
         } else {
             Self::refresh_warp(
                 &block.exec,
                 &mut block.live_warps,
                 live_warps_total,
-                warps[ws].as_mut(),
+                warps[ws].as_mut().expect("issuing warp exists"),
+                &mut gates[ws],
             );
         }
     }
 
-    /// Re-peeks one warp of `exec`'s block and retires it from the live
-    /// counts the moment it is done.
+    /// Re-peeks one warp of `exec`'s block, refreshes its gate, and retires
+    /// it from the live counts the moment it is done.
     fn refresh_warp(
         exec: &BlockExec,
         block_live: &mut u32,
         sm_live: &mut u32,
-        warp: Option<&mut WarpSlot>,
+        warp: &mut WarpSlot,
+        gate: &mut Gate,
     ) {
-        let Some(warp) = warp else {
-            return;
-        };
         let peek = exec.peek_warp(warp.warp_idx);
         warp.peek = peek;
-        if peek == WarpPeek::Done && !warp.done {
-            warp.done = true;
+        if peek == WarpPeek::Done && gate.until != GATE_DONE {
             *sm_live -= 1;
             *block_live -= 1;
         }
+        *gate = gate.for_peek(peek);
+    }
+}
+
+/// Whether a warp slot's gate agrees with its cached peek: sentinels match
+/// an empty slot, an exited warp or a parked one, and a cycle a runnable
+/// warp.
+fn gate_matches_peek(gate: Gate, warp: Option<&WarpSlot>) -> bool {
+    match (gate.until, warp.map(|w| w.peek)) {
+        (GATE_DONE, None | Some(WarpPeek::Done)) => true,
+        (GATE_BLOCKED, Some(WarpPeek::Blocked)) => true,
+        (GATE_DONE | GATE_BLOCKED, _) => false,
+        (_, peek) => matches!(peek, Some(WarpPeek::Exec { .. })),
     }
 }
 
@@ -1718,6 +1827,37 @@ mod tests {
                     assert!(cycles_so_far <= full);
                 }
                 BudgetedRun::Completed(_) => panic!("no_skip={no_skip} did not abort"),
+            }
+        }
+    }
+
+    #[test]
+    fn degenerate_configs_fail_every_run_with_an_error() {
+        // Each of these used to panic (division by zero) or spin until the
+        // deadlock detector reported a barrier deadlock.
+        let edits: [fn(&mut GpuConfig); 5] = [
+            |c| c.schedulers_per_sm = 0,
+            |c| c.segment_bytes = 0,
+            |c| c.num_sms = 0,
+            |c| c.mshrs_per_sm = 0,
+            |c| c.dram_transactions_per_cycle = 0,
+        ];
+        for edit in edits {
+            let mut cfg = GpuConfig::test_tiny();
+            edit(&mut cfg);
+            let mut gpu = Gpu::new(cfg);
+            let launch = budget_test_launch(&mut gpu);
+            let launches = std::slice::from_ref(&launch);
+            let errors = [
+                gpu.clone().run(launches).map(drop),
+                gpu.clone().run_naive(launches).map(drop),
+                gpu.clone().run_with_budget(launches, 100).map(drop),
+                gpu.clone().run_traced(launches, 16).map(drop),
+                gpu.clone().run_functional(launches),
+            ];
+            for e in errors {
+                let msg = e.expect_err("degenerate config ran").to_string();
+                assert!(msg.contains("must be positive"), "{msg}");
             }
         }
     }
