@@ -114,13 +114,15 @@ pub struct MultiSearchCandidate {
     pub partition: Vec<u32>,
     /// Register bound applied (`None` = unbounded compile).
     pub reg_bound: Option<u32>,
-    /// Profiled execution cycles (for a pruned candidate, the abort clock).
+    /// Profiled execution cycles (for a pruned candidate, its `pruned_at`).
     pub cycles: u64,
     /// Issue-slot utilization (%). Zero for pruned candidates.
     pub issue_util: f64,
     /// Achieved occupancy (%). Zero for pruned candidates.
     pub occupancy: f64,
-    /// `Some(clock)` when the profile run was budget-aborted.
+    /// `Some(cycles)` when the profile run was budget-aborted: the abort
+    /// clock, or the critical-path lower bound of a run that was never
+    /// simulated (see [`SearchCandidate::pruned_at`](crate::SearchCandidate::pruned_at)).
     pub pruned_at: Option<u64>,
 }
 

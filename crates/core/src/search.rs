@@ -119,7 +119,7 @@ pub struct SearchOptions {
     /// abort as soon as they exceed it. The chosen best candidate, its
     /// cycles, and the cycles of every *surviving* (non-pruned) candidate
     /// are identical to the exhaustive search, and the whole report —
-    /// which losers get cut short, and at what clock — is a pure function
+    /// which losers get cut short, and at what value — is a pure function
     /// of the inputs and options, whatever the worker count. `false` (the
     /// CLI's `--no-prune`) profiles every candidate to completion.
     pub prune: bool,
@@ -156,8 +156,8 @@ pub struct SearchCandidate {
     pub d2: u32,
     /// Register bound applied (`None` = unbounded compile).
     pub reg_bound: Option<u32>,
-    /// Profiled execution cycles. For a pruned candidate this is the clock
-    /// at the abort point — a lower bound on its true cycle count, always
+    /// Profiled execution cycles. For a pruned candidate this is its
+    /// `pruned_at` value — a lower bound on its true cycle count, always
     /// past the winning candidate's cycles.
     pub cycles: u64,
     /// Issue-slot utilization (%). Zero for pruned candidates.
@@ -166,11 +166,14 @@ pub struct SearchCandidate {
     pub mem_stall: f64,
     /// Achieved occupancy (%). Zero for pruned candidates.
     pub occupancy: f64,
-    /// `Some(clock)` when the profile run was budget-aborted at that
-    /// simulated cycle (branch-and-bound pruning): the first clock past the
-    /// fixed budget, the front's best completed cycle count, so it depends
-    /// only on the inputs and options. `None` when the candidate was
-    /// profiled to completion.
+    /// `Some(cycles)` when the profile run was budget-aborted
+    /// (branch-and-bound pruning): either the simulated clock at the abort
+    /// point or, for a candidate that was never simulated, the
+    /// critical-path lower bound that exceeded the budget (see
+    /// [`Gpu::run_with_budget`]). Either way it is greater than the fixed
+    /// budget, the front's best completed cycle count, no greater than the
+    /// candidate's true cycles, and it depends only on the inputs and
+    /// options. `None` when the candidate was profiled to completion.
     pub pruned_at: Option<u64>,
     /// Static ranking score this candidate was ordered by: the calibrated
     /// analytic model estimate when model filtering is active, the legacy
@@ -480,14 +483,20 @@ fn compile_sweep<'a>(
     })
 }
 
-/// Each member's per-class issue histogram, from one native run each.
+/// Each member's per-class issue histogram, from one functional pass of
+/// its native launch each: the histogram a timed run reports, without the
+/// timing engine ([`Gpu::run_functional_classes`]).
 fn member_issues(
     base: &Gpu,
     inputs: &[&FusionInput],
 ) -> Result<Vec<[u64; gpu_sim::IssueKind::COUNT]>, HfuseError> {
     inputs
         .iter()
-        .map(|inp| Ok(measure_single_impl(base, inp)?.metrics.class_issues))
+        .map(|inp| {
+            Ok(base
+                .clone()
+                .run_functional_classes(&[native_launch(inp)?])?)
+        })
         .collect()
 }
 
@@ -509,8 +518,9 @@ fn candidate_mix(
 
 /// The static score every candidate is profiled in ascending order of.
 /// With `model_filter`, the calibrated occupancy-aware per-latency-class
-/// model over [`candidate_mix`], which costs one native run per member;
-/// otherwise the legacy single-weight estimate ([`gpu_sim::cost_estimate`]).
+/// model over [`candidate_mix`], which costs one functional pass of each
+/// member; otherwise the legacy single-weight estimate
+/// ([`gpu_sim::cost_estimate`]).
 /// Pure given the measurements, so scores are identical across
 /// pruned/exhaustive arms.
 fn rank(base: &Gpu, sweep: &Sweep, model_filter: bool) -> Result<Vec<u64>, HfuseError> {
@@ -553,7 +563,7 @@ fn rank(base: &Gpu, sweep: &Sweep, model_filter: bool) -> Result<Vec<u64>, Hfuse
 /// exact unbudgeted result, and the budget is a completed run's cycle
 /// count, so the winner and every surviving candidate's cycles equal the
 /// exhaustive search's. Each budget depends only on the inputs, never on
-/// which worker finished first, so the whole result — every abort clock
+/// which worker finished first, so the whole result — every abort value
 /// included — is identical at any `HFUSE_SEARCH_THREADS` worker count.
 fn profile_jobs(
     base: &Gpu,
@@ -1126,7 +1136,7 @@ mod tests {
                 // Survivors report the exact exhaustive cycle count.
                 assert_eq!(p.cycles, e.cycles);
             } else {
-                // Pruned candidates report the abort clock, which is a
+                // Pruned candidates report the abort value, which is a
                 // lower bound on the true count and past the winner.
                 assert_eq!(p.pruned_at, Some(p.cycles));
                 assert!(p.cycles <= e.cycles);

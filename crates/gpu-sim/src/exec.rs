@@ -340,11 +340,6 @@ impl BlockExec {
         self.exited.len()
     }
 
-    /// True once every thread has exited.
-    pub fn all_done(&self) -> bool {
-        self.exited.iter().all(|&m| m == !0)
-    }
-
     /// `[start, end)` thread ids of a warp (`end` is clipped for the last,
     /// possibly partial, warp).
     fn warp_bounds(&self, warp: usize) -> (usize, usize) {
@@ -413,8 +408,10 @@ impl BlockExec {
     }
 
     /// Decodes the memory space a `Ld`/`St`/`Atom` at the group's PC will
-    /// touch, by inspecting the first active lane's (already computed)
-    /// address register. Returns `None` for non-memory instructions.
+    /// touch from the active lanes' (already computed) addresses, the way
+    /// [`Self::exec_group`] classifies the access: off-chip (global or
+    /// local) when any lane's address is, shared only when every lane's is.
+    /// Returns `None` for non-memory instructions.
     pub fn peek_space(
         &self,
         warp: usize,
@@ -426,8 +423,47 @@ impl BlockExec {
         if addr_reg == NO_REG {
             return None;
         }
-        let lane = mask.trailing_zeros() as usize;
-        Some(MemAddr(self.regs[self.reg_base(warp, addr_reg) + lane]).space())
+        let base = self.reg_base(warp, addr_reg);
+        let off_chip = (Lanes { mask })
+            .map(|lane| MemAddr(self.regs[base + lane]).space())
+            .find(|&s| s != thread_ir::Space::Shared);
+        Some(off_chip.unwrap_or(thread_ir::Space::Shared))
+    }
+
+    /// Lanes of `warp` that have not exited (parked ones included).
+    pub(crate) fn live_lanes(&self, warp: usize) -> u32 {
+        !self.exited[warp]
+    }
+
+    /// Runs the warps `warps` of this block cooperatively: each in turn
+    /// issues its min-PC groups through `issue` until it exits or parks at
+    /// a barrier, round after round. Returns `Ok(true)` once every listed
+    /// warp is done and `Ok(false)` when a round issues nothing (they all
+    /// wait at barriers no listed warp will reach).
+    ///
+    /// # Errors
+    ///
+    /// The first error `issue` returns.
+    pub(crate) fn run_warps<E>(
+        &mut self,
+        warps: &[usize],
+        mut issue: impl FnMut(&mut Self, usize, usize, u32) -> Result<(), E>,
+    ) -> Result<bool, E> {
+        loop {
+            let mut progressed = false;
+            for &w in warps {
+                while let WarpPeek::Exec { pc, mask } = self.peek_warp(w) {
+                    issue(self, w, pc, mask)?;
+                    progressed = true;
+                }
+            }
+            if warps.iter().all(|&w| self.peek_warp(w) == WarpPeek::Done) {
+                return Ok(true);
+            }
+            if !progressed {
+                return Ok(false);
+            }
+        }
     }
 
     /// Finds the min-PC runnable group of a warp: two mask tests, then —

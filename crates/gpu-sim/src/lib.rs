@@ -50,6 +50,7 @@ pub mod occupancy;
 pub mod sanitizer;
 pub mod timing;
 
+mod bound;
 mod error;
 
 pub use config::GpuConfig;

@@ -121,26 +121,33 @@ impl RunResult {
 }
 
 /// The outcome of a budgeted run (see `Gpu::run_with_budget`): either the
-/// run finished within the caller's cycle budget, or it was cut off as soon
-/// as the simulated clock strictly exceeded it.
+/// run finished within the caller's cycle budget, or it was cut off once
+/// it provably could not.
 ///
-/// `cycles_so_far` is a *lower bound* on the run's true cycle count and is
-/// monotonically non-decreasing in the budget: the engine walks the same
-/// deterministic clock sequence regardless of the budget and aborts at the
-/// first clock value past it. An aborted run leaves device memory partially
-/// mutated; callers profiling candidates on cloned devices can simply
-/// discard the clone.
+/// `cycles_so_far` is a *lower bound* on the run's true cycle count,
+/// greater than the budget, and monotonically non-decreasing in the
+/// budget. It is either the engine's clock at the abort point (the engine
+/// walks the same deterministic clock sequence regardless of the budget
+/// and aborts at the first clock value past it) or, for a run rejected
+/// before simulating, the critical-path bound of `Gpu::cycle_lower_bound`
+/// (its pass stops at the first point its running value passes the
+/// budget). An
+/// aborted run may leave device memory partially mutated; callers
+/// profiling candidates on cloned devices can simply discard the clone.
 #[derive(Debug, Clone, PartialEq)]
 #[allow(clippy::large_enum_variant)] // transient return value, one per profiled run
 pub enum BudgetedRun {
     /// The run finished with total cycles ≤ budget (identical to an
     /// unbudgeted run).
     Completed(RunResult),
-    /// The simulated clock strictly exceeded the budget with work still
-    /// outstanding.
+    /// The run cannot finish within the budget: the simulated clock
+    /// strictly exceeded it with work still outstanding, or the
+    /// critical-path bound did before the run was simulated.
     Aborted {
-        /// Simulated clock at the abort point (strictly greater than the
-        /// budget, and at most the run's true total cycle count).
+        /// The engine's clock at the abort point, or the proven lower
+        /// bound of a run that was not simulated. Either way strictly
+        /// greater than the budget, and at most the run's true total cycle
+        /// count.
         cycles_so_far: u64,
     },
 }

@@ -262,8 +262,9 @@ impl DynMix {
 
 /// Builds the per-thread dynamic mix of a fused candidate from its members'
 /// measured histograms. `members` pairs each original kernel's whole-launch
-/// per-class issue counts (`RunMetrics::class_issues` from one native run)
-/// with the thread count `d_i` the candidate partition grants it: a
+/// per-class issue counts (`RunMetrics::class_issues` of a native run, or
+/// the equal histogram of `Gpu::run_functional_classes`) with the thread
+/// count `d_i` the candidate partition grants it: a
 /// grid-stride kernel redistributes its fixed total work over `d_i` threads
 /// per block, so its per-thread contribution scales as `I_i[c] / d_i`.
 ///

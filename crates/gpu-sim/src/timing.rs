@@ -15,7 +15,7 @@ use std::collections::BinaryHeap;
 
 use thread_ir::ir::Inst;
 
-use crate::config::GpuConfig;
+use crate::config::{GpuConfig, Latencies};
 use crate::decode::DecodedKernel;
 use crate::error::SimError;
 use crate::exec::{BlockExec, ExecOutcome, IssueKind, WarpPeek, WARP_SIZE};
@@ -121,46 +121,59 @@ impl Gpu {
     /// Returns [`SimError`] on an invalid configuration
     /// ([`GpuConfig::validate`]), faults or barrier deadlock.
     pub fn run_functional(&mut self, launches: &[Launch]) -> Result<(), SimError> {
+        self.run_functional_classes(launches).map(drop)
+    }
+
+    /// [`Self::run_functional`], counting the issued warp-group
+    /// instructions per latency class (indexed by [`IssueKind::index`]).
+    /// Each warp issues the same groups here as in a timed run whenever its
+    /// group sequence does not depend on the schedule — true of every
+    /// built-in kernel — so the histogram then equals the timed run's
+    /// [`RunMetrics::class_issues`] without paying for the timing engine.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Self::run_functional`].
+    pub fn run_functional_classes(
+        &mut self,
+        launches: &[Launch],
+    ) -> Result<[u64; IssueKind::COUNT], SimError> {
         self.config.validate()?;
         let seg = self.config.segment_bytes;
         if let Some(s) = self.sanitizer.as_deref_mut() {
             s.begin_run();
         }
+        let mut classes = [0; IssueKind::COUNT];
         for (li, launch) in launches.iter().enumerate() {
             launch.validate()?;
             let prog = DecodedKernel::decode(&launch.kernel);
+            let warps: Vec<usize> =
+                (0..warps_for_threads(launch.threads_per_block()) as usize).collect();
             for b in 0..launch.grid_dim {
                 let mut blk = BlockExec::new(launch, &prog, li, b);
-                loop {
-                    let mut progressed = false;
-                    for w in 0..blk.num_warps() {
-                        while let WarpPeek::Exec { pc, mask } = blk.peek_warp(w) {
-                            blk.exec_group(
-                                launch,
-                                &prog,
-                                &mut self.memory,
-                                w,
-                                pc,
-                                mask,
-                                seg,
-                                self.sanitizer.as_deref_mut(),
-                            )?;
-                            progressed = true;
-                        }
-                    }
-                    if blk.all_done() {
-                        break;
-                    }
-                    if !progressed {
-                        return Err(SimError::new(format!(
-                            "barrier deadlock in `{}` block {b}",
-                            launch.kernel.name
-                        )));
-                    }
+                let done = blk.run_warps(&warps, |blk, w, pc, mask| {
+                    let out = blk.exec_group(
+                        launch,
+                        &prog,
+                        &mut self.memory,
+                        w,
+                        pc,
+                        mask,
+                        seg,
+                        self.sanitizer.as_deref_mut(),
+                    )?;
+                    classes[out.kind.index()] += 1;
+                    Ok::<_, SimError>(())
+                })?;
+                if !done {
+                    return Err(SimError::new(format!(
+                        "barrier deadlock in `{}` block {b}",
+                        launch.kernel.name
+                    )));
                 }
             }
         }
-        Ok(())
+        Ok(classes)
     }
 
     /// Like [`Self::run`], additionally sampling an issue-utilization /
@@ -248,25 +261,85 @@ impl Gpu {
 
     /// [`Self::run`] with a cycle budget: the run is cut off as soon as the
     /// simulated clock strictly exceeds `budget` with work outstanding,
-    /// returning [`BudgetedRun::Aborted`] with the clock at the abort point
-    /// (a lower bound on the run's true cycle count, monotone in the
-    /// budget). A run that completes within the budget returns exactly what
-    /// [`Self::run`] would.
+    /// returning [`BudgetedRun::Aborted`]. A run that completes within the
+    /// budget returns exactly what [`Self::run`] would.
     ///
-    /// An aborted run leaves device memory partially mutated — callers that
-    /// profile candidates should run on a cloned [`Gpu`] and discard it.
+    /// Before simulating, a single launch with a finite budget and the
+    /// sanitizer off gets an admissible lower bound on its cycles: a
+    /// functional pass over a copy-on-write clone of device memory that
+    /// takes each block's dependency critical path (see
+    /// [`Self::cycle_lower_bound`]). When the bound exceeds the budget the
+    /// run is not simulated at all and `cycles_so_far` is the bound; the
+    /// pass stops as soon as its running value passes the budget, so the
+    /// value is deterministic and monotone in the budget. Otherwise, or
+    /// when the kernel fails the bound's gate, the engine runs as usual and
+    /// `cycles_so_far` is the clock at the abort point. Either way it is
+    /// greater than `budget` and no greater than the run's true cycle
+    /// count.
+    ///
+    /// An aborted run may leave device memory partially mutated — callers
+    /// that profile candidates should run on a cloned [`Gpu`] and discard
+    /// it.
     ///
     /// # Errors
     ///
     /// Same as [`Self::run`]; errors that fire before the budget is reached
     /// (faults, deadlock, unschedulable blocks) are reported as errors, not
-    /// as aborts.
+    /// as aborts. A run the bound rejects is not simulated, so a fault in a
+    /// block its pass did not reach goes unreported.
     pub fn run_with_budget(
         &mut self,
         launches: &[Launch],
         budget: u64,
     ) -> Result<BudgetedRun, SimError> {
+        if budget != u64::MAX && self.sanitizer.is_none() {
+            if let [launch] = launches {
+                self.check_launches(launches)?;
+                if let Some(bound) =
+                    crate::bound::lower_bound(&self.config, launch, &self.memory, budget)
+                {
+                    if bound > budget {
+                        return Ok(BudgetedRun::Aborted {
+                            cycles_so_far: bound,
+                        });
+                    }
+                }
+            }
+        }
         self.run_impl(launches, skip_disabled_by_env(), budget)
+    }
+
+    /// The admissible lower bound on the cycles [`Self::run`] would take
+    /// for `launches`, which [`Self::run_with_budget`] compares with its
+    /// budget before simulating; `Ok(None)` when there is no bound (more
+    /// than one launch, the sanitizer on, a kernel that fails the bound's
+    /// gate, or a functional pass that faults). Device memory is left
+    /// untouched.
+    ///
+    /// The bound is `max(max_b CP_b, ⌈Σ_b CP_b / (num_sms ×
+    /// blocks_per_sm)⌉)`, where `CP_b` is block `b`'s dependency critical
+    /// path: each warp's groups in their functional order, one issue per
+    /// warp per cycle, each waiting for its operands (the engine's
+    /// latencies without the queueing penalty) and, after a barrier, for
+    /// the barrier's latest arrival. It applies only when the kernel's
+    /// per-warp instruction stream cannot depend on the schedule: no
+    /// atomic result is read, and by pointer provenance no global load
+    /// reads a buffer a store or atomic writes (shared memory is assumed
+    /// race-free, as [`Self::run`] assumes). DESIGN.md §8.1 gives the
+    /// admissibility argument.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError`] on an invalid configuration, an invalid launch
+    /// or a block that fits no SM, like [`Self::run`].
+    pub fn cycle_lower_bound(&self, launches: &[Launch]) -> Result<Option<u64>, SimError> {
+        self.check_launches(launches)?;
+        Ok(match launches {
+            [launch] if self.sanitizer.is_none() => {
+                crate::bound::lower_bound(&self.config, launch, &self.memory, u64::MAX)
+            }
+            _ => None,
+        })
     }
 
     pub(crate) fn run_impl(
@@ -324,12 +397,12 @@ fn skip_disabled_by_env() -> bool {
 }
 
 /// Per-launch precomputed issue information.
-struct LaunchCtx {
+pub(crate) struct LaunchCtx {
     /// The launch's kernel pre-decoded into a flat instruction buffer (the
     /// interpreter's read path).
-    prog: DecodedKernel,
+    pub(crate) prog: DecodedKernel,
     /// Per-instruction count of spilled-register operands.
-    spill_counts: Vec<u8>,
+    pub(crate) spill_counts: Vec<u8>,
     /// Flattened scoreboard-checked virtual registers (sources then
     /// destination) of every instruction, so the per-cycle issue path never
     /// allocates. The scoreboard is per warp and liveness per thread, so it
@@ -343,7 +416,7 @@ struct LaunchCtx {
 }
 
 impl LaunchCtx {
-    fn new(launch: &Launch) -> Self {
+    pub(crate) fn new(launch: &Launch) -> Self {
         let k = &launch.kernel;
         let mut spilled = vec![false; k.num_regs as usize];
         for &r in &k.spilled_regs {
@@ -379,9 +452,19 @@ impl LaunchCtx {
 
     /// The scoreboard-checked registers (sources then destination) of the
     /// instruction at `pc`.
-    fn operands(&self, pc: usize) -> &[u32] {
+    pub(crate) fn operands(&self, pc: usize) -> &[u32] {
         let (start, len) = self.operand_spans[pc];
         &self.operand_regs[start as usize..start as usize + usize::from(len)]
+    }
+
+    /// The most blocks of this launch [`SmState::fits`] lets one SM hold
+    /// at once.
+    pub(crate) fn max_resident(&self, cfg: &GpuConfig) -> u32 {
+        let per = |cap: u32, need: u32| cap.checked_div(need).unwrap_or(u32::MAX);
+        cfg.max_blocks_per_sm
+            .min(per(cfg.regs_per_sm, self.regs_per_block))
+            .min(per(cfg.shared_per_sm, self.shared_per_block))
+            .min(per(cfg.max_threads_per_sm, self.threads_per_block))
     }
 }
 
@@ -1280,34 +1363,14 @@ impl<'a> Engine<'a> {
         let lat = &self.cfg.latencies;
         self.metrics.class_issues[outcome.kind.index()] += 1;
         let extra_tx = u32::from(spill_cnt);
-        let (mut latency, is_mem_kind) = match outcome.kind {
-            IssueKind::Alu => (lat.alu, false),
-            IssueKind::Div => (lat.div, false),
-            IssueKind::Special => (lat.special, false),
-            IssueKind::Shuffle => (lat.shuffle, false),
-            IssueKind::SharedMem => (lat.shared_mem, false),
-            IssueKind::SharedAtomic => (
-                lat.shared_atomic + outcome.conflict_extra * lat.shared_atomic_retry,
-                false,
-            ),
-            IssueKind::GlobalMem => (
-                lat.global_mem
-                    + outcome.transactions.saturating_sub(1) * lat.uncoalesced_extra
-                    + self.queue_penalty(sm_idx),
-                true,
-            ),
-            IssueKind::GlobalAtomic => (
-                lat.global_atomic
-                    + (outcome.transactions.saturating_sub(1) + outcome.conflict_extra)
-                        * lat.uncoalesced_extra
-                    + self.queue_penalty(sm_idx),
-                true,
-            ),
-            IssueKind::LocalMem => (lat.local_mem, true),
-            IssueKind::Control => (lat.alu, false),
-            IssueKind::Barrier => (lat.alu, false),
-        };
-        latency += u32::from(spill_cnt) * lat.spill_access;
+        let mut latency = issue_latency(lat, outcome, spill_cnt);
+        let is_mem_kind = matches!(
+            outcome.kind,
+            IssueKind::GlobalMem | IssueKind::GlobalAtomic | IssueKind::LocalMem
+        );
+        if matches!(outcome.kind, IssueKind::GlobalMem | IssueKind::GlobalAtomic) {
+            latency += self.queue_penalty(sm_idx);
+        }
 
         let total_tx = outcome.transactions + extra_tx;
         let touches_dram = is_mem_kind || spill_cnt > 0;
@@ -1329,6 +1392,10 @@ impl<'a> Engine<'a> {
             _ => {}
         }
         if touches_dram {
+            debug_assert!(
+                sm.inflight < self.cfg.mshrs_per_sm && self.dram_tokens > 0,
+                "a DRAM access issued without a free MSHR and a DRAM token"
+            );
             let tx = total_tx.max(1);
             sm.inflight += tx;
             sm.completions.push(Reverse((now + u64::from(latency), tx)));
@@ -1416,6 +1483,32 @@ fn gate_matches_peek(gate: Gate, warp: Option<&WarpSlot>) -> bool {
 enum IssueResult {
     Issued,
     Stalled(StallReason),
+}
+
+/// The result latency [`Engine::account_issue`] charges an issue with
+/// `outcome` and `spill_cnt` spilled operands, before the queueing penalty
+/// it adds to global accesses and atomics (which only lengthens it).
+pub(crate) fn issue_latency(lat: &Latencies, outcome: ExecOutcome, spill_cnt: u8) -> u32 {
+    let base = match outcome.kind {
+        IssueKind::Alu | IssueKind::Control | IssueKind::Barrier => lat.alu,
+        IssueKind::Div => lat.div,
+        IssueKind::Special => lat.special,
+        IssueKind::Shuffle => lat.shuffle,
+        IssueKind::SharedMem => lat.shared_mem,
+        IssueKind::SharedAtomic => {
+            lat.shared_atomic + outcome.conflict_extra * lat.shared_atomic_retry
+        }
+        IssueKind::GlobalMem => {
+            lat.global_mem + outcome.transactions.saturating_sub(1) * lat.uncoalesced_extra
+        }
+        IssueKind::GlobalAtomic => {
+            lat.global_atomic
+                + (outcome.transactions.saturating_sub(1) + outcome.conflict_extra)
+                    * lat.uncoalesced_extra
+        }
+        IssueKind::LocalMem => lat.local_mem,
+    };
+    base + u32::from(spill_cnt) * lat.spill_access
 }
 
 /// Returns the number of warps a block of `threads` threads occupies.
@@ -1860,6 +1953,54 @@ mod tests {
                 assert!(msg.contains("must be positive"), "{msg}");
             }
         }
+    }
+
+    /// 16 one-warp blocks on `test_tiny` with 8 MSHRs per SM: each thread
+    /// sums 16 loads through `p = (t == 0) ? <first> : g`, so lane 0 reads
+    /// `first` and the other lanes the global buffer `g`.
+    fn mixed_space_cycles(first: &str) -> u64 {
+        let ir = compile(&format!(
+            "__global__ void k(float* g, float* h, float* out) {{\
+               __shared__ float s[1024];\
+               int t = threadIdx.x;\
+               s[t] = 1.0f;\
+               __syncthreads();\
+               float acc = 0.0f;\
+               for (int i = 0; i < 16; i++) {{\
+                 float* p = (t == 0) ? {first} : g;\
+                 acc += p[(i * 32 + t + blockIdx.x * 512) % 1024];\
+               }}\
+               out[blockIdx.x * blockDim.x + t] = acc;\
+             }}"
+        ));
+        let mut cfg = GpuConfig::test_tiny();
+        cfg.mshrs_per_sm = 8;
+        let mut gpu = Gpu::new(cfg);
+        let g = gpu.memory_mut().alloc_f32(1024);
+        let h = gpu.memory_mut().alloc_f32(1024);
+        let out = gpu.memory_mut().alloc_f32(16 * 32);
+        let launch = Launch::new(ir, 16, (32, 1, 1))
+            .arg(ParamValue::Ptr(g))
+            .arg(ParamValue::Ptr(h))
+            .arg(ParamValue::Ptr(out));
+        let naive = gpu.clone().run_naive(std::slice::from_ref(&launch));
+        let run = gpu.run(&[launch]).expect("run");
+        assert_eq!(naive.expect("naive run"), run);
+        run.total_cycles
+    }
+
+    #[test]
+    fn mixed_space_access_takes_the_global_checks() {
+        // A group whose first lane addresses shared memory while the others
+        // address global memory is a global access: its transactions go to
+        // DRAM, so it must wait for the global pipe, an MSHR and a DRAM
+        // token. When the pipe was picked from the first lane alone, it
+        // skipped all three: `account_issue`'s debug assertion caught
+        // `inflight` at 8 of 8 MSHRs, and the run took 3387 cycles.
+        assert_eq!(mixed_space_cycles("s"), 4024);
+        // The all-global arms are unchanged by the fix.
+        assert_eq!(mixed_space_cycles("g"), 4460);
+        assert_eq!(mixed_space_cycles("h"), 7342);
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! The search report is a pure function of its inputs and options: the
 //! profiling worker count (`HFUSE_SEARCH_THREADS`) moves wall time only.
-//! Every candidate — abort clocks of pruned losers included — the winner's
-//! index, and the winning kernel must be identical at 1, 2 and 8 workers.
+//! Every candidate — abort values of pruned losers included — the winner's
+//! index, and the winning kernel must be identical at 1, 2 and 8 workers,
+//! and at 1 and 4 on a search at the paper's scale, whose losers the
+//! critical-path bound prunes.
 //!
 //! Kept in a dedicated test binary with a single test: the worker count is
 //! a process-global environment variable, so mutating it must not race
@@ -30,13 +32,17 @@ const PAIRS: [(&str, &str); 9] = [
 ];
 
 fn setup(names: &[&str]) -> (Gpu, Vec<FusionInput>) {
-    let mut gpu = Gpu::new(GpuConfig::test_tiny());
+    setup_on(GpuConfig::test_tiny(), 0.25, names)
+}
+
+fn setup_on(cfg: GpuConfig, scale: f64, names: &[&str]) -> (Gpu, Vec<FusionInput>) {
+    let mut gpu = Gpu::new(cfg);
     let inputs = names
         .iter()
         .map(|n| {
             AnyBenchmark::by_name(n)
                 .expect("benchmark exists")
-                .scaled(0.25)
+                .scaled(scale)
                 .benchmark()
                 .fusion_input(gpu.memory_mut())
         })
@@ -64,13 +70,14 @@ fn multi_key(r: &MultiSearchReport) -> impl PartialEq + std::fmt::Debug {
     )
 }
 
-/// Runs `search` once per worker count and asserts every result equals
-/// the single-worker one.
+/// Runs `search` once per worker count of `workers` and asserts every
+/// result equals the first one.
 fn assert_worker_count_invariant<K: PartialEq + std::fmt::Debug>(
     what: &str,
+    workers: &[&str],
     mut search: impl FnMut() -> K,
 ) {
-    let keys: Vec<K> = WORKERS
+    let keys: Vec<K> = workers
         .iter()
         .map(|w| {
             std::env::set_var("HFUSE_SEARCH_THREADS", w);
@@ -78,7 +85,7 @@ fn assert_worker_count_invariant<K: PartialEq + std::fmt::Debug>(
         })
         .collect();
     std::env::remove_var("HFUSE_SEARCH_THREADS");
-    for (w, k) in WORKERS.iter().zip(&keys).skip(1) {
+    for (w, k) in workers.iter().zip(&keys).skip(1) {
         assert_eq!(
             &keys[0], k,
             "{what}: report at {w} workers differs from 1 worker"
@@ -91,7 +98,7 @@ fn reports_are_identical_at_every_worker_count() {
     let mut pruned = 0;
     for (a, b) in PAIRS {
         let (gpu, inputs) = setup(&[a, b]);
-        assert_worker_count_invariant(&format!("{a}+{b}"), || {
+        assert_worker_count_invariant(&format!("{a}+{b}"), &WORKERS, || {
             let r = search_fusion_config(&gpu, &inputs[0], &inputs[1], SearchOptions::default())
                 .expect("search");
             pruned += r.pruned_count();
@@ -102,13 +109,21 @@ fn reports_are_identical_at_every_worker_count() {
     // so the matrix must actually prune.
     assert!(pruned > 0, "no candidate was pruned");
 
+    let (gpu, inputs) = setup_on(GpuConfig::pascal_like(), 1.0, &["Hist", "Upsample"]);
+    assert_worker_count_invariant("Hist+Upsample at pascal", &["1", "4"], || {
+        let r = search_fusion_config(&gpu, &inputs[0], &inputs[1], SearchOptions::default())
+            .expect("search");
+        assert!(r.pruned_count() > 0, "the bound pruned nothing");
+        pair_key(&r)
+    });
+
     let triple = ["Hist", "Maxpool", "Upsample"];
     let (gpu, inputs) = setup(&triple);
     let opts = SearchOptions {
         granularity: 256,
         ..SearchOptions::default()
     };
-    assert_worker_count_invariant(&triple.join("+"), || {
+    assert_worker_count_invariant(&triple.join("+"), &WORKERS, || {
         multi_key(&search_multi_fusion_config(&gpu, &inputs, opts).expect("multi search"))
     });
 }

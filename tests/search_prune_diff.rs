@@ -92,6 +92,22 @@ fn pruned_search_matches_exhaustive_on_all_dl_pairs() {
 }
 
 #[test]
+fn pruned_search_matches_exhaustive_at_pascal_scale() {
+    // At the paper's scale the critical-path bound, not the engine, cuts
+    // the losers short: their abort values are bounds, never simulated
+    // clocks, and must still lie past the winner and within the truth.
+    let pair = dl_pairs()
+        .into_iter()
+        .find(|p| (p.first.name(), p.second.name()) == ("Hist", "Upsample"))
+        .expect("Hist+Upsample is a paper pair");
+    let (a, b) = pair.at_scale(1.0);
+    let mut gpu = Gpu::new(GpuConfig::pascal_like());
+    let in1 = a.benchmark().fusion_input(gpu.memory_mut());
+    let in2 = b.benchmark().fusion_input(gpu.memory_mut());
+    assert_prune_matches_exhaustive(&pair.name(), &gpu, &in1, &in2, SearchOptions::default());
+}
+
+#[test]
 fn pruned_search_matches_exhaustive_on_crypto_pair() {
     // Crypto pairs are non-tunable (single partition, two register
     // variants); use the fast Blake256+Blake2B pair.

@@ -117,14 +117,69 @@ fn single_kernel_runs_match_golden() {
     assert_table("single-kernel runs", SINGLE_GOLDEN, &table);
 }
 
+/// The model's member histograms come from functional passes
+/// (`Gpu::run_functional_classes`), standing in for the timed runs' class
+/// counts: the two must be equal on every kernel, device and block size.
+#[test]
+fn functional_class_histograms_match_timed_runs() {
+    let benches = AnyBenchmark::all()
+        .into_iter()
+        .chain(AnyBenchmark::extensions())
+        .chain(AnyBenchmark::families())
+        .map(|b| b.scaled(SCALE));
+    let mut runs = 0;
+    for bench in benches {
+        let cfgs = [
+            GpuConfig::test_tiny(),
+            GpuConfig::pascal_like(),
+            GpuConfig::volta_like(),
+        ];
+        for cfg in cfgs {
+            let mut gpu = Gpu::new(cfg.clone());
+            let inp = bench.benchmark().fusion_input(gpu.memory_mut());
+            let sizes = if inp.tunable {
+                vec![128, inp.default_threads, 512]
+            } else {
+                vec![inp.default_threads]
+            };
+            for threads in sizes {
+                let launch = [Launch {
+                    kernel: lower_kernel(&inp.kernel).expect("lower").into(),
+                    grid_dim: inp.grid_dim,
+                    block_dim: inp.shape.dims(threads).expect("block shape"),
+                    dynamic_shared_bytes: inp.dynamic_shared,
+                    args: inp.args.clone(),
+                }];
+                let what = format!("{} on {} at {threads} threads", bench.name(), cfg.name);
+                let functional = gpu.clone().run_functional_classes(&launch);
+                match (functional, gpu.clone().run(&launch)) {
+                    (Ok(f), Ok(timed)) => {
+                        assert_eq!(f, timed.metrics.class_issues, "{what}");
+                        runs += 1;
+                    }
+                    // A kernel whose tiles do not fit this block size
+                    // faults either way.
+                    (Err(_), Err(_)) => {}
+                    (f, t) => panic!("{what}: functional {f:?}, timed {t:?}"),
+                }
+            }
+        }
+    }
+    assert!(runs >= 3 * 17, "{runs} runs");
+}
+
 fn setup(names: &[&str]) -> (Gpu, Vec<FusionInput>) {
-    let mut gpu = Gpu::new(GpuConfig::test_tiny());
+    setup_on(GpuConfig::test_tiny(), SCALE, names)
+}
+
+fn setup_on(cfg: GpuConfig, scale: f64, names: &[&str]) -> (Gpu, Vec<FusionInput>) {
+    let mut gpu = Gpu::new(cfg);
     let inputs = names
         .iter()
         .map(|n| {
             AnyBenchmark::by_name(n)
                 .expect("benchmark exists")
-                .scaled(SCALE)
+                .scaled(scale)
                 .benchmark()
                 .fusion_input(gpu.memory_mut())
         })
@@ -184,6 +239,22 @@ fn dl_search_matches_golden() {
         "Batchnorm+Hist",
         BATCHNORM_HIST,
         &pair_search("Batchnorm", "Hist"),
+    );
+}
+
+/// A search at the scale of the paper's evaluation, where the
+/// critical-path bound decides the losers: every pruned candidate's
+/// `pruned_at` is its bound, and none of the five losing programs was
+/// simulated.
+#[test]
+fn dl_search_at_pascal_scale_matches_golden() {
+    let (gpu, inputs) = setup_on(GpuConfig::pascal_like(), 1.0, &["Hist", "Upsample"]);
+    let r = search_fusion_config(&gpu, &inputs[0], &inputs[1], SearchOptions::default())
+        .expect("Hist+Upsample search");
+    assert_table(
+        "Hist+Upsample at pascal",
+        HIST_UPSAMPLE_PASCAL,
+        &pair_table(&r),
     );
 }
 
@@ -256,6 +327,24 @@ best=2 d0=1024
 768+256 reg=Some(32) cycles=212694 pruned_at=None model=112005 util=0x4058984f2b200fcb stall=0x0 occ=0x4055a2f98a9c1b9b class=[682048, 30976, 0, 46080, 5056, 2048, 4480, 128, 0, 63616, 2560]
 896+128 reg=None cycles=191567 pruned_at=Some(191567) model=139304 util=0x0 stall=0x0 occ=0x0 class=[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]
 896+128 reg=Some(32) cycles=191567 pruned_at=Some(191567) model=139304 util=0x0 stall=0x0 occ=0x0 class=[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]
+";
+
+const HIST_UPSAMPLE_PASCAL: &str = "
+best=4 d0=1024
+128+896 reg=None cycles=89516 pruned_at=Some(89516) model=354529 util=0x0 stall=0x0 occ=0x0 class=[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]
+128+896 reg=Some(32) cycles=89516 pruned_at=Some(89516) model=354529 util=0x0 stall=0x0 occ=0x0 class=[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]
+256+768 reg=None cycles=88374 pruned_at=Some(88374) model=207070 util=0x0 stall=0x0 occ=0x0 class=[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]
+256+768 reg=Some(32) cycles=88374 pruned_at=Some(88374) model=207070 util=0x0 stall=0x0 occ=0x0 class=[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]
+384+640 reg=None cycles=87742 pruned_at=None model=170071 util=0x404be53e15cd135c stall=0x405199c9060cad8e occ=0x4057cbbdb11c8fb9 class=[636224, 31232, 0, 0, 256, 8192, 28672, 128, 0, 66496, 1536]
+384+640 reg=Some(32) cycles=87742 pruned_at=None model=170071 util=0x404be53e15cd135c stall=0x405199c9060cad8e occ=0x4057cbbdb11c8fb9 class=[636224, 31232, 0, 0, 256, 8192, 28672, 128, 0, 66496, 1536]
+512+512 reg=None cycles=100699 pruned_at=None model=172685 util=0x40488043ecc8bc64 stall=0x40519f8d46f04fd6 occ=0x40546a656f32e6d6 class=[652608, 30720, 0, 0, 256, 8192, 28672, 128, 0, 65984, 2048]
+512+512 reg=Some(32) cycles=100699 pruned_at=None model=172685 util=0x40488043ecc8bc64 stall=0x40519f8d46f04fd6 occ=0x40546a656f32e6d6 class=[652608, 30720, 0, 0, 256, 8192, 28672, 128, 0, 65984, 2048]
+640+384 reg=None cycles=88306 pruned_at=Some(88306) model=198323 util=0x0 stall=0x0 occ=0x0 class=[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]
+640+384 reg=Some(32) cycles=88306 pruned_at=Some(88306) model=198323 util=0x0 stall=0x0 occ=0x0 class=[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]
+768+256 reg=None cycles=90014 pruned_at=Some(90014) model=265562 util=0x0 stall=0x0 occ=0x0 class=[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]
+768+256 reg=Some(32) cycles=90014 pruned_at=Some(90014) model=265562 util=0x0 stall=0x0 occ=0x0 class=[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]
+896+128 reg=None cycles=89089 pruned_at=Some(89089) model=485520 util=0x0 stall=0x0 occ=0x0 class=[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]
+896+128 reg=Some(32) cycles=89089 pruned_at=Some(89089) model=485520 util=0x0 stall=0x0 occ=0x0 class=[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]
 ";
 
 const BLAKE256_BLAKE2B: &str = "
