@@ -18,7 +18,7 @@ use crate::launch::{Launch, ParamValue};
 use crate::metrics::BudgetedRun;
 use crate::timing::Gpu;
 
-fn compile(src: &str) -> thread_ir::KernelIr {
+pub(crate) fn compile(src: &str) -> thread_ir::KernelIr {
     lower_kernel(&parse_kernel(src).expect("parse")).expect("lower")
 }
 
@@ -44,7 +44,7 @@ fn assert_paths_identical(cfg: GpuConfig, build: impl Fn(&mut Gpu) -> Vec<Launch
     );
 }
 
-fn memory_bound_launch(gpu: &mut Gpu) -> Vec<Launch> {
+pub(crate) fn memory_bound_launch(gpu: &mut Gpu) -> Vec<Launch> {
     // Dependent loads: every iteration waits out a full DRAM round trip, so
     // the device spends most cycles with every warp scoreboard-blocked —
     // the prime fast-forward case.
@@ -109,7 +109,7 @@ fn barrier_heavy_launch(gpu: &mut Gpu) -> Vec<Launch> {
         .arg(ParamValue::Ptr(i))]
 }
 
-fn multi_stream_launches(gpu: &mut Gpu) -> Vec<Launch> {
+pub(crate) fn multi_stream_launches(gpu: &mut Gpu) -> Vec<Launch> {
     // Two back-to-back launches (leftover dispatch policy): exercises
     // fast-forward across the gap where one launch drains before the next
     // one's blocks dispatch.
@@ -428,7 +428,7 @@ fn fast_forward_matches_naive_partial_barrier() {
 /// `base` with so few MSHRs and so little DRAM bandwidth that memory
 /// warps spend most cycles capacity-blocked: scheduler verdicts that saw
 /// such a warp get cached and must be cleared by completions and refills.
-fn starved(base: GpuConfig) -> GpuConfig {
+pub(crate) fn starved(base: GpuConfig) -> GpuConfig {
     GpuConfig {
         mshrs_per_sm: 8,
         dram_transactions_per_cycle: 1,
@@ -483,7 +483,7 @@ fn fast_forward_matches_naive_cross_scheduler_barrier() {
     assert_paths_identical(GpuConfig::pascal_like(), staggered_barrier_launch);
 }
 
-fn spilled_shared_launch(gpu: &mut Gpu) -> Vec<Launch> {
+pub(crate) fn spilled_shared_launch(gpu: &mut Gpu) -> Vec<Launch> {
     // Conflicting shared atomics hold the shared pipe for many cycles while
     // global loads keep the global pipe and the MSHRs busy. A tight register
     // bound spills operands of the shared accesses, so they need both

@@ -66,4 +66,5 @@ pub use sanitizer::{ReportKind, Sanitizer, SanitizerReport};
 pub use timing::Gpu;
 
 mod diff_tests;
+mod engine_pins;
 mod sim_tests;
