@@ -330,14 +330,13 @@ impl<'a> Pass<'a> {
         mask: u32,
         ids: Option<u16>,
     ) -> Result<u64, Halt> {
-        let inst = self.launch.kernel.insts[pc];
         let ready = &mut self.ready[w * self.regs..(w + 1) * self.regs];
         let t = self
             .ctx
             .operands(pc)
             .iter()
             .fold(self.next[w], |t, &r| t.max(ready[r as usize]));
-        let bar = match inst {
+        let bar = match self.launch.kernel.insts[pc] {
             Inst::Bar { id, .. } => {
                 if ids.is_some_and(|ids| ids & (1 << id) == 0) {
                     return Err(Halt::Fallback);
@@ -361,8 +360,8 @@ impl<'a> Pass<'a> {
                 None,
             )
             .map_err(|_| Halt::Off)?;
-        if let Some(d) = inst.dst() {
-            let lat = issue_latency(&self.cfg.latencies, out, self.ctx.spill_counts[pc]);
+        if let Some(d) = self.ctx.dst(pc) {
+            let lat = issue_latency(&self.cfg.latencies, out, self.ctx.spills(pc));
             ready[d as usize] = t + u64::from(lat);
         }
         self.next[w] = t + 1;

@@ -13,8 +13,6 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use thread_ir::ir::Inst;
-
 use crate::config::{GpuConfig, Latencies};
 use crate::decode::DecodedKernel;
 use crate::error::SimError;
@@ -396,20 +394,32 @@ fn skip_disabled_by_env() -> bool {
     crate::env::sim_no_skip()
 }
 
+/// Issue information of one instruction, precomputed per launch.
+#[derive(Clone, Copy)]
+struct InstCtx {
+    /// Start of the instruction's scoreboard-checked registers in
+    /// [`LaunchCtx::operand_regs`].
+    ops_start: u32,
+    /// How many there are: the sources, then the destination if any.
+    ops_len: u8,
+    /// Whether the last of them is the destination.
+    has_dst: bool,
+    /// Count of spilled-register operands.
+    spills: u8,
+}
+
 /// Per-launch precomputed issue information.
 pub(crate) struct LaunchCtx {
     /// The launch's kernel pre-decoded into a flat instruction buffer (the
     /// interpreter's read path).
     pub(crate) prog: DecodedKernel,
-    /// Per-instruction count of spilled-register operands.
-    pub(crate) spill_counts: Vec<u8>,
+    /// One record per instruction, so the issue path makes one lookup.
+    insts: Vec<InstCtx>,
     /// Flattened scoreboard-checked virtual registers (sources then
-    /// destination) of every instruction, so the per-cycle issue path never
+    /// destination) of every instruction, so the issue path never
     /// allocates. The scoreboard is per warp and liveness per thread, so it
     /// stays keyed by virtual register, not by the decoded storage slots.
     operand_regs: Vec<u32>,
-    /// Per-instruction `(start, len)` span into [`Self::operand_regs`].
-    operand_spans: Vec<(u32, u8)>,
     regs_per_block: u32,
     shared_per_block: u32,
     threads_per_block: u32,
@@ -424,26 +434,25 @@ impl LaunchCtx {
         }
         let mut srcs = Vec::with_capacity(3);
         let mut operand_regs = Vec::new();
-        let mut operand_spans = Vec::with_capacity(k.insts.len());
-        let mut spill_counts = Vec::with_capacity(k.insts.len());
+        let mut insts = Vec::with_capacity(k.insts.len());
         for inst in &k.insts {
-            let start = operand_regs.len() as u32;
+            let ops_start = operand_regs.len() as u32;
             srcs.clear();
             inst.srcs_into(&mut srcs);
-            let mut n: u8 = srcs.iter().map(|&s| u8::from(spilled[s as usize])).sum();
-            if let Some(d) = inst.dst() {
-                srcs.push(d);
-                n += u8::from(spilled[d as usize]);
-            }
+            let dst = inst.dst();
+            srcs.extend(dst);
             operand_regs.extend_from_slice(&srcs);
-            operand_spans.push((start, srcs.len() as u8));
-            spill_counts.push(n);
+            insts.push(InstCtx {
+                ops_start,
+                ops_len: srcs.len() as u8,
+                has_dst: dst.is_some(),
+                spills: srcs.iter().map(|&r| u8::from(spilled[r as usize])).sum(),
+            });
         }
         LaunchCtx {
             prog: DecodedKernel::decode(k),
-            spill_counts,
+            insts,
             operand_regs,
-            operand_spans,
             regs_per_block: k.reg_pressure() * launch.threads_per_block(),
             shared_per_block: launch.shared_bytes_per_block(),
             threads_per_block: launch.threads_per_block(),
@@ -453,8 +462,41 @@ impl LaunchCtx {
     /// The scoreboard-checked registers (sources then destination) of the
     /// instruction at `pc`.
     pub(crate) fn operands(&self, pc: usize) -> &[u32] {
-        let (start, len) = self.operand_spans[pc];
-        &self.operand_regs[start as usize..start as usize + usize::from(len)]
+        let i = self.insts[pc];
+        &self.operand_regs[i.ops_start as usize..i.ops_start as usize + usize::from(i.ops_len)]
+    }
+
+    /// The destination register of the instruction at `pc`, if any.
+    pub(crate) fn dst(&self, pc: usize) -> Option<u32> {
+        let i = self.insts[pc];
+        i.has_dst
+            .then(|| self.operand_regs[i.ops_start as usize + usize::from(i.ops_len) - 1])
+    }
+
+    /// The count of spilled-register operands of the instruction at `pc`.
+    pub(crate) fn spills(&self, pc: usize) -> u8 {
+        self.insts[pc].spills
+    }
+
+    /// The memory pipes the group `(pc, mask)` of `exec`'s warp `warp`
+    /// needs: the global one for an access any active lane makes off-chip
+    /// or for a spilled operand, the shared one for an all-shared access.
+    /// Depends only on the warp's registers and peek.
+    fn pipes(&self, exec: &BlockExec, warp: usize, pc: usize, mask: u32) -> u8 {
+        let space = exec.peek_space(warp, mask, pc, &self.prog);
+        let global = matches!(
+            space,
+            Some(thread_ir::Space::Global | thread_ir::Space::Local)
+        ) || self.spills(pc) > 0;
+        let shared = space == Some(thread_ir::Space::Shared);
+        let mut pipes = 0;
+        if global {
+            pipes |= PIPE_GLOBAL;
+        }
+        if shared {
+            pipes |= PIPE_SHARED;
+        }
+        pipes
     }
 
     /// The most blocks of this launch [`SmState::fits`] lets one SM hold
@@ -476,54 +518,127 @@ enum StallReason {
     Other,
 }
 
-/// A resident warp. Whether it may be tried at all lives in the SM's dense
-/// [`Gate`] array, so the issue scan touches a `WarpSlot` only for a warp
-/// whose gate is open.
+/// A resident warp. Whether it may issue lives in the SM's dense [`Gate`]
+/// array, so the issue scan touches a `WarpSlot` only for a warp whose gate
+/// is open.
 struct WarpSlot {
     block_slot: usize,
     warp_idx: usize,
-    /// Scoreboard, one word per virtual register: the cycle its value is
-    /// ready in bits 0–30 ([`READY_MASK`]), and in bit 31 ([`MEM_PENDING`])
-    /// whether its pending writer touches memory.
-    ready: Vec<u32>,
+    /// Scoreboard: the warp's pending register writes, `(virtual register,
+    /// entry)`, where an entry holds the cycle the value is ready in bits
+    /// 0–30 ([`READY_MASK`]) and in bit 31 ([`MEM_PENDING`]) whether the
+    /// writer touches memory. A register not listed is ready. Entries ready
+    /// at or before the current cycle can affect no check made then or
+    /// later, so recording a write drops them: the list holds only writes
+    /// still in flight.
+    pending: Vec<(u32, u32)>,
     /// The block's cached [`BlockExec::peek_warp`] for this warp.
     peek: WarpPeek,
 }
 
-/// The issue gate of one warp slot, refreshed wherever the slot's peek is.
+impl WarpSlot {
+    /// The latest ready cycle among `regs` (RAW on sources, WAW on the
+    /// destination) and the latest among those whose writer touches memory;
+    /// `0` where none is pending.
+    fn readiness(&self, regs: &[u32]) -> (u32, u32) {
+        let (mut need, mut mem) = (0, 0);
+        for &(r, entry) in &self.pending {
+            if regs.contains(&r) {
+                let ready = entry & READY_MASK;
+                need = need.max(ready);
+                if entry & MEM_PENDING != 0 {
+                    mem = mem.max(ready);
+                }
+            }
+        }
+        (need, mem)
+    }
+
+    /// Records a write of `reg` issued at `now` and ready as `entry`.
+    fn record_write(&mut self, reg: u32, entry: u32, now: u32) {
+        self.pending
+            .retain(|&(r, e)| r != reg && e & READY_MASK > now);
+        self.pending.push((reg, entry));
+    }
+}
+
+/// Pipe-class bit: the group needs the global/local load-store pipe.
+const PIPE_GLOBAL: u8 = 1;
+/// Pipe-class bit: the group needs the shared-memory pipe.
+const PIPE_SHARED: u8 = 2;
+
+/// The issue gate of one warp slot, settled whenever the warp's peek
+/// changes: when it issues, when a barrier releases it, and when its block
+/// is placed. A warp's scoreboard, registers and peek change only then, so
+/// its issue readiness is resolved once per peek rather than on every scan.
+///
 /// `until` is [`GATE_DONE`] for an empty slot or an exited warp,
-/// [`GATE_BLOCKED`] while the warp is parked at a barrier, and otherwise the
-/// cycle before which the warp cannot issue (its scoreboard stall; `reason`
-/// classifies it). A gate at or below the current cycle is open.
+/// [`GATE_BLOCKED`] while the warp is parked at a barrier, and otherwise
+/// the cycle its operands are all ready (`need`). A gate at or below the
+/// current cycle is open, and the scan sends an open warp straight to the
+/// pipe, MSHR and token checks, which read SM state only.
+///
+/// A closed gate reports the stall reason its *first* blocked visit saw:
+/// `Memory` iff an operand whose writer touches memory was still
+/// outstanding then (`mem_until`, the latest such ready cycle, is past the
+/// visit), else `Exec`. The reason is then frozen in `reason` until the next
+/// settle, even once only a longer ALU operand holds the warp.
+///
+/// One case is not settled at once: a barrier release that changes the
+/// peek of a warp that is still running while its gate is closed and its
+/// reason frozen. That gate is kept, with `lazy` set, and the first open
+/// visit checks the new instruction's operands against the scoreboard.
 #[derive(Clone, Copy)]
 struct Gate {
     until: u32,
+    /// The latest ready cycle among the memory-pending operands.
+    mem_until: u32,
+    /// `Sync` at a barrier; for a closed scoreboard gate, the frozen reason,
+    /// or `Other` until the first blocked visit classifies it.
     reason: StallReason,
+    /// The [`PIPE_GLOBAL`]/[`PIPE_SHARED`] bits of the warp's group.
+    pipes: u8,
+    /// The peek changed under this closed gate; check the scoreboard at
+    /// the first open visit.
+    lazy: bool,
 }
 
 impl Gate {
-    const OPEN: Gate = Gate {
-        until: 0,
-        reason: StallReason::Other,
-    };
     const DONE: Gate = Gate {
         until: GATE_DONE,
+        mem_until: 0,
         reason: StallReason::Other,
+        pipes: 0,
+        lazy: false,
+    };
+    const BLOCKED: Gate = Gate {
+        until: GATE_BLOCKED,
+        reason: StallReason::Sync,
+        ..Gate::DONE
     };
 
-    /// The gate of a warp whose peek is `peek`, keeping this gate's stall
-    /// cycle while the warp stays runnable. A warp a barrier just released
-    /// issued its `bar.sync` on an earlier scan of its scheduler, so the
-    /// stall that issue left has passed and the gate opens at once.
-    fn for_peek(self, peek: WarpPeek) -> Gate {
-        match peek {
+    /// Whether the gate is closed by the scoreboard with its stall reason
+    /// already classified by a visit.
+    fn frozen(self, now: u32) -> bool {
+        self.until > now && self.until < GATE_BLOCKED && self.reason != StallReason::Other
+    }
+
+    /// The gate of `warp` for its current peek, settled from its scoreboard
+    /// and its registers.
+    fn settle(ctx: &LaunchCtx, exec: &BlockExec, warp: &WarpSlot) -> Gate {
+        match warp.peek {
             WarpPeek::Done => Gate::DONE,
-            WarpPeek::Blocked => Gate {
-                until: GATE_BLOCKED,
-                reason: StallReason::Sync,
-            },
-            WarpPeek::Exec { .. } if self.until >= GATE_BLOCKED => Gate::OPEN,
-            WarpPeek::Exec { .. } => self,
+            WarpPeek::Blocked => Gate::BLOCKED,
+            WarpPeek::Exec { pc, mask } => {
+                let (until, mem_until) = warp.readiness(ctx.operands(pc));
+                Gate {
+                    until,
+                    mem_until,
+                    reason: StallReason::Other,
+                    pipes: ctx.pipes(exec, warp.warp_idx, pc, mask),
+                    lazy: false,
+                }
+            }
         }
     }
 }
@@ -1099,14 +1214,13 @@ impl<'a> Engine<'a> {
 
         let mut warp_slots = Vec::with_capacity(num_warps);
         for w in 0..num_warps {
-            let peek = exec.peek_warp(w);
             let slot = WarpSlot {
                 block_slot,
                 warp_idx: w,
-                ready: vec![0; launch.kernel.num_regs as usize],
-                peek,
+                pending: Vec::new(),
+                peek: exec.peek_warp(w),
             };
-            let gate = Gate::OPEN.for_peek(peek);
+            let gate = Gate::settle(ctx, &exec, &slot);
             let ws = match sm.warps.iter().position(|x| x.is_none()) {
                 Some(i) => {
                     sm.warps[i] = Some(slot);
@@ -1165,11 +1279,12 @@ impl<'a> Engine<'a> {
     /// Attempts to issue one instruction on scheduler `sched` of SM
     /// `sm_idx`.
     ///
-    /// Walks the scheduler's warps in round-robin order from `rr`. Each
-    /// warp's [`Gate`] — retired or done, parked at a barrier, stalled until
-    /// a known cycle — is read from the SM's dense gate array; only a warp
-    /// whose gate is open reaches [`Self::try_issue_warp`]'s scoreboard and
-    /// pipe checks. The stall verdict is the first blocked warp's reason.
+    /// Walks the scheduler's warps in round-robin order from `rr`, reading
+    /// each warp's settled [`Gate`] from the SM's dense gate array: retired
+    /// or done, parked at a barrier, or waiting on its scoreboard until a
+    /// known cycle. Only a warp whose gate is open reaches
+    /// [`Self::issue_warp`]'s pipe checks. The stall verdict is the first
+    /// blocked warp's reason.
     fn issue_one(
         &mut self,
         memory: &mut GpuMemory,
@@ -1187,23 +1302,15 @@ impl<'a> Engine<'a> {
         let mut first_block_reason: Option<StallReason> = None;
         let mut pos = self.sms[sm_idx].rr[sched] % n_warps;
         for _ in 0..n_warps {
-            let sm = &self.sms[sm_idx];
+            let sm = &mut self.sms[sm_idx];
             let ws = sm.sched_warps[sched][pos];
-            let gate = sm.gates[ws];
+            let gate = &mut sm.gates[ws];
             debug_assert!(
-                gate_matches_peek(gate, sm.warps[ws].as_ref()),
+                gate_matches_peek(*gate, sm.warps[ws].as_ref()),
                 "gate of warp slot {ws} disagrees with its peek"
             );
             let reason = if gate.until <= now32 {
-                let Some(WarpSlot {
-                    peek: WarpPeek::Exec { pc, mask },
-                    ..
-                }) = sm.warps[ws]
-                else {
-                    unreachable!("an open gate belongs to a runnable warp")
-                };
-                let blocked =
-                    self.try_issue_warp(memory, san.as_deref_mut(), sm_idx, ws, pc, mask, now)?;
+                let blocked = self.issue_warp(memory, san.as_deref_mut(), sm_idx, ws, now)?;
                 if blocked.is_none() {
                     // Issued: advance round-robin past this warp.
                     pos += 1;
@@ -1216,6 +1323,14 @@ impl<'a> Engine<'a> {
             } else {
                 if gate.until != GATE_BLOCKED {
                     self.scan_wakeup = self.scan_wakeup.min(u64::from(gate.until));
+                    if gate.reason == StallReason::Other {
+                        // The first blocked visit classifies the stall.
+                        gate.reason = if gate.mem_until > now32 {
+                            StallReason::Memory
+                        } else {
+                            StallReason::Exec
+                        };
+                    }
                 }
                 Some(gate.reason)
             };
@@ -1232,74 +1347,65 @@ impl<'a> Engine<'a> {
         ))
     }
 
-    /// Tries to issue the min-PC group `(pc, mask)` of warp slot `ws`,
-    /// whose gate is open (live, not parked, not stalled until a known
-    /// cycle). Returns `Ok(None)` when issued, `Ok(Some(reason))` when
-    /// blocked by an operand or a memory pipe; an operand stall closes the
-    /// warp's gate until the operand is ready.
-    #[allow(clippy::too_many_arguments)]
-    fn try_issue_warp(
+    /// Tries to issue the min-PC group of warp slot `ws`, whose gate is
+    /// open: its operands are ready, unless its gate is `lazy` and the
+    /// scoreboard check for its new peek closes it here. Returns `Ok(None)`
+    /// when issued, `Ok(Some(reason))` when blocked by that check or by a
+    /// memory pipe, an MSHR or a DRAM token.
+    fn issue_warp(
         &mut self,
         memory: &mut GpuMemory,
         san: Option<&mut Sanitizer>,
         sm_idx: usize,
         ws: usize,
-        pc: usize,
-        mask: u32,
         now: u64,
     ) -> Result<Option<StallReason>, SimError> {
         let sm = &mut self.sms[sm_idx];
         let warp = sm.warps[ws].as_ref().expect("gated warp exists");
+        let WarpPeek::Exec { pc, mask } = warp.peek else {
+            unreachable!("an open gate belongs to a runnable warp")
+        };
         let (block_slot, warp_idx) = (warp.block_slot, warp.warp_idx);
         let launch_idx = sm.blocks[block_slot]
             .as_ref()
             .expect("warp's block resident")
             .launch_idx;
-        let launch = &self.launches[launch_idx];
         let ctx = &self.ctxs[launch_idx];
-        // The scoreboard is keyed by virtual register (the decoded copy's
-        // operands are storage slots).
-        let inst = launch.kernel.insts[pc];
-        let spill_cnt = ctx.spill_counts[pc];
-
-        // Scoreboard: operand readiness (RAW) and destination (WAW), via
-        // the launch's precomputed operand list (no per-attempt allocation).
         let now32 = now as u32;
-        let mut need: u32 = 0;
-        let mut pending: u32 = 0;
-        for &r in ctx.operands(pc) {
-            let entry = warp.ready[r as usize];
-            if entry & READY_MASK > now32 {
-                need = need.max(entry & READY_MASK);
-                pending |= entry;
+        let gate = &mut sm.gates[ws];
+        if gate.lazy {
+            // A barrier release changed this warp's peek while its gate was
+            // closed: check the new group's operands now.
+            let (need, mem_until) = warp.readiness(ctx.operands(pc));
+            gate.lazy = false;
+            if need > now32 {
+                let reason = if mem_until > now32 {
+                    StallReason::Memory
+                } else {
+                    StallReason::Exec
+                };
+                *gate = Gate {
+                    until: need,
+                    mem_until,
+                    reason,
+                    ..*gate
+                };
+                self.scan_wakeup = self.scan_wakeup.min(u64::from(need));
+                return Ok(Some(reason));
             }
         }
-        if need > now32 {
-            let reason = if pending & MEM_PENDING != 0 {
-                StallReason::Memory
-            } else {
-                StallReason::Exec
-            };
-            sm.gates[ws] = Gate {
-                until: need,
-                reason,
-            };
-            self.scan_wakeup = self.scan_wakeup.min(u64::from(need));
-            return Ok(Some(reason));
-        }
+        let pipes = gate.pipes;
+        debug_assert!(
+            {
+                let exec = &sm.blocks[block_slot].as_ref().expect("resident").exec;
+                warp.readiness(ctx.operands(pc)).0 <= now32
+                    && pipes == ctx.pipes(exec, warp_idx, pc, mask)
+            },
+            "settled gate of warp slot {ws} disagrees with its scoreboard or pipes"
+        );
 
         // Structural hazards: the two memory pipelines.
-        let space = sm.blocks[block_slot]
-            .as_ref()
-            .expect("warp's block resident")
-            .exec
-            .peek_space(warp_idx, mask, pc, &ctx.prog);
-        let uses_global_pipe = matches!(
-            space,
-            Some(thread_ir::Space::Global | thread_ir::Space::Local)
-        ) || spill_cnt > 0;
-        let uses_shared_pipe = space == Some(thread_ir::Space::Shared);
-        if uses_global_pipe {
+        if pipes & PIPE_GLOBAL != 0 {
             // A busy pipe is a wakeup time of its own (and gates the warp
             // regardless of capacity). A warp held back *only* by MSHRs or
             // tokens wakes on a completion / token refill — flag it so the
@@ -1313,11 +1419,11 @@ impl<'a> Engine<'a> {
                 return Ok(Some(StallReason::Memory));
             }
         }
-        if uses_shared_pipe && sm.shared_pipe_free > now {
+        if pipes & PIPE_SHARED != 0 && sm.shared_pipe_free > now {
             // Shared-pipe serialization shows up as pipe-busy, not memory
             // dependency, matching nvprof's classification.
             self.scan_wakeup = self.scan_wakeup.min(sm.shared_pipe_free);
-            self.scan_reclassifiable |= uses_global_pipe;
+            self.scan_reclassifiable |= pipes & PIPE_GLOBAL != 0;
             return Ok(Some(StallReason::Exec));
         }
 
@@ -1326,7 +1432,7 @@ impl<'a> Engine<'a> {
             .as_mut()
             .expect("warp's block resident");
         let outcome = block.exec.exec_group(
-            launch,
+            &self.launches[launch_idx],
             &ctx.prog,
             memory,
             warp_idx,
@@ -1336,7 +1442,7 @@ impl<'a> Engine<'a> {
             san,
         )?;
         self.metrics.thread_insts += u64::from(mask.count_ones());
-        self.account_issue(sm_idx, ws, &inst, outcome, spill_cnt, now);
+        self.account_issue(sm_idx, ws, launch_idx, pc, outcome, now);
         Ok(None)
     }
 
@@ -1355,12 +1461,14 @@ impl<'a> Engine<'a> {
         &mut self,
         sm_idx: usize,
         ws: usize,
-        inst: &Inst,
+        launch_idx: usize,
+        pc: usize,
         outcome: ExecOutcome,
-        spill_cnt: u8,
         now: u64,
     ) {
         let lat = &self.cfg.latencies;
+        let ctx = &self.ctxs[launch_idx];
+        let spill_cnt = ctx.spills(pc);
         self.metrics.class_issues[outcome.kind.index()] += 1;
         let extra_tx = u32::from(spill_cnt);
         let mut latency = issue_latency(lat, outcome, spill_cnt);
@@ -1403,21 +1511,23 @@ impl<'a> Engine<'a> {
             self.metrics.mem_transactions += u64::from(tx);
         }
 
-        // Scoreboard update. The warp's gate stays open: its scheduler scans
-        // it again no earlier than the next cycle. A ready time past
-        // `READY_MASK` lies beyond `MAX_CYCLES`, where the run stops anyway.
+        // Scoreboard update. A ready time past `READY_MASK` lies beyond
+        // `MAX_CYCLES`, where the run stops anyway.
+        let now32 = now as u32;
         let warp = sm.warps[ws].as_mut().expect("issuing warp exists");
-        if let Some(d) = inst.dst() {
+        if let Some(d) = ctx.dst(pc) {
             let ready = (now + u64::from(latency)).min(u64::from(READY_MASK)) as u32;
-            warp.ready[d as usize] = if touches_dram {
+            let entry = if touches_dram {
                 ready | MEM_PENDING
             } else {
                 ready
             };
+            warp.record_write(d, entry, now32);
         }
 
-        // Refresh cached peeks and gates: a barrier may release other warps
-        // of the block, which changes verdicts on every scheduler.
+        // Refresh cached peeks and settle gates: a barrier may release
+        // other warps of the block, which changes verdicts on every
+        // scheduler.
         let block_slot = warp.block_slot;
         let SmState {
             blocks,
@@ -1427,44 +1537,69 @@ impl<'a> Engine<'a> {
             ..
         } = &mut *sm;
         let block = blocks[block_slot].as_mut().expect("block resident");
-        if matches!(outcome.kind, IssueKind::Barrier) {
-            for &other in &block.warp_slots {
-                Self::refresh_warp(
-                    &block.exec,
-                    &mut block.live_warps,
-                    live_warps_total,
-                    warps[other].as_mut().expect("block's warp resident"),
-                    &mut gates[other],
-                );
-            }
-            sm.invalidate_sched_cache();
+        let barrier = matches!(outcome.kind, IssueKind::Barrier);
+        let refreshed = if barrier {
+            &block.warp_slots[..]
         } else {
+            std::slice::from_ref(&ws)
+        };
+        for &w in refreshed {
             Self::refresh_warp(
+                ctx,
                 &block.exec,
                 &mut block.live_warps,
                 live_warps_total,
-                warps[ws].as_mut().expect("issuing warp exists"),
-                &mut gates[ws],
+                warps[w].as_mut().expect("block's warp resident"),
+                &mut gates[w],
+                w == ws,
+                now32,
             );
+        }
+        if barrier {
+            sm.invalidate_sched_cache();
         }
     }
 
-    /// Re-peeks one warp of `exec`'s block, refreshes its gate, and retires
-    /// it from the live counts the moment it is done.
+    /// Re-peeks one warp of `exec`'s block, settles its gate, and retires
+    /// it from the live counts the moment it is done. The warp that just
+    /// issued (`issued`) is always settled; another warp only when a
+    /// barrier release changed its peek. If that warp is still running and
+    /// its gate is closed with a frozen reason, the gate keeps its stall
+    /// cycle and reason, and checks the new peek's operands lazily.
+    #[allow(clippy::too_many_arguments)]
     fn refresh_warp(
+        ctx: &LaunchCtx,
         exec: &BlockExec,
         block_live: &mut u32,
         sm_live: &mut u32,
         warp: &mut WarpSlot,
         gate: &mut Gate,
+        issued: bool,
+        now: u32,
     ) {
-        let peek = exec.peek_warp(warp.warp_idx);
-        warp.peek = peek;
-        if peek == WarpPeek::Done && gate.until != GATE_DONE {
+        let old = warp.peek;
+        warp.peek = exec.peek_warp(warp.warp_idx);
+        if warp.peek == old && !issued {
+            return;
+        }
+        if warp.peek == WarpPeek::Done && gate.until != GATE_DONE {
             *sm_live -= 1;
             *block_live -= 1;
         }
-        *gate = gate.for_peek(peek);
+        let settled = Gate::settle(ctx, exec, warp);
+        *gate = if matches!(old, WarpPeek::Exec { .. })
+            && matches!(warp.peek, WarpPeek::Exec { .. })
+            && !issued
+            && gate.frozen(now)
+        {
+            Gate {
+                pipes: settled.pipes,
+                lazy: true,
+                ..*gate
+            }
+        } else {
+            settled
+        };
     }
 }
 
