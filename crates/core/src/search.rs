@@ -390,6 +390,9 @@ impl Candidate {
 struct Sweep<'a> {
     /// The members, in fusion order.
     inputs: &'a [&'a FusionInput],
+    /// Each member lowered once: its register pressure feeds the register
+    /// bound, and its native launch the model's functional pass.
+    members: Vec<Arc<KernelIr>>,
     /// Both register variants of every feasible partition, in sweep order.
     candidates: Vec<Candidate>,
     /// The members' common grid dimension.
@@ -436,10 +439,11 @@ fn compile_sweep<'a>(
             opts.d0
         )));
     }
-    let nregs = inputs
+    let members = inputs
         .iter()
-        .map(|inp| Ok(lower_kernel(&inp.kernel)?.reg_pressure()))
-        .collect::<Result<Vec<u32>, HfuseError>>()?;
+        .map(|inp| Ok(Arc::new(lower_kernel(&inp.kernel)?)))
+        .collect::<Result<Vec<_>, HfuseError>>()?;
+    let nregs: Vec<u32> = members.iter().map(|ir| ir.reg_pressure()).collect();
     let dynamic_shared = inputs.iter().map(|i| i.dynamic_shared).sum();
 
     let mut candidates = Vec::new();
@@ -477,36 +481,27 @@ fn compile_sweep<'a>(
     }
     Ok(Sweep {
         inputs,
+        members,
         candidates,
         grid_dim,
         dynamic_shared,
     })
 }
 
-/// Each member's per-class issue histogram, from one functional pass of
-/// its native launch each: the histogram a timed run reports, without the
-/// timing engine ([`Gpu::run_functional_classes`]).
-fn member_issues(
-    base: &Gpu,
-    inputs: &[&FusionInput],
-) -> Result<Vec<[u64; gpu_sim::IssueKind::COUNT]>, HfuseError> {
-    inputs
-        .iter()
-        .map(|inp| {
-            Ok(base
-                .clone()
-                .run_functional_classes(&[native_launch(inp)?])?)
-        })
-        .collect()
+/// One member's per-class issue histogram.
+type Issues = [u64; gpu_sim::IssueKind::COUNT];
+
+/// Member `m`'s per-class issue histogram, from one functional pass of its
+/// native launch: the histogram a timed run reports, without the timing
+/// engine ([`Gpu::run_functional_classes`]).
+fn member_issues(base: &Gpu, sweep: &Sweep, m: usize) -> Result<Issues, HfuseError> {
+    let launch = native_launch(sweep.inputs[m], Arc::clone(&sweep.members[m]))?;
+    Ok(base.clone().run_functional_classes(&[launch])?)
 }
 
 /// A candidate's expected per-thread dynamic mix: the members' measured
 /// histograms `Σ_i I_i / d_i` at its partition, plus its static spills.
-fn candidate_mix(
-    cfg: &GpuConfig,
-    issues: &[[u64; gpu_sim::IssueKind::COUNT]],
-    cand: &Candidate,
-) -> gpu_sim::DynMix {
+fn candidate_mix(cfg: &GpuConfig, issues: &[Issues], cand: &Candidate) -> gpu_sim::DynMix {
     let s = gpu_sim::static_class_mix(&cand.ir);
     let members: Vec<_> = issues
         .iter()
@@ -517,40 +512,51 @@ fn candidate_mix(
 }
 
 /// The static score every candidate is profiled in ascending order of.
-/// With `model_filter`, the calibrated occupancy-aware per-latency-class
-/// model over [`candidate_mix`], which costs one functional pass of each
-/// member; otherwise the legacy single-weight estimate
-/// ([`gpu_sim::cost_estimate`]).
-/// Pure given the measurements, so scores are identical across
-/// pruned/exhaustive arms.
-fn rank(base: &Gpu, sweep: &Sweep, model_filter: bool) -> Result<Vec<u64>, HfuseError> {
-    let cfg = base.config();
-    let issues = if model_filter {
-        member_issues(base, sweep.inputs)?
-    } else {
-        Vec::new()
-    };
-    Ok(sweep
+/// Given the members' histograms (`issues`, from the model filter), the
+/// calibrated occupancy-aware per-latency-class model over
+/// [`candidate_mix`]; otherwise the legacy single-weight estimate
+/// ([`gpu_sim::cost_estimate`]). Pure given the measurements, so scores
+/// are identical across pruned/exhaustive arms.
+fn score(cfg: &GpuConfig, sweep: &Sweep, issues: Option<&[Issues]>) -> Vec<u64> {
+    sweep
         .candidates
         .iter()
         .map(|c| {
             let (regs, d0) = (c.ir.reg_pressure(), c.d0());
             let shared = c.ir.shared_bytes(sweep.dynamic_shared);
-            if model_filter {
-                let mix = candidate_mix(cfg, &issues, c);
-                gpu_sim::model_estimate(cfg, regs, d0, shared, sweep.grid_dim, &mix)
-            } else {
-                let weight = weighted_inst_cost(&c.ir);
-                gpu_sim::cost_estimate(cfg, regs, d0, shared, sweep.grid_dim, weight)
+            match issues {
+                Some(issues) => {
+                    let mix = candidate_mix(cfg, issues, c);
+                    gpu_sim::model_estimate(cfg, regs, d0, shared, sweep.grid_dim, &mix)
+                }
+                None => {
+                    let weight = weighted_inst_cost(&c.ir);
+                    gpu_sim::cost_estimate(cfg, regs, d0, shared, sweep.grid_dim, weight)
+                }
             }
         })
-        .collect())
+        .collect()
 }
 
-/// Profiles every candidate of `sweep` and returns outcomes aligned with
-/// its order.
+/// One unit of [`profile_jobs`]'s parallel work.
+enum Job {
+    /// Profile candidate `i` unbudgeted.
+    Profile(usize),
+    /// Take member `m`'s issue histogram for the model.
+    Member(usize),
+}
+
+/// What a [`Job`] produced.
+enum JobResult {
+    Profile(Result<SearchCandidate, HfuseError>),
+    Member(Result<Issues, HfuseError>),
+}
+
+/// Every candidate of `sweep` profiled, aligned with its order, with
+/// `reg_bound` and `model_score` set; and the members' issue histograms
+/// (empty without `model_filter`).
 ///
-/// Candidates are profiled in ascending `scores` order (see [`rank`]) in
+/// Candidates are ranked by [`score`] and profiled in ascending order in
 /// two phases:
 ///
 /// 1. **The front** — the top-[`MODEL_TOP_K`] unique programs plus every
@@ -565,14 +571,27 @@ fn rank(base: &Gpu, sweep: &Sweep, model_filter: bool) -> Result<Vec<u64>, Hfuse
 /// exhaustive search's. Each budget depends only on the inputs, never on
 /// which worker finished first, so the whole result — every abort value
 /// included — is identical at any `HFUSE_SEARCH_THREADS` worker count.
+///
+/// When every unique program is in the front anyway (`prune` off, or at
+/// most [`MODEL_TOP_K`] of them), the scores cannot change what runs or at
+/// which budget. The members' functional passes then run as jobs of the
+/// same parallel map, after the programs, and the scores are computed
+/// afterwards; otherwise the passes run first, since the ranking needs
+/// them.
+///
+/// # Errors
+///
+/// A member pass that fails; per-candidate failures are returned in
+/// place.
+#[allow(clippy::type_complexity)]
 fn profile_jobs(
     base: &Gpu,
     sweep: &Sweep,
     prune: bool,
-    scores: &[u64],
-) -> Vec<Result<SearchCandidate, HfuseError>> {
+    model_filter: bool,
+) -> Result<(Vec<Result<SearchCandidate, HfuseError>>, Vec<Issues>), HfuseError> {
     let jobs = &sweep.candidates;
-    debug_assert_eq!(scores.len(), jobs.len());
+    let cfg = base.config();
 
     // Identical compiled programs simulate to identical results, so each
     // unique `(ir, d0)` is profiled once and the result is shared. This
@@ -593,13 +612,41 @@ fn profile_jobs(
         }
     }
     let mut order: Vec<usize> = (0..jobs.len()).filter(|&i| canon[i] == i).collect();
-    order.sort_by_key(|&i| (scores[i], i));
 
-    // The front is a prefix of `order`: ranks are over unique programs, so
-    // the top-k are k *distinct* candidates, and near-ties sort first.
-    let front_len = if prune {
+    let threads = worker_threads(gpu_sim::env::search_threads());
+    let profile = |budget: u64| move |&i: &usize| profile_fused(base, sweep, &jobs[i], budget);
+    let members = if model_filter { sweep.inputs.len() } else { 0 };
+    let (issues, scores, results) = if !prune || order.len() <= MODEL_TOP_K {
+        let work: Vec<Job> = order
+            .iter()
+            .map(|&i| Job::Profile(i))
+            .chain((0..members).map(Job::Member))
+            .collect();
+        let mut results = Vec::with_capacity(order.len());
+        let mut issues = Vec::with_capacity(members);
+        for done in parallel_map(threads, &work, |job| match *job {
+            Job::Profile(i) => JobResult::Profile(profile_fused(base, sweep, &jobs[i], u64::MAX)),
+            Job::Member(m) => JobResult::Member(member_issues(base, sweep, m)),
+        }) {
+            match done {
+                JobResult::Profile(r) => results.push(r),
+                JobResult::Member(r) => issues.push(r?),
+            }
+        }
+        let scores = score(cfg, sweep, model_filter.then_some(&issues[..]));
+        (issues, scores, results)
+    } else {
+        let issues = (0..members)
+            .map(|m| member_issues(base, sweep, m))
+            .collect::<Result<Vec<_>, _>>()?;
+        let scores = score(cfg, sweep, model_filter.then_some(&issues[..]));
+        order.sort_by_key(|&i| (scores[i], i));
+
+        // The front is a prefix of `order`: ranks are over unique
+        // programs, so the top-k are k *distinct* candidates, and near-ties
+        // sort first.
         let best_score = order.first().map_or(u64::MAX, |&i| scores[i]);
-        order
+        let front_len = order
             .iter()
             .enumerate()
             .take_while(|&(rank, &i)| {
@@ -607,26 +654,21 @@ fn profile_jobs(
                     || (best_score != u64::MAX
                         && (scores[i] as f64) <= best_score as f64 * MODEL_MARGIN)
             })
-            .count()
-    } else {
-        order.len()
+            .count();
+        let (front, rest) = order.split_at(front_len);
+        let mut results = parallel_map(threads, front, profile(u64::MAX));
+        let budget = results
+            .iter()
+            .filter_map(|r| r.as_ref().ok())
+            .map(|c| c.cycles)
+            .min()
+            .unwrap_or(u64::MAX);
+        results.extend(parallel_map(threads, rest, profile(budget)));
+        (issues, scores, results)
     };
-    let (front, rest) = order.split_at(front_len);
-
-    let threads = worker_threads(gpu_sim::env::search_threads());
-    let profile = |budget: u64| move |&i: &usize| profile_fused(base, sweep, &jobs[i], budget);
-    let front_results = parallel_map(threads, front, profile(u64::MAX));
-    let budget = front_results
-        .iter()
-        .filter_map(|r| r.as_ref().ok())
-        .map(|c| c.cycles)
-        .min()
-        .unwrap_or(u64::MAX);
-    let rest_results = parallel_map(threads, rest, profile(budget));
 
     let mut slots: Vec<Option<Result<SearchCandidate, HfuseError>>> =
         (0..jobs.len()).map(|_| None).collect();
-    let results = front_results.into_iter().chain(rest_results);
     for (&i, r) in order.iter().zip(results) {
         slots[i] = Some(r);
     }
@@ -636,10 +678,10 @@ fn profile_jobs(
             slots[i] = slots[canon[i]].clone();
         }
     }
-    slots
+    let results = slots
         .into_iter()
         .zip(jobs.iter().zip(scores))
-        .map(|(r, (job, &score))| {
+        .map(|(r, (job, score))| {
             let mut r = r.expect("every candidate profiled");
             if let Ok(c) = &mut r {
                 c.reg_bound = job.bound;
@@ -647,7 +689,8 @@ fn profile_jobs(
             }
             r
         })
-        .collect()
+        .collect();
+    Ok((results, issues))
 }
 
 /// Maps `f` over `items` on `threads` workers — the calling thread plus
@@ -719,8 +762,7 @@ pub(crate) fn search_members(
     let compile_ms = compile_start.elapsed().as_secs_f64() * 1e3;
 
     let profile_start = Instant::now();
-    let scores = rank(base, &sweep, opts.model_filter)?;
-    let results = profile_jobs(base, &sweep, opts.prune, &scores);
+    let (results, _) = profile_jobs(base, &sweep, opts.prune, opts.model_filter)?;
     let profile_ms = profile_start.elapsed().as_secs_f64() * 1e3;
 
     let mut candidates = Vec::new();
@@ -795,8 +837,7 @@ pub fn calibration_rows(
     let inputs = [in1, in2];
     let sweep = compile_sweep(cfg, &inputs, opts, sweep_partitions)?;
     // Every candidate profiles to completion, so the ranking is irrelevant.
-    let results = profile_jobs(base, &sweep, false, &vec![0; sweep.candidates.len()]);
-    let issues = member_issues(base, &inputs)?;
+    let (results, issues) = profile_jobs(base, &sweep, false, true)?;
     let mut rows = Vec::new();
     for (cand, result) in sweep.candidates.iter().zip(results) {
         let c = match result {
@@ -915,11 +956,11 @@ pub fn measure_native(
     Ok(Arc::try_unwrap(r).unwrap_or_else(|shared| (*shared).clone()))
 }
 
-/// The launch that runs `inp` unfused: its default block shape, its grid
-/// and its arguments.
-fn native_launch(inp: &FusionInput) -> Result<Launch, HfuseError> {
+/// The launch that runs `inp` unfused, compiled to `kernel`: its default
+/// block shape, its grid and its arguments.
+fn native_launch(inp: &FusionInput, kernel: Arc<KernelIr>) -> Result<Launch, HfuseError> {
     Ok(Launch {
-        kernel: lower_kernel(&inp.kernel)?.into(),
+        kernel,
         grid_dim: inp.grid_dim,
         block_dim: inp.dims(inp.default_threads, "bad default block shape")?,
         dynamic_shared_bytes: inp.dynamic_shared,
@@ -933,7 +974,10 @@ pub(crate) fn measure_native_impl(
     in1: &FusionInput,
     in2: &FusionInput,
 ) -> Result<gpu_sim::RunResult, HfuseError> {
-    let launches = [native_launch(in1)?, native_launch(in2)?];
+    let launches = [
+        native_launch(in1, lower_kernel(&in1.kernel)?.into())?,
+        native_launch(in2, lower_kernel(&in2.kernel)?.into())?,
+    ];
     Ok(base.clone().run(&launches)?)
 }
 
@@ -957,7 +1001,8 @@ pub(crate) fn measure_single_impl(
     base: &Gpu,
     inp: &FusionInput,
 ) -> Result<gpu_sim::RunResult, HfuseError> {
-    Ok(base.clone().run(&[native_launch(inp)?])?)
+    let launch = native_launch(inp, lower_kernel(&inp.kernel)?.into())?;
+    Ok(base.clone().run(&[launch])?)
 }
 
 /// Measures the vertically fused kernel. Requires matching block and grid
