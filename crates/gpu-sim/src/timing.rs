@@ -5,8 +5,9 @@
 //! / slot limits. Every cycle, each of its warp schedulers picks the first
 //! eligible warp in loose-round-robin order and issues one instruction for
 //! that warp's min-PC group. Eligibility requires the instruction's operand
-//! registers to be ready (per-warp scoreboard) and, for memory instructions,
-//! a free MSHR and DRAM bandwidth. Stall slots are classified the way
+//! registers to be ready (per-warp scoreboard, settled into the warp's issue
+//! gate whenever its next group changes) and, for memory instructions, a
+//! free pipe, MSHR and DRAM bandwidth. Stall slots are classified the way
 //! `nvprof` classifies them (memory dependency, execution dependency,
 //! synchronization), which is what Figs. 8 and 9 of the paper report.
 
@@ -664,12 +665,14 @@ struct BlockSlot {
 /// - any other issue clears only the issuing scheduler's own verdict.
 ///
 /// The last rule is sound because an ordinary issue changes no other warp's
-/// peek, and can only keep the SM's pipes busy for longer and make MSHRs and
-/// tokens scarcer: a blocked warp of another scheduler stays blocked, for
-/// the same reason, until at least the wakeup its cached verdict names. The
-/// one warp whose *reason* an issue can change — it needs the global pipe
-/// but was held only by the shared pipe (`Exec`), and a busier global pipe
-/// or scarcer capacity makes it `Memory` — makes its scan uncacheable.
+/// peek, scoreboard or settled [`Gate`], and can only keep the SM's pipes
+/// busy for longer and make MSHRs and tokens scarcer: a blocked warp of
+/// another scheduler stays blocked, for the same reason, until at least the
+/// wakeup its cached verdict names. (A closed gate's reason is frozen by the
+/// visit that produced the verdict.) The one warp whose *reason* an issue
+/// can change — it needs the global pipe but was held only by the shared
+/// pipe (`Exec`), and a busier global pipe or scarcer capacity makes it
+/// `Memory` — makes its scan uncacheable.
 #[derive(Clone, Copy)]
 struct SchedCache {
     valid: bool,
@@ -695,6 +698,11 @@ impl SchedCache {
 
 struct SmState {
     blocks: Vec<Option<BlockSlot>>,
+    /// How many entries of `blocks` are resident.
+    resident: u32,
+    /// How many resident blocks have no live warp left, awaiting
+    /// retirement.
+    finished: u32,
     warps: Vec<Option<WarpSlot>>,
     /// Issue gate of each warp slot, parallel to `warps`.
     gates: Vec<Gate>,
@@ -723,6 +731,8 @@ impl SmState {
     fn new(cfg: &GpuConfig) -> Self {
         SmState {
             blocks: Vec::new(),
+            resident: 0,
+            finished: 0,
             warps: Vec::new(),
             gates: Vec::new(),
             sched_warps: vec![Vec::new(); cfg.schedulers_per_sm as usize],
@@ -752,16 +762,12 @@ impl SmState {
         }
     }
 
-    fn resident_blocks(&self) -> u32 {
-        self.blocks.iter().filter(|b| b.is_some()).count() as u32
-    }
-
     fn is_active(&self) -> bool {
-        self.blocks.iter().any(|b| b.is_some())
+        self.resident > 0
     }
 
     fn fits(&self, cfg: &GpuConfig, ctx: &LaunchCtx) -> bool {
-        self.resident_blocks() < cfg.max_blocks_per_sm
+        self.resident < cfg.max_blocks_per_sm
             && self.regs_used + ctx.regs_per_block <= cfg.regs_per_sm
             && self.shared_used + ctx.shared_per_block <= cfg.shared_per_sm
             && self.threads_used + ctx.threads_per_block <= cfg.max_threads_per_sm
@@ -1237,6 +1243,7 @@ impl<'a> Engine<'a> {
             warp_slots.push(ws);
         }
         sm.live_warps_total += num_warps as u32;
+        sm.resident += 1;
         sm.blocks[block_slot] = Some(BlockSlot {
             exec,
             launch_idx,
@@ -1250,11 +1257,16 @@ impl<'a> Engine<'a> {
         let mut retired = false;
         for sm in &mut self.sms {
             for bi in 0..sm.blocks.len() {
+                if sm.finished == 0 {
+                    break;
+                }
                 let done = matches!(&sm.blocks[bi], Some(b) if b.live_warps == 0);
                 if !done {
                     continue;
                 }
                 let block = sm.blocks[bi].take().expect("checked Some");
+                sm.resident -= 1;
+                sm.finished -= 1;
                 let ctx = &self.ctxs[block.launch_idx];
                 sm.regs_used -= ctx.regs_per_block;
                 sm.shared_used -= ctx.shared_per_block;
@@ -1300,7 +1312,11 @@ impl<'a> Engine<'a> {
         // The loop stops at `MAX_CYCLES`, so `now` fits a gate's cycle.
         let now32 = now as u32;
         let mut first_block_reason: Option<StallReason> = None;
-        let mut pos = self.sms[sm_idx].rr[sched] % n_warps;
+        let mut pos = self.sms[sm_idx].rr[sched];
+        if pos >= n_warps {
+            // A retirement shrank the scheduler's warp list.
+            pos %= n_warps;
+        }
         for _ in 0..n_warps {
             let sm = &mut self.sms[sm_idx];
             let ws = sm.sched_warps[sched][pos];
@@ -1349,7 +1365,8 @@ impl<'a> Engine<'a> {
 
     /// Tries to issue the min-PC group of warp slot `ws`, whose gate is
     /// open: its operands are ready, unless its gate is `lazy` and the
-    /// scoreboard check for its new peek closes it here. Returns `Ok(None)`
+    /// scoreboard check for its new peek closes it here. The pipe, MSHR
+    /// and token checks read only the gate and the SM. Returns `Ok(None)`
     /// when issued, `Ok(Some(reason))` when blocked by that check or by a
     /// memory pipe, an MSHR or a DRAM token.
     fn issue_warp(
@@ -1360,51 +1377,20 @@ impl<'a> Engine<'a> {
         ws: usize,
         now: u64,
     ) -> Result<Option<StallReason>, SimError> {
-        let sm = &mut self.sms[sm_idx];
-        let warp = sm.warps[ws].as_ref().expect("gated warp exists");
-        let WarpPeek::Exec { pc, mask } = warp.peek else {
-            unreachable!("an open gate belongs to a runnable warp")
-        };
-        let (block_slot, warp_idx) = (warp.block_slot, warp.warp_idx);
-        let launch_idx = sm.blocks[block_slot]
-            .as_ref()
-            .expect("warp's block resident")
-            .launch_idx;
-        let ctx = &self.ctxs[launch_idx];
         let now32 = now as u32;
-        let gate = &mut sm.gates[ws];
-        if gate.lazy {
-            // A barrier release changed this warp's peek while its gate was
-            // closed: check the new group's operands now.
-            let (need, mem_until) = warp.readiness(ctx.operands(pc));
-            gate.lazy = false;
-            if need > now32 {
-                let reason = if mem_until > now32 {
-                    StallReason::Memory
-                } else {
-                    StallReason::Exec
-                };
-                *gate = Gate {
-                    until: need,
-                    mem_until,
-                    reason,
-                    ..*gate
-                };
-                self.scan_wakeup = self.scan_wakeup.min(u64::from(need));
+        if self.sms[sm_idx].gates[ws].lazy {
+            if let Some(reason) = self.check_lazy_gate(sm_idx, ws, now32) {
                 return Ok(Some(reason));
             }
         }
-        let pipes = gate.pipes;
         debug_assert!(
-            {
-                let exec = &sm.blocks[block_slot].as_ref().expect("resident").exec;
-                warp.readiness(ctx.operands(pc)).0 <= now32
-                    && pipes == ctx.pipes(exec, warp_idx, pc, mask)
-            },
+            self.gate_settled(sm_idx, ws, now32),
             "settled gate of warp slot {ws} disagrees with its scoreboard or pipes"
         );
 
         // Structural hazards: the two memory pipelines.
+        let sm = &mut self.sms[sm_idx];
+        let pipes = sm.gates[ws].pipes;
         if pipes & PIPE_GLOBAL != 0 {
             // A busy pipe is a wakeup time of its own (and gates the warp
             // regardless of capacity). A warp held back *only* by MSHRs or
@@ -1428,12 +1414,18 @@ impl<'a> Engine<'a> {
         }
 
         // Issue: execute functionally, then account timing.
-        let block = sm.blocks[block_slot]
+        let warp = sm.warps[ws].as_ref().expect("gated warp exists");
+        let WarpPeek::Exec { pc, mask } = warp.peek else {
+            unreachable!("an open gate belongs to a runnable warp")
+        };
+        let warp_idx = warp.warp_idx;
+        let block = sm.blocks[warp.block_slot]
             .as_mut()
             .expect("warp's block resident");
+        let launch_idx = block.launch_idx;
         let outcome = block.exec.exec_group(
             &self.launches[launch_idx],
-            &ctx.prog,
+            &self.ctxs[launch_idx].prog,
             memory,
             warp_idx,
             pc,
@@ -1444,6 +1436,55 @@ impl<'a> Engine<'a> {
         self.metrics.thread_insts += u64::from(mask.count_ones());
         self.account_issue(sm_idx, ws, launch_idx, pc, outcome, now);
         Ok(None)
+    }
+
+    /// The one lazy scoreboard check (see [`Gate`]): a barrier release
+    /// changed warp slot `ws`'s peek while its gate was closed. Closes the
+    /// gate and returns the stall reason when an operand of the new group
+    /// is still pending at `now`; clears `lazy` either way.
+    fn check_lazy_gate(&mut self, sm_idx: usize, ws: usize, now: u32) -> Option<StallReason> {
+        let sm = &mut self.sms[sm_idx];
+        let warp = sm.warps[ws].as_ref().expect("gated warp exists");
+        let WarpPeek::Exec { pc, .. } = warp.peek else {
+            unreachable!("an open gate belongs to a runnable warp")
+        };
+        let block = sm.blocks[warp.block_slot].as_ref().expect("resident");
+        let (need, mem_until) = warp.readiness(self.ctxs[block.launch_idx].operands(pc));
+        let gate = &mut sm.gates[ws];
+        gate.lazy = false;
+        if need <= now {
+            return None;
+        }
+        let reason = if mem_until > now {
+            StallReason::Memory
+        } else {
+            StallReason::Exec
+        };
+        *gate = Gate {
+            until: need,
+            mem_until,
+            reason,
+            ..*gate
+        };
+        self.scan_wakeup = self.scan_wakeup.min(u64::from(need));
+        Some(reason)
+    }
+
+    /// Whether the open gate of warp slot `ws` agrees with what its
+    /// scoreboard and `peek_space` give at `now`: every operand ready, and
+    /// the same pipes. Debug builds check this at every open visit.
+    fn gate_settled(&self, sm_idx: usize, ws: usize, now: u32) -> bool {
+        let sm = &self.sms[sm_idx];
+        let Some(warp) = &sm.warps[ws] else {
+            return false;
+        };
+        let WarpPeek::Exec { pc, mask } = warp.peek else {
+            return false;
+        };
+        let block = sm.blocks[warp.block_slot].as_ref().expect("resident");
+        let ctx = &self.ctxs[block.launch_idx];
+        warp.readiness(ctx.operands(pc)).0 <= now
+            && sm.gates[ws].pipes == ctx.pipes(&block.exec, warp.warp_idx, pc, mask)
     }
 
     /// Extra memory latency from queueing: as the SM's outstanding
@@ -1531,6 +1572,7 @@ impl<'a> Engine<'a> {
         let block_slot = warp.block_slot;
         let SmState {
             blocks,
+            finished,
             warps,
             gates,
             live_warps_total,
@@ -1543,6 +1585,7 @@ impl<'a> Engine<'a> {
         } else {
             std::slice::from_ref(&ws)
         };
+        let was_live = block.live_warps;
         for &w in refreshed {
             Self::refresh_warp(
                 ctx,
@@ -1554,6 +1597,9 @@ impl<'a> Engine<'a> {
                 w == ws,
                 now32,
             );
+        }
+        if was_live > 0 && block.live_warps == 0 {
+            *finished += 1;
         }
         if barrier {
             sm.invalidate_sched_cache();
