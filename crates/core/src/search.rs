@@ -538,6 +538,9 @@ fn score(cfg: &GpuConfig, sweep: &Sweep, issues: Option<&[Issues]>) -> Vec<u64> 
         .collect()
 }
 
+/// One candidate's profile, or why it has none.
+type Profiled = Result<SearchCandidate, HfuseError>;
+
 /// One unit of [`profile_jobs`]'s parallel work.
 enum Job {
     /// Profile candidate `i` unbudgeted.
@@ -548,7 +551,7 @@ enum Job {
 
 /// What a [`Job`] produced.
 enum JobResult {
-    Profile(Result<SearchCandidate, HfuseError>),
+    Profile(Profiled),
     Member(Result<Issues, HfuseError>),
 }
 
@@ -583,13 +586,12 @@ enum JobResult {
 ///
 /// A member pass that fails; per-candidate failures are returned in
 /// place.
-#[allow(clippy::type_complexity)]
 fn profile_jobs(
     base: &Gpu,
     sweep: &Sweep,
     prune: bool,
     model_filter: bool,
-) -> Result<(Vec<Result<SearchCandidate, HfuseError>>, Vec<Issues>), HfuseError> {
+) -> Result<(Vec<Profiled>, Vec<Issues>), HfuseError> {
     let jobs = &sweep.candidates;
     let cfg = base.config();
 
@@ -625,7 +627,7 @@ fn profile_jobs(
         let mut results = Vec::with_capacity(order.len());
         let mut issues = Vec::with_capacity(members);
         for done in parallel_map(threads, &work, |job| match *job {
-            Job::Profile(i) => JobResult::Profile(profile_fused(base, sweep, &jobs[i], u64::MAX)),
+            Job::Profile(i) => JobResult::Profile(profile(u64::MAX)(&i)),
             Job::Member(m) => JobResult::Member(member_issues(base, sweep, m)),
         }) {
             match done {
@@ -667,8 +669,7 @@ fn profile_jobs(
         (issues, scores, results)
     };
 
-    let mut slots: Vec<Option<Result<SearchCandidate, HfuseError>>> =
-        (0..jobs.len()).map(|_| None).collect();
+    let mut slots: Vec<Option<Profiled>> = (0..jobs.len()).map(|_| None).collect();
     for (&i, r) in order.iter().zip(results) {
         slots[i] = Some(r);
     }

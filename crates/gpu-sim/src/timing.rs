@@ -1585,53 +1585,49 @@ impl<'a> Engine<'a> {
         } else {
             std::slice::from_ref(&ws)
         };
-        let was_live = block.live_warps;
+        let mut exited = 0;
         for &w in refreshed {
-            Self::refresh_warp(
+            exited += u32::from(Self::refresh_warp(
                 ctx,
                 &block.exec,
-                &mut block.live_warps,
-                live_warps_total,
                 warps[w].as_mut().expect("block's warp resident"),
                 &mut gates[w],
                 w == ws,
                 now32,
-            );
+            ));
         }
-        if was_live > 0 && block.live_warps == 0 {
-            *finished += 1;
+        if exited > 0 {
+            *live_warps_total -= exited;
+            block.live_warps -= exited;
+            if block.live_warps == 0 {
+                *finished += 1;
+            }
         }
         if barrier {
             sm.invalidate_sched_cache();
         }
     }
 
-    /// Re-peeks one warp of `exec`'s block, settles its gate, and retires
-    /// it from the live counts the moment it is done. The warp that just
-    /// issued (`issued`) is always settled; another warp only when a
-    /// barrier release changed its peek. If that warp is still running and
-    /// its gate is closed with a frozen reason, the gate keeps its stall
-    /// cycle and reason, and checks the new peek's operands lazily.
-    #[allow(clippy::too_many_arguments)]
+    /// Re-peeks one warp of `exec`'s block and settles its gate; returns
+    /// whether the warp has just exited. The warp that just issued
+    /// (`issued`) is always settled; another warp only when a barrier
+    /// release changed its peek. If that warp is still running and its
+    /// gate is closed with a frozen reason, the gate keeps its stall cycle
+    /// and reason, and checks the new peek's operands lazily.
     fn refresh_warp(
         ctx: &LaunchCtx,
         exec: &BlockExec,
-        block_live: &mut u32,
-        sm_live: &mut u32,
         warp: &mut WarpSlot,
         gate: &mut Gate,
         issued: bool,
         now: u32,
-    ) {
+    ) -> bool {
         let old = warp.peek;
         warp.peek = exec.peek_warp(warp.warp_idx);
         if warp.peek == old && !issued {
-            return;
+            return false;
         }
-        if warp.peek == WarpPeek::Done && gate.until != GATE_DONE {
-            *sm_live -= 1;
-            *block_live -= 1;
-        }
+        let exited = warp.peek == WarpPeek::Done && gate.until != GATE_DONE;
         let settled = Gate::settle(ctx, exec, warp);
         *gate = if matches!(old, WarpPeek::Exec { .. })
             && matches!(warp.peek, WarpPeek::Exec { .. })
@@ -1646,6 +1642,7 @@ impl<'a> Engine<'a> {
         } else {
             settled
         };
+        exited
     }
 }
 
