@@ -541,20 +541,6 @@ fn score(cfg: &GpuConfig, sweep: &Sweep, issues: Option<&[Issues]>) -> Vec<u64> 
 /// One candidate's profile, or why it has none.
 type Profiled = Result<SearchCandidate, HfuseError>;
 
-/// One unit of [`profile_jobs`]'s parallel work.
-enum Job {
-    /// Profile candidate `i` unbudgeted.
-    Profile(usize),
-    /// Take member `m`'s issue histogram for the model.
-    Member(usize),
-}
-
-/// What a [`Job`] produced.
-enum JobResult {
-    Profile(Profiled),
-    Member(Result<Issues, HfuseError>),
-}
-
 /// Every candidate of `sweep` profiled, aligned with its order, with
 /// `reg_bound` and `model_score` set; and the members' issue histograms
 /// (empty without `model_filter`).
@@ -575,12 +561,8 @@ enum JobResult {
 /// which worker finished first, so the whole result — every abort value
 /// included — is identical at any `HFUSE_SEARCH_THREADS` worker count.
 ///
-/// When every unique program is in the front anyway (`prune` off, or at
-/// most [`MODEL_TOP_K`] of them), the scores cannot change what runs or at
-/// which budget. The members' functional passes then run as jobs of the
-/// same parallel map, after the programs, and the scores are computed
-/// afterwards; otherwise the passes run first, since the ranking needs
-/// them.
+/// The model's ranking needs the members' histograms, so their functional
+/// passes run first.
 ///
 /// # Errors
 ///
@@ -615,40 +597,21 @@ fn profile_jobs(
     }
     let mut order: Vec<usize> = (0..jobs.len()).filter(|&i| canon[i] == i).collect();
 
-    let threads = worker_threads(gpu_sim::env::search_threads());
-    let profile = |budget: u64| move |&i: &usize| profile_fused(base, sweep, &jobs[i], budget);
-    let members = if model_filter { sweep.inputs.len() } else { 0 };
-    let (issues, scores, results) = if !prune || order.len() <= MODEL_TOP_K {
-        let work: Vec<Job> = order
-            .iter()
-            .map(|&i| Job::Profile(i))
-            .chain((0..members).map(Job::Member))
-            .collect();
-        let mut results = Vec::with_capacity(order.len());
-        let mut issues = Vec::with_capacity(members);
-        for done in parallel_map(threads, &work, |job| match *job {
-            Job::Profile(i) => JobResult::Profile(profile(u64::MAX)(&i)),
-            Job::Member(m) => JobResult::Member(member_issues(base, sweep, m)),
-        }) {
-            match done {
-                JobResult::Profile(r) => results.push(r),
-                JobResult::Member(r) => issues.push(r?),
-            }
-        }
-        let scores = score(cfg, sweep, model_filter.then_some(&issues[..]));
-        (issues, scores, results)
-    } else {
-        let issues = (0..members)
+    let issues = if model_filter {
+        (0..sweep.inputs.len())
             .map(|m| member_issues(base, sweep, m))
-            .collect::<Result<Vec<_>, _>>()?;
-        let scores = score(cfg, sweep, model_filter.then_some(&issues[..]));
-        order.sort_by_key(|&i| (scores[i], i));
+            .collect::<Result<Vec<_>, _>>()?
+    } else {
+        Vec::new()
+    };
+    let scores = score(cfg, sweep, model_filter.then_some(&issues[..]));
+    order.sort_by_key(|&i| (scores[i], i));
 
-        // The front is a prefix of `order`: ranks are over unique
-        // programs, so the top-k are k *distinct* candidates, and near-ties
-        // sort first.
+    // The front is a prefix of `order`: ranks are over unique programs, so
+    // the top-k are k *distinct* candidates, and near-ties sort first.
+    let front_len = if prune {
         let best_score = order.first().map_or(u64::MAX, |&i| scores[i]);
-        let front_len = order
+        order
             .iter()
             .enumerate()
             .take_while(|&(rank, &i)| {
@@ -656,18 +619,22 @@ fn profile_jobs(
                     || (best_score != u64::MAX
                         && (scores[i] as f64) <= best_score as f64 * MODEL_MARGIN)
             })
-            .count();
-        let (front, rest) = order.split_at(front_len);
-        let mut results = parallel_map(threads, front, profile(u64::MAX));
-        let budget = results
-            .iter()
-            .filter_map(|r| r.as_ref().ok())
-            .map(|c| c.cycles)
-            .min()
-            .unwrap_or(u64::MAX);
-        results.extend(parallel_map(threads, rest, profile(budget)));
-        (issues, scores, results)
+            .count()
+    } else {
+        order.len()
     };
+    let (front, rest) = order.split_at(front_len);
+
+    let threads = worker_threads(gpu_sim::env::search_threads());
+    let profile = |budget: u64| move |&i: &usize| profile_fused(base, sweep, &jobs[i], budget);
+    let mut results = parallel_map(threads, front, profile(u64::MAX));
+    let budget = results
+        .iter()
+        .filter_map(|r| r.as_ref().ok())
+        .map(|c| c.cycles)
+        .min()
+        .unwrap_or(u64::MAX);
+    results.extend(parallel_map(threads, rest, profile(budget)));
 
     let mut slots: Vec<Option<Profiled>> = (0..jobs.len()).map(|_| None).collect();
     for (&i, r) in order.iter().zip(results) {
@@ -750,8 +717,8 @@ pub(crate) struct Searched {
 /// [`search_multi_fusion_config`](crate::multi::search_multi_fusion_config):
 /// check the members and options and compile both register variants of
 /// every partition `sweep` yields ([`compile_sweep`]), rank them
-/// ([`rank`]), profile them best-first ([`profile_jobs`]), and pick the
-/// fewest cycles among the completed runs (the first on a tie).
+/// ([`score`]) and profile them best-first ([`profile_jobs`]), and pick
+/// the fewest cycles among the completed runs (the first on a tie).
 pub(crate) fn search_members(
     base: &Gpu,
     inputs: &[&FusionInput],
