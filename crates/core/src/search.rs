@@ -112,21 +112,22 @@ pub struct SearchOptions {
     pub d0: u32,
     /// Partition step (the paper uses 128).
     pub granularity: u32,
-    /// Branch-and-bound pruning: profile candidates best-first, the front
-    /// (the top-[`MODEL_TOP_K`] unique programs plus near-ties within
-    /// [`MODEL_MARGIN`]) without a budget and every other candidate at one
-    /// fixed budget, the front's best completed cycle count, so losers
-    /// abort as soon as they exceed it. The chosen best candidate, its
-    /// cycles, and the cycles of every *surviving* (non-pruned) candidate
-    /// are identical to the exhaustive search, and the whole report —
-    /// which losers get cut short, and at what value — is a pure function
-    /// of the inputs and options, whatever the worker count. `false` (the
-    /// CLI's `--no-prune`) profiles every candidate to completion.
+    /// Branch-and-bound pruning: race the front (the top-[`MODEL_TOP_K`]
+    /// unique programs plus near-ties within [`MODEL_MARGIN`]) to its first
+    /// finisher ([`Gpu::race`]), whose cycle count `m` is the one budget:
+    /// every candidate, front losers included, reports exactly what
+    /// [`Gpu::run_with_budget`] returns at `m`, so losers abort soon after
+    /// their clock passes it. The chosen best candidate, its cycles, and
+    /// the cycles of every *surviving* (non-pruned) candidate are identical
+    /// to the exhaustive search, and the whole report — which losers get
+    /// cut short, and at what value — is a pure function of the inputs and
+    /// options, whatever the worker count. `false` (the CLI's `--no-prune`)
+    /// profiles every candidate to completion.
     pub prune: bool,
     /// Calibrated analytic pre-filter: rank candidates with the
     /// per-latency-class model ([`gpu_sim::model_estimate`]) instead of the
     /// single-weight cost estimate. The ranking decides which candidates
-    /// form the unbudgeted front (see [`prune`](Self::prune)); because an
+    /// form the raced front (see [`prune`](Self::prune)); because an
     /// abort requires the simulated clock to strictly exceed a *completed*
     /// run's cycles, the winner and every surviving candidate stay
     /// bit-identical to the exhaustive search regardless of model quality —
@@ -167,18 +168,23 @@ pub struct SearchCandidate {
     /// Achieved occupancy (%). Zero for pruned candidates.
     pub occupancy: f64,
     /// `Some(cycles)` when the profile run was budget-aborted
-    /// (branch-and-bound pruning): either the simulated clock at the abort
-    /// point or, for a candidate that was never simulated, the
-    /// critical-path lower bound that exceeded the budget (see
-    /// [`Gpu::run_with_budget`]). Either way it is greater than the fixed
-    /// budget, the front's best completed cycle count, no greater than the
-    /// candidate's true cycles, and it depends only on the inputs and
-    /// options. `None` when the candidate was profiled to completion.
+    /// (branch-and-bound pruning): what [`Gpu::run_with_budget`] reports at
+    /// the search's one budget `m`, the fewest cycles any program of the
+    /// raced front completes in — either the simulated clock at the abort
+    /// point or, for a run the critical-path lower bound rejects, that
+    /// bound. A front loser gets it from the race ([`Gpu::race`]), every
+    /// other candidate from its budgeted run. Either way it is greater than
+    /// `m`, no greater than the candidate's true cycles, and it depends
+    /// only on the inputs and options. `None` when the candidate was
+    /// profiled to completion.
     pub pruned_at: Option<u64>,
     /// Static ranking score this candidate was ordered by: the calibrated
     /// analytic model estimate when model filtering is active, the legacy
-    /// single-weight cost estimate otherwise. Pure and deterministic, so it
-    /// is identical across pruned/exhaustive arms of the same mode.
+    /// single-weight cost estimate otherwise. 0 ("unranked") when the
+    /// search had at most [`MODEL_TOP_K`] unique programs: the front then
+    /// holds every program whatever the order, so nothing is ranked and no
+    /// member pass runs. Pure and deterministic, so it is identical across
+    /// pruned/exhaustive arms of the same mode.
     pub model_score: u64,
     /// Issued warp-group instructions per latency class (indexed by
     /// [`gpu_sim::IssueKind::index`]) from the profile run — the "where did
@@ -223,7 +229,8 @@ impl SearchReport {
 
     /// The winner's static-model rank among all candidates (1 = the model
     /// ranked it best). A rank of 1 means the analytic pre-filter alone
-    /// would have picked the same configuration.
+    /// would have picked the same configuration. In an unranked search
+    /// (every score 0) the candidates tie and the rank is `1 + best_idx`.
     pub fn best_model_rank(&self) -> usize {
         let best = self.best();
         1 + self
@@ -236,12 +243,13 @@ impl SearchReport {
 
     /// True when the winner lies in the model-exempt front — the analytic
     /// pre-filter's top-[`MODEL_TOP_K`] candidates plus every near-tie
-    /// within [`MODEL_MARGIN`] of the best score. Candidates in the front
-    /// profile without a budget, so when this holds the winner is found at
-    /// full simulation speed *and* establishes the tightest possible abort
-    /// budget for everything behind it. Correctness never depends on this
-    /// predicate, but the search's speedup does; the model-front smoke test
-    /// keeps it true on every paper pair.
+    /// within [`MODEL_MARGIN`] of the best score, or every candidate of an
+    /// unranked search (all scores 0). The front is raced to its first
+    /// finisher, so when this holds the winner is found at full simulation
+    /// speed *and* its cycles are the budget for everything else, the
+    /// tightest possible. Correctness never depends on this predicate, but
+    /// the search's speedup does; the model-front smoke test keeps it true
+    /// on every paper pair.
     pub fn best_in_model_front(&self) -> bool {
         let Some(best_score) = self.candidates.iter().map(|c| c.model_score).min() else {
             return false;
@@ -251,19 +259,27 @@ impl SearchReport {
     }
 
     /// A one-paragraph human-readable explanation of *why* the winner won:
-    /// its model rank and its issue histogram (densest latency classes
-    /// first), so reports can show where the cycles went.
+    /// its model rank ("unranked" when the search ranked nothing, see
+    /// [`SearchCandidate::model_score`]) and its issue histogram (densest
+    /// latency classes first), so reports can show where the cycles went.
     pub fn explain_best(&self) -> String {
         let best = self.best();
         let total: u64 = best.class_issues.iter().sum();
+        let rank = if self.candidates.iter().all(|c| c.model_score == 0) {
+            "unranked (every program raced)".to_owned()
+        } else {
+            format!(
+                "model rank {}/{}",
+                self.best_model_rank(),
+                self.candidates.len()
+            )
+        };
         let mut s = format!(
-            "winner d1={} d2={} (reg bound {}): model rank {}/{}",
+            "winner d1={} d2={} (reg bound {}): {rank}",
             best.d1,
             best.d2,
             best.reg_bound
                 .map_or_else(|| "none".to_owned(), |b| b.to_string()),
-            self.best_model_rank(),
-            self.candidates.len(),
         );
         if total > 0 {
             let mut rows: Vec<(gpu_sim::IssueKind, u64)> = gpu_sim::IssueKind::ALL
@@ -288,24 +304,20 @@ impl SearchReport {
     }
 }
 
-/// Profiles one compiled candidate of `sweep` on a fresh copy of the base
-/// device state, stopping early once the simulated clock exceeds `budget`.
-/// Cloning the base device only bumps buffer refcounts (copy-on-write), and
-/// the kernel is shared, so each profile is cheap to set up. A
-/// budget-aborted run returns a candidate with `pruned_at` set and zeroed
-/// metrics; the partially-mutated clone is simply discarded.
-fn profile_fused(
-    base: &Gpu,
-    sweep: &Sweep,
-    cand: &Candidate,
-    budget: u64,
-) -> Result<SearchCandidate, HfuseError> {
-    let launch = fused_launch(Arc::clone(&cand.ir), sweep.inputs, cand.d0());
-    let (cycles, pruned_at, metrics) = match base.clone().run_with_budget(&[launch], budget)? {
+/// The launch that profiles candidate `cand` of `sweep`.
+fn candidate_launch(sweep: &Sweep, cand: &Candidate) -> Vec<Launch> {
+    vec![fused_launch(Arc::clone(&cand.ir), sweep.inputs, cand.d0())]
+}
+
+/// A candidate's profile from its run: the cycles and metrics of a
+/// completed run, or `pruned_at` and zeroed metrics for an aborted one.
+/// `reg_bound` and `model_score` are left for the caller to set.
+fn profiled(run: BudgetedRun) -> SearchCandidate {
+    let (cycles, pruned_at, metrics) = match run {
         BudgetedRun::Completed(res) => (res.total_cycles, None, Some(res.metrics)),
         BudgetedRun::Aborted { cycles_so_far } => (cycles_so_far, Some(cycles_so_far), None),
     };
-    Ok(SearchCandidate {
+    SearchCandidate {
         d1: 0,
         d2: 0,
         reg_bound: None,
@@ -316,7 +328,7 @@ fn profile_fused(
         pruned_at,
         model_score: 0,
         class_issues: metrics.map_or([0; gpu_sim::IssueKind::COUNT], |m| m.class_issues),
-    })
+    }
 }
 
 /// Static per-thread instruction weight used by the analytic cost estimate:
@@ -358,12 +370,13 @@ fn worker_threads(explicit: Option<usize>) -> usize {
 
 /// Confidence margin of the ranking: candidates whose score is within this
 /// factor of the best score are "near-ties" the ranking cannot separate,
-/// and join the front that profiles without a budget.
+/// and join the raced front.
 pub const MODEL_MARGIN: f64 = 1.10;
 
-/// Minimum number of top-ranked unique programs the search always profiles
-/// without a budget, regardless of margin (the winner and its register-bound
-/// sibling in the common case).
+/// Minimum number of top-ranked unique programs the search always races in
+/// its front, regardless of margin (the winner and its register-bound
+/// sibling in the common case). A search with at most this many unique
+/// programs ranks nothing: they all race.
 pub const MODEL_TOP_K: usize = 2;
 
 /// One compiled candidate: a partition with or without the register bound
@@ -495,6 +508,8 @@ type Issues = [u64; gpu_sim::IssueKind::COUNT];
 /// native launch: the histogram a timed run reports, without the timing
 /// engine ([`Gpu::run_functional_classes`]).
 fn member_issues(base: &Gpu, sweep: &Sweep, m: usize) -> Result<Issues, HfuseError> {
+    #[cfg(test)]
+    tests::MEMBER_PASSES.with(|n| n.set(n.get() + 1));
     let launch = native_launch(sweep.inputs[m], Arc::clone(&sweep.members[m]))?;
     Ok(base.clone().run_functional_classes(&[launch])?)
 }
@@ -542,27 +557,29 @@ fn score(cfg: &GpuConfig, sweep: &Sweep, issues: Option<&[Issues]>) -> Vec<u64> 
 type Profiled = Result<SearchCandidate, HfuseError>;
 
 /// Every candidate of `sweep` profiled, aligned with its order, with
-/// `reg_bound` and `model_score` set; and the members' issue histograms
-/// (empty without `model_filter`).
+/// `reg_bound` and `model_score` set.
 ///
-/// Candidates are ranked by [`score`] and profiled in ascending order in
-/// two phases:
+/// Identical programs are profiled once. When there are more unique
+/// programs than [`MODEL_TOP_K`], they are ranked by [`score`] (the
+/// model's ranking runs the members' functional passes first) and
+/// profiled in ascending order; otherwise every program is in the front
+/// whatever the order, so nothing is ranked and every `model_score` is 0
+/// ("unranked"). Then:
 ///
 /// 1. **The front** — the top-[`MODEL_TOP_K`] unique programs plus every
-///    near-tie within [`MODEL_MARGIN`] of the best score — profiles
-///    without a budget. With `prune` off, every candidate is in the front.
-/// 2. **Every other candidate** profiles at one fixed budget: the fewest
-///    cycles among the front's completed runs.
+///    near-tie within [`MODEL_MARGIN`] of the best score — is raced
+///    ([`Gpu::race`]): `m` is the fewest cycles any front program
+///    completes in, and each reports exactly what
+///    [`Gpu::run_with_budget`] returns at `m`. With `prune` off, every
+///    candidate is in the front and profiles to completion.
+/// 2. **Every other candidate** profiles at the budget `m`.
 ///
-/// A run whose true cycle count is at most its budget completes with its
-/// exact unbudgeted result, and the budget is a completed run's cycle
-/// count, so the winner and every surviving candidate's cycles equal the
-/// exhaustive search's. Each budget depends only on the inputs, never on
-/// which worker finished first, so the whole result — every abort value
-/// included — is identical at any `HFUSE_SEARCH_THREADS` worker count.
-///
-/// The model's ranking needs the members' histograms, so their functional
-/// passes run first.
+/// So every candidate of a pruned search reports its run at the one
+/// budget `m`, a completed run's cycle count: the winner and every
+/// surviving candidate's cycles equal the exhaustive search's. `m`
+/// depends only on the inputs, never on which worker finished first, so
+/// the whole result — every abort value included — is identical at any
+/// `HFUSE_SEARCH_THREADS` worker count.
 ///
 /// # Errors
 ///
@@ -573,9 +590,8 @@ fn profile_jobs(
     sweep: &Sweep,
     prune: bool,
     model_filter: bool,
-) -> Result<(Vec<Profiled>, Vec<Issues>), HfuseError> {
+) -> Result<Vec<Profiled>, HfuseError> {
     let jobs = &sweep.candidates;
-    let cfg = base.config();
 
     // Identical compiled programs simulate to identical results, so each
     // unique `(ir, d0)` is profiled once and the result is shared. This
@@ -597,14 +613,17 @@ fn profile_jobs(
     }
     let mut order: Vec<usize> = (0..jobs.len()).filter(|&i| canon[i] == i).collect();
 
-    let issues = if model_filter {
-        (0..sweep.inputs.len())
-            .map(|m| member_issues(base, sweep, m))
-            .collect::<Result<Vec<_>, _>>()?
+    let scores = if order.len() > MODEL_TOP_K {
+        let issues = if model_filter {
+            let passes = (0..sweep.inputs.len()).map(|m| member_issues(base, sweep, m));
+            Some(passes.collect::<Result<Vec<_>, _>>()?)
+        } else {
+            None
+        };
+        score(base.config(), sweep, issues.as_deref())
     } else {
-        Vec::new()
+        vec![0; jobs.len()]
     };
-    let scores = score(cfg, sweep, model_filter.then_some(&issues[..]));
     order.sort_by_key(|&i| (scores[i], i));
 
     // The front is a prefix of `order`: ranks are over unique programs, so
@@ -626,11 +645,28 @@ fn profile_jobs(
     let (front, rest) = order.split_at(front_len);
 
     let threads = worker_threads(gpu_sim::env::search_threads());
-    let profile = |budget: u64| move |&i: &usize| profile_fused(base, sweep, &jobs[i], budget);
-    let mut results = parallel_map(threads, front, profile(u64::MAX));
+    let profile = |budget: u64| {
+        move |&i: &usize| {
+            let launches = candidate_launch(sweep, &jobs[i]);
+            Ok(profiled(base.clone().run_with_budget(&launches, budget)?))
+        }
+    };
+    let mut results: Vec<Profiled> = if prune {
+        let programs: Vec<_> = front
+            .iter()
+            .map(|&i| candidate_launch(sweep, &jobs[i]))
+            .collect();
+        base.race(&programs, threads)
+            .into_iter()
+            .map(|r| Ok(profiled(r?)))
+            .collect()
+    } else {
+        parallel_map(threads, front, profile(u64::MAX))
+    };
     let budget = results
         .iter()
         .filter_map(|r| r.as_ref().ok())
+        .filter(|c| c.pruned_at.is_none())
         .map(|c| c.cycles)
         .min()
         .unwrap_or(u64::MAX);
@@ -646,7 +682,7 @@ fn profile_jobs(
             slots[i] = slots[canon[i]].clone();
         }
     }
-    let results = slots
+    Ok(slots
         .into_iter()
         .zip(jobs.iter().zip(scores))
         .map(|(r, (job, score))| {
@@ -657,8 +693,7 @@ fn profile_jobs(
             }
             r
         })
-        .collect();
-    Ok((results, issues))
+        .collect())
 }
 
 /// Maps `f` over `items` on `threads` workers — the calling thread plus
@@ -730,7 +765,7 @@ pub(crate) fn search_members(
     let compile_ms = compile_start.elapsed().as_secs_f64() * 1e3;
 
     let profile_start = Instant::now();
-    let (results, _) = profile_jobs(base, &sweep, opts.prune, opts.model_filter)?;
+    let results = profile_jobs(base, &sweep, opts.prune, opts.model_filter)?;
     let profile_ms = profile_start.elapsed().as_secs_f64() * 1e3;
 
     let mut candidates = Vec::new();
@@ -804,8 +839,11 @@ pub fn calibration_rows(
     let cfg = base.config();
     let inputs = [in1, in2];
     let sweep = compile_sweep(cfg, &inputs, opts, sweep_partitions)?;
+    let issues = (0..inputs.len())
+        .map(|m| member_issues(base, &sweep, m))
+        .collect::<Result<Vec<_>, _>>()?;
     // Every candidate profiles to completion, so the ranking is irrelevant.
-    let (results, issues) = profile_jobs(base, &sweep, false, true)?;
+    let results = profile_jobs(base, &sweep, false, false)?;
     let mut rows = Vec::new();
     for (cand, result) in sweep.candidates.iter().zip(results) {
         let c = match result {
@@ -1029,6 +1067,11 @@ mod tests {
     use cuda_frontend::parse_kernel;
     use gpu_sim::GpuConfig;
 
+    thread_local! {
+        /// Member functional passes run on this thread ([`member_issues`]).
+        pub(super) static MEMBER_PASSES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
     fn mk_gpu() -> (Gpu, FusionInput, FusionInput) {
         let mut gpu = Gpu::new(GpuConfig::test_tiny());
         let n = 2048usize;
@@ -1220,6 +1263,9 @@ mod tests {
         for (f, e) in filtered.candidates.iter().zip(&exhaustive.candidates) {
             assert_eq!(f.model_score, e.model_score);
         }
+        // More unique programs than the front's top-k: ranked, after one
+        // functional pass per member.
+        assert!(filtered.candidates.iter().all(|c| c.model_score > 0));
         // The winner completed, so its issue histogram is populated and the
         // report can explain it.
         assert!(filtered.best().class_issues.iter().sum::<u64>() > 0);
@@ -1227,6 +1273,74 @@ mod tests {
         let text = filtered.explain_best();
         assert!(text.contains("model rank"), "{text}");
         assert!(text.contains("issue mix"), "{text}");
+    }
+
+    /// The Blake256+Blake2b pair at a quarter of its size: one partition,
+    /// whose register bound makes a second program.
+    fn crypto_pair(gpu: &mut Gpu) -> (FusionInput, FusionInput) {
+        let mut input = |name| {
+            // The kernels crate builds its inputs with the non-test build
+            // of this crate, so the fields are copied over.
+            let f = hfuse_kernels::AnyBenchmark::by_name(name)
+                .expect("benchmark exists")
+                .scaled(0.25)
+                .benchmark()
+                .fusion_input(gpu.memory_mut());
+            let d = f.default_threads;
+            assert_eq!(f.shape.dims(d), Some((d, 1, 1)), "{name} is linear");
+            FusionInput {
+                kernel: f.kernel,
+                args: f.args,
+                grid_dim: f.grid_dim,
+                dynamic_shared: f.dynamic_shared,
+                default_threads: d,
+                tunable: f.tunable,
+                shape: BlockShape::Linear,
+            }
+        };
+        (input("Blake256"), input("Blake2b"))
+    }
+
+    fn member_passes() -> usize {
+        MEMBER_PASSES.with(std::cell::Cell::get)
+    }
+
+    #[test]
+    fn two_program_search_runs_no_member_pass_and_stays_unranked() {
+        let mut gpu = Gpu::new(GpuConfig::test_tiny());
+        let (in1, in2) = crypto_pair(&mut gpu);
+        let mut winners = Vec::new();
+        for prune in [true, false] {
+            let opts = SearchOptions {
+                prune,
+                ..SearchOptions::default()
+            };
+            let before = member_passes();
+            let r = search_fusion_config(&gpu, &in1, &in2, opts).expect("search");
+            assert_eq!(member_passes(), before, "prune {prune}: a member pass ran");
+            assert_eq!(r.candidates.len(), 2);
+            assert!(r.candidates.iter().all(|c| c.model_score == 0), "{r:?}");
+            assert!(r.best_in_model_front());
+            let text = r.explain_best();
+            assert!(text.contains("unranked (every program raced)"), "{text}");
+            assert!(text.contains("issue mix"), "{text}");
+            winners.push((r.best_idx, r.best().cycles));
+            if !prune {
+                // Two programs: the register bound changes the kernel.
+                assert_ne!(r.candidates[0].cycles, r.candidates[1].cycles);
+            }
+        }
+        assert_eq!(winners[0], winners[1]);
+    }
+
+    #[test]
+    fn calibration_rows_cover_two_program_pairs() {
+        let mut gpu = Gpu::new(GpuConfig::test_tiny());
+        let (in1, in2) = crypto_pair(&mut gpu);
+        let before = member_passes();
+        let rows = calibration_rows(&gpu, &in1, &in2, SearchOptions::default()).expect("rows");
+        assert_eq!(rows.len(), 2);
+        assert_eq!(member_passes(), before + 2, "one pass per member");
     }
 
     #[test]

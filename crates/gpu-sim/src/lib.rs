@@ -52,6 +52,7 @@ pub mod timing;
 
 mod bound;
 mod error;
+mod race;
 
 pub use config::GpuConfig;
 pub use decode::DecodedKernel;

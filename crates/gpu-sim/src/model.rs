@@ -29,7 +29,7 @@
 //!
 //! The model never decides correctness: the search still profiles every
 //! candidate it cannot prove worse, and the model-exempt top-k candidates
-//! are profiled without a budget, so the reported winner is bit-identical
+//! race each other to the first finish, so the reported winner is bit-identical
 //! to the exhaustive search regardless of model quality (see
 //! `search_fusion_config`).
 

@@ -291,21 +291,42 @@ impl Gpu {
         launches: &[Launch],
         budget: u64,
     ) -> Result<BudgetedRun, SimError> {
-        if budget != u64::MAX && self.sanitizer.is_none() {
-            if let [launch] = launches {
-                self.check_launches(launches)?;
-                if let Some(bound) =
-                    crate::bound::lower_bound(&self.config, launch, &self.memory, budget)
-                {
-                    if bound > budget {
-                        return Ok(BudgetedRun::Aborted {
-                            cycles_so_far: bound,
-                        });
-                    }
-                }
-            }
+        self.run_with_budget_impl(launches, skip_disabled_by_env(), budget)
+    }
+
+    /// [`Self::run_with_budget`] on the loop `no_skip` picks.
+    pub(crate) fn run_with_budget_impl(
+        &mut self,
+        launches: &[Launch],
+        no_skip: bool,
+        budget: u64,
+    ) -> Result<BudgetedRun, SimError> {
+        if let Some(bound) = self.bound_past(launches, budget)? {
+            return Ok(BudgetedRun::Aborted {
+                cycles_so_far: bound,
+            });
         }
-        self.run_impl(launches, skip_disabled_by_env(), budget)
+        self.run_impl(launches, no_skip, budget)
+    }
+
+    /// The critical-path bound [`Self::run_with_budget`] rejects `launches`
+    /// with before simulating them: `Some` when the budget is finite, the
+    /// sanitizer off, there is one launch and its bound (computed up to
+    /// the budget) exceeds the budget.
+    pub(crate) fn bound_past(
+        &self,
+        launches: &[Launch],
+        budget: u64,
+    ) -> Result<Option<u64>, SimError> {
+        let [launch] = launches else { return Ok(None) };
+        if budget == u64::MAX || self.sanitizer.is_some() {
+            return Ok(None);
+        }
+        self.check_launches(launches)?;
+        Ok(
+            crate::bound::lower_bound(&self.config, launch, &self.memory, budget)
+                .filter(|&bound| bound > budget),
+        )
     }
 
     /// The admissible lower bound on the cycles [`Self::run`] would take
@@ -347,14 +368,33 @@ impl Gpu {
         no_skip: bool,
         budget: u64,
     ) -> Result<BudgetedRun, SimError> {
+        self.start(launches, no_skip)?.advance(budget)
+    }
+
+    /// Checks `launches` and sets up their timed run on this device, not
+    /// yet advanced.
+    pub(crate) fn start<'a>(
+        &'a mut self,
+        launches: &'a [Launch],
+        no_skip: bool,
+    ) -> Result<TimedRun<'a>, SimError> {
         self.check_launches(launches)?;
-        let mut engine = Engine::new(&self.config, launches);
+        let Gpu {
+            config,
+            memory,
+            sanitizer,
+        } = self;
+        let mut engine = Engine::new(config, launches);
         engine.no_skip = no_skip;
-        engine.budget = budget;
-        if let Some(s) = self.sanitizer.as_deref_mut() {
+        let mut sanitizer = sanitizer.as_deref_mut();
+        if let Some(s) = sanitizer.as_deref_mut() {
             s.begin_run();
         }
-        engine.run(&mut self.memory, self.sanitizer.as_deref_mut())
+        Ok(TimedRun {
+            engine,
+            memory,
+            sanitizer,
+        })
     }
 
     /// The checks every timed run makes before simulating: a valid
@@ -377,6 +417,49 @@ impl Gpu {
             }
         }
         Ok(())
+    }
+}
+
+/// A timed run that stops at a horizon and resumes where it stopped: the
+/// engine keeps its whole state, clock included, between calls, so a run
+/// advanced to `h1` and then to `h2` is bit-identical to one advanced to
+/// `h2` at once.
+pub(crate) struct TimedRun<'a> {
+    engine: Engine<'a>,
+    memory: &'a mut GpuMemory,
+    sanitizer: Option<&'a mut Sanitizer>,
+}
+
+impl TimedRun<'_> {
+    /// Runs on until the clock strictly exceeds `horizon` with work
+    /// outstanding ([`BudgetedRun::Aborted`] at that clock, a pause the
+    /// next call resumes from) or the run completes or fails. What a run
+    /// started afresh returns for `horizon` is exactly what
+    /// [`Gpu::run_impl`] returns for a budget of `horizon`.
+    pub(crate) fn advance(&mut self, horizon: u64) -> Result<BudgetedRun, SimError> {
+        if self.engine.cycle > horizon {
+            // Paused past `horizon` already: a budget of `horizon` would
+            // have aborted the run here.
+            return Ok(BudgetedRun::Aborted {
+                cycles_so_far: self.engine.cycle,
+            });
+        }
+        self.engine.budget = horizon;
+        self.engine.run(self.memory, self.sanitizer.as_deref_mut())
+    }
+
+    /// Starts recording, in [`Self::clocks`], the current clock and then
+    /// every clock the horizon check sees, dropping what was recorded
+    /// before.
+    pub(crate) fn record_clocks(&mut self) {
+        let clocks = self.engine.clocks.get_or_insert_with(Vec::new);
+        clocks.clear();
+        clocks.push(self.engine.cycle);
+    }
+
+    /// The clocks recorded since [`Self::record_clocks`], ascending.
+    pub(crate) fn clocks(&self) -> &[u64] {
+        self.engine.clocks.as_deref().unwrap_or(&[])
     }
 }
 
@@ -791,6 +874,12 @@ struct Engine<'a> {
     /// Cycle budget: the run aborts once the clock strictly exceeds it
     /// with work outstanding (`u64::MAX` = unbudgeted).
     budget: u64,
+    /// The clock: the next cycle to simulate. It survives an abort, so a
+    /// later [`Engine::run`] with a larger budget resumes there.
+    cycle: u64,
+    /// Every clock the budget check has seen, when recording
+    /// ([`TimedRun::record_clocks`]).
+    clocks: Option<Vec<u64>>,
     /// Earliest future cycle at which any warp blocked during the current
     /// sweep can change state (a stalled warp's gate cycle, memory-pipe free
     /// time). Collected *during* the issue sweep — which already visits
@@ -851,6 +940,8 @@ impl<'a> Engine<'a> {
             idle_cycles: 0,
             no_skip: false,
             budget: u64::MAX,
+            cycle: 0,
+            clocks: None,
             sweep_wakeup: u64::MAX,
             sweep_cap_blocked: false,
             scan_wakeup: u64::MAX,
@@ -869,7 +960,7 @@ impl<'a> Engine<'a> {
         memory: &mut GpuMemory,
         mut san: Option<&mut Sanitizer>,
     ) -> Result<BudgetedRun, SimError> {
-        let mut cycle: u64 = 0;
+        let mut cycle = self.cycle;
         let token_burst = i64::from(self.cfg.dram_transactions_per_cycle) * 4;
         loop {
             // Refill DRAM bandwidth tokens. Starved-to-available flips can
@@ -1162,8 +1253,14 @@ impl<'a> Engine<'a> {
             // that completes breaks out above before this is reached). The
             // clock sequence observed here is budget-independent, so the
             // reported `cycles_so_far` — a lower bound on the run's true
-            // cycle count — is monotone in the budget.
+            // cycle count — is monotone in the budget. Nothing but the
+            // clock lives outside `self` across iterations, so a later call
+            // with a larger budget resumes bit-identically.
+            if let Some(clocks) = &mut self.clocks {
+                clocks.push(cycle);
+            }
             if cycle > self.budget {
+                self.cycle = cycle;
                 return Ok(BudgetedRun::Aborted {
                     cycles_so_far: cycle,
                 });

@@ -23,7 +23,7 @@ use hfuse::fusion::{
 use hfuse::ir::printer::print_kernel_ir;
 use hfuse::ir::{lower_kernel, lower_kernel_unoptimized, parse_kernel_ir, AsmError, KernelIr};
 use hfuse::kernels::{all_pairs, family_pairs, AnyBenchmark};
-use hfuse::sim::{Gpu, GpuConfig, Launch, ParamValue, RunResult, SimError};
+use hfuse::sim::{BudgetedRun, Gpu, GpuConfig, Launch, ParamValue, RunResult, SimError};
 
 const SRC: &str = "__global__ void probe(float* x) { x[threadIdx.x] = 4.0f; }";
 
@@ -64,17 +64,21 @@ fn sim_root_runs_a_kernel() {
     let f = parse_kernel(SRC).expect("parse");
     let mut gpu = Gpu::new(GpuConfig::test_tiny());
     let buf = gpu.memory_mut().alloc_f32(64);
-    let r: RunResult = gpu
-        .run(&[Launch {
-            kernel: lower_kernel(&f).expect("lower").into(),
-            grid_dim: 1,
-            block_dim: (64, 1, 1),
-            dynamic_shared_bytes: 0,
-            args: vec![ParamValue::Ptr(buf)],
-        }])
-        .expect("run");
+    let launch = Launch {
+        kernel: lower_kernel(&f).expect("lower").into(),
+        grid_dim: 1,
+        block_dim: (64, 1, 1),
+        dynamic_shared_bytes: 0,
+        args: vec![ParamValue::Ptr(buf)],
+    };
+    let r: RunResult = gpu.run(std::slice::from_ref(&launch)).expect("run");
     assert!(r.total_cycles > 0);
     assert_eq!(gpu.memory().read_f32(buf, 0), 4.0);
+
+    // Two identical programs tie for the first finish, and both complete.
+    let raced = gpu.race(&[vec![launch.clone()], vec![launch]], 2);
+    let completed = Ok(BudgetedRun::Completed(r));
+    assert_eq!(raced, vec![completed.clone(), completed]);
 
     let err: SimError = SimError::new("probe error");
     assert!(err.to_string().contains("probe error"));

@@ -4,7 +4,7 @@
 //! argument guarantees a bit-identical winner), but its *speed* does: the
 //! winner must lie in the model-exempt front — the model's top-
 //! [`hfuse::fusion::MODEL_TOP_K`] candidates plus near-ties within
-//! [`hfuse::fusion::MODEL_MARGIN`] — so it profiles unbudgeted and
+//! [`hfuse::fusion::MODEL_MARGIN`] — so it wins the front's race and
 //! establishes the tightest abort budget for the rest of the sweep. These
 //! tests pin that property (and the model's top-1 agreement where it is
 //! exact) on every paper pair, so a calibration or feature regression

@@ -2,8 +2,9 @@
 //! profiling worker count (`HFUSE_SEARCH_THREADS`) moves wall time only.
 //! Every candidate — abort values of pruned losers included — the winner's
 //! index, and the winning kernel must be identical at 1, 2 and 8 workers,
-//! and at 1 and 4 on a search at the paper's scale, whose losers the
-//! critical-path bound prunes.
+//! and at 1 and 4 on two searches at the paper's scale: one whose losers
+//! the critical-path bound prunes, and a mining pair whose two programs
+//! race each other, the loser stopping soon after the winner finishes.
 //!
 //! Kept in a dedicated test binary with a single test: the worker count is
 //! a process-global environment variable, so mutating it must not race
@@ -114,6 +115,15 @@ fn reports_are_identical_at_every_worker_count() {
         let r = search_fusion_config(&gpu, &inputs[0], &inputs[1], SearchOptions::default())
             .expect("search");
         assert!(r.pruned_count() > 0, "the bound pruned nothing");
+        pair_key(&r)
+    });
+
+    let (gpu, inputs) = setup_on(GpuConfig::pascal_like(), 1.0, &["Ethash", "Blake2b"]);
+    assert_worker_count_invariant("Ethash+Blake2b at pascal", &["1", "4"], || {
+        let r = search_fusion_config(&gpu, &inputs[0], &inputs[1], SearchOptions::default())
+            .expect("search");
+        assert_eq!(r.candidates.len(), 2);
+        assert_eq!(r.pruned_count(), 1, "the front's loser ran to completion");
         pair_key(&r)
     });
 

@@ -143,8 +143,8 @@ fn search_report_carries_runnable_best_kernel() {
 
 #[test]
 fn search_is_deterministic_across_runs_and_threads() {
-    // With pruning, every budget is fixed before its profiling phase
-    // starts (the front runs unbudgeted, the rest at the front's best), so
+    // With pruning, every candidate reports its run at one budget, the
+    // fewest cycles any program of the raced front completes in, so
     // the whole report — abort clocks of pruned losers included — is the
     // same run to run. `tests/search_determinism.rs` checks the worker
     // counts.

@@ -243,9 +243,10 @@ fn dl_search_matches_golden() {
 }
 
 /// A search at the scale of the paper's evaluation, where the
-/// critical-path bound decides the losers: every pruned candidate's
-/// `pruned_at` is its bound, and none of the five losing programs was
-/// simulated.
+/// critical-path bound decides the losers: four of the five losing
+/// programs were never simulated, their `pruned_at` is their bound. The
+/// fifth, 512+512, raced the winner in the front and reports one cycle
+/// past the winner's finish.
 #[test]
 fn dl_search_at_pascal_scale_matches_golden() {
     let (gpu, inputs) = setup_on(GpuConfig::pascal_like(), 1.0, &["Hist", "Upsample"]);
@@ -323,8 +324,8 @@ best=2 d0=1024
 512+512 reg=Some(32) cycles=163089 pruned_at=None model=136124 util=0x40587b7a7e8a1609 stall=0x0 occ=0x4051893da7f3140a class=[520000, 24576, 0, 30720, 3520, 2048, 4224, 128, 0, 50560, 3072]
 640+384 reg=None cycles=191566 pruned_at=None model=117401 util=0x405833565e5a18d4 stall=0x3fcdad997cff4d3c occ=0x4052688c985ae4ba class=[603840, 28032, 0, 38400, 4288, 2048, 4608, 128, 0, 57600, 2816]
 640+384 reg=Some(32) cycles=191566 pruned_at=None model=117401 util=0x405833565e5a18d4 stall=0x3fcdad997cff4d3c occ=0x4052688c985ae4ba class=[603840, 28032, 0, 38400, 4288, 2048, 4608, 128, 0, 57600, 2816]
-768+256 reg=None cycles=212694 pruned_at=None model=112005 util=0x4058984f2b200fcb stall=0x0 occ=0x4055a2f98a9c1b9b class=[682048, 30976, 0, 46080, 5056, 2048, 4480, 128, 0, 63616, 2560]
-768+256 reg=Some(32) cycles=212694 pruned_at=None model=112005 util=0x4058984f2b200fcb stall=0x0 occ=0x4055a2f98a9c1b9b class=[682048, 30976, 0, 46080, 5056, 2048, 4480, 128, 0, 63616, 2560]
+768+256 reg=None cycles=191567 pruned_at=Some(191567) model=112005 util=0x0 stall=0x0 occ=0x0 class=[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]
+768+256 reg=Some(32) cycles=191567 pruned_at=Some(191567) model=112005 util=0x0 stall=0x0 occ=0x0 class=[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]
 896+128 reg=None cycles=191567 pruned_at=Some(191567) model=139304 util=0x0 stall=0x0 occ=0x0 class=[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]
 896+128 reg=Some(32) cycles=191567 pruned_at=Some(191567) model=139304 util=0x0 stall=0x0 occ=0x0 class=[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]
 ";
@@ -337,8 +338,8 @@ best=4 d0=1024
 256+768 reg=Some(32) cycles=88374 pruned_at=Some(88374) model=207070 util=0x0 stall=0x0 occ=0x0 class=[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]
 384+640 reg=None cycles=87742 pruned_at=None model=170071 util=0x404be53e15cd135c stall=0x405199c9060cad8e occ=0x4057cbbdb11c8fb9 class=[636224, 31232, 0, 0, 256, 8192, 28672, 128, 0, 66496, 1536]
 384+640 reg=Some(32) cycles=87742 pruned_at=None model=170071 util=0x404be53e15cd135c stall=0x405199c9060cad8e occ=0x4057cbbdb11c8fb9 class=[636224, 31232, 0, 0, 256, 8192, 28672, 128, 0, 66496, 1536]
-512+512 reg=None cycles=100699 pruned_at=None model=172685 util=0x40488043ecc8bc64 stall=0x40519f8d46f04fd6 occ=0x40546a656f32e6d6 class=[652608, 30720, 0, 0, 256, 8192, 28672, 128, 0, 65984, 2048]
-512+512 reg=Some(32) cycles=100699 pruned_at=None model=172685 util=0x40488043ecc8bc64 stall=0x40519f8d46f04fd6 occ=0x40546a656f32e6d6 class=[652608, 30720, 0, 0, 256, 8192, 28672, 128, 0, 65984, 2048]
+512+512 reg=None cycles=87743 pruned_at=Some(87743) model=172685 util=0x0 stall=0x0 occ=0x0 class=[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]
+512+512 reg=Some(32) cycles=87743 pruned_at=Some(87743) model=172685 util=0x0 stall=0x0 occ=0x0 class=[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]
 640+384 reg=None cycles=88306 pruned_at=Some(88306) model=198323 util=0x0 stall=0x0 occ=0x0 class=[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]
 640+384 reg=Some(32) cycles=88306 pruned_at=Some(88306) model=198323 util=0x0 stall=0x0 occ=0x0 class=[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]
 768+256 reg=None cycles=90014 pruned_at=Some(90014) model=265562 util=0x0 stall=0x0 occ=0x0 class=[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]
@@ -349,8 +350,8 @@ best=4 d0=1024
 
 const BLAKE256_BLAKE2B: &str = "
 best=0 d0=512
-256+256 reg=None cycles=443396 pruned_at=None model=128072 util=0x4058fe183e9d1ef9 stall=0x0 occ=0x4047ba4d13551774 class=[1767936, 1024, 0, 0, 0, 0, 512, 0, 0, 3584, 0]
-256+256 reg=Some(32) cycles=459732 pruned_at=None model=103109 util=0x40581abf165b33d7 stall=0x4058f4f794065356 occ=0x405704c7b75a03ea class=[1767936, 1024, 0, 0, 0, 0, 512, 0, 0, 3584, 0]
+256+256 reg=None cycles=443396 pruned_at=None model=0 util=0x4058fe183e9d1ef9 stall=0x0 occ=0x4047ba4d13551774 class=[1767936, 1024, 0, 0, 0, 0, 512, 0, 0, 3584, 0]
+256+256 reg=Some(32) cycles=443397 pruned_at=Some(443397) model=0 util=0x0 stall=0x0 occ=0x0 class=[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]
 ";
 
 const DOT_DOWNSAMPLE: &str = "
@@ -365,8 +366,8 @@ best=0 d0=1024
 512+512 reg=Some(32) cycles=94089 pruned_at=None model=23548 util=0x4056df38e100692d stall=0x4026074bbf9fddab occ=0x404fba3389b59310 class=[250112, 16640, 0, 0, 4928, 0, 1728, 0, 0, 60672, 10240]
 640+384 reg=None cycles=116387 pruned_at=None model=20192 util=0x405742a4f8a599b1 stall=0x401efedae53e09ec occ=0x4051b6df20aa6779 class=[312064, 19968, 0, 0, 5952, 0, 1728, 0, 0, 79360, 14080]
 640+384 reg=Some(32) cycles=116387 pruned_at=None model=20192 util=0x405742a4f8a599b1 stall=0x401efedae53e09ec occ=0x4051b6df20aa6779 class=[312064, 19968, 0, 0, 5952, 0, 1728, 0, 0, 79360, 14080]
-768+256 reg=None cycles=132232 pruned_at=None model=19084 util=0x405763a2445d1d0a stall=0x401b4fd2a15938a4 occ=0x4053f593bd472ac3 class=[354048, 22272, 0, 0, 6976, 0, 1728, 0, 0, 92928, 16896]
-768+256 reg=Some(32) cycles=132232 pruned_at=None model=19084 util=0x405763a2445d1d0a stall=0x401b4fd2a15938a4 occ=0x4053f593bd472ac3 class=[354048, 22272, 0, 0, 6976, 0, 1728, 0, 0, 92928, 16896]
+768+256 reg=None cycles=116388 pruned_at=Some(116388) model=19084 util=0x0 stall=0x0 occ=0x0 class=[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]
+768+256 reg=Some(32) cycles=116388 pruned_at=Some(116388) model=19084 util=0x0 stall=0x0 occ=0x0 class=[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]
 896+128 reg=None cycles=116388 pruned_at=Some(116388) model=23497 util=0x0 stall=0x0 occ=0x0 class=[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]
 896+128 reg=Some(32) cycles=116388 pruned_at=Some(116388) model=23497 util=0x0 stall=0x0 occ=0x0 class=[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]
 ";
@@ -377,6 +378,6 @@ best=0 d0=1024
 [256, 256, 512] reg=Some(32) cycles=91691 pruned_at=None util=0x4058b34a494fdd61 occ=0x40538dd6d451c2b2
 [256, 512, 256] reg=None cycles=91692 pruned_at=Some(91692) util=0x0 occ=0x0
 [256, 512, 256] reg=Some(32) cycles=91692 pruned_at=Some(91692) util=0x0 occ=0x0
-[512, 256, 256] reg=None cycles=95947 pruned_at=None util=0x4057234527cfb22d occ=0x405340154d6be182
-[512, 256, 256] reg=Some(32) cycles=95947 pruned_at=None util=0x4057234527cfb22d occ=0x405340154d6be182
+[512, 256, 256] reg=None cycles=91692 pruned_at=Some(91692) util=0x0 occ=0x0
+[512, 256, 256] reg=Some(32) cycles=91692 pruned_at=Some(91692) util=0x0 occ=0x0
 ";
