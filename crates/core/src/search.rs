@@ -17,7 +17,6 @@
 //! It ranks the candidates, profiles them best-first on the simulator with
 //! branch-and-bound pruning, and returns the fastest.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -661,7 +660,7 @@ fn profile_jobs(
             .map(|r| Ok(profiled(r?)))
             .collect()
     } else {
-        parallel_map(threads, front, profile(u64::MAX))
+        gpu_sim::parallel_map(threads, front, profile(u64::MAX))
     };
     let budget = results
         .iter()
@@ -670,7 +669,7 @@ fn profile_jobs(
         .map(|c| c.cycles)
         .min()
         .unwrap_or(u64::MAX);
-    results.extend(parallel_map(threads, rest, profile(budget)));
+    results.extend(gpu_sim::parallel_map(threads, rest, profile(budget)));
 
     let mut slots: Vec<Option<Profiled>> = (0..jobs.len()).map(|_| None).collect();
     for (&i, r) in order.iter().zip(results) {
@@ -694,40 +693,6 @@ fn profile_jobs(
             r
         })
         .collect())
-}
-
-/// Maps `f` over `items` on `threads` workers — the calling thread plus
-/// `threads - 1` scoped ones — that pull indices from a shared cursor and
-/// return each result with its index, so the output is in `items` order
-/// whichever worker ran what. One worker is the same loop on the calling
-/// thread.
-fn parallel_map<T: Sync, R: Send>(
-    threads: usize,
-    items: &[T],
-    f: impl Fn(&T) -> R + Sync,
-) -> Vec<R> {
-    let next = AtomicUsize::new(0);
-    let work = || {
-        let mut done = Vec::new();
-        loop {
-            let k = next.fetch_add(1, Ordering::Relaxed);
-            let Some(item) = items.get(k) else { break };
-            done.push((k, f(item)));
-        }
-        done
-    };
-    let mut done = std::thread::scope(|scope| {
-        let workers: Vec<_> = (1..threads.min(items.len()))
-            .map(|_| scope.spawn(work))
-            .collect();
-        let mut done = work();
-        for w in workers {
-            done.extend(w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
-        }
-        done
-    });
-    done.sort_unstable_by_key(|&(k, _)| k);
-    done.into_iter().map(|(_, r)| r).collect()
 }
 
 /// What the search body found: every schedulable candidate's partition
@@ -1210,16 +1175,6 @@ mod tests {
         // back to the capped auto-detected default.
         assert!(worker_threads(None) >= 1);
         assert!(worker_threads(None) <= 8);
-    }
-
-    #[test]
-    fn parallel_map_keeps_item_order_at_any_worker_count() {
-        let items: Vec<u64> = (0..37).collect();
-        let expected: Vec<u64> = items.iter().map(|x| x * x).collect();
-        for threads in [1, 2, 8, 64] {
-            assert_eq!(parallel_map(threads, &items, |x| x * x), expected);
-        }
-        assert!(parallel_map(4, &[] as &[u64], |x| *x).is_empty());
     }
 
     #[test]

@@ -63,6 +63,7 @@ pub use memory::{BufferId, GpuMemory};
 pub use metrics::{BudgetedRun, RunMetrics, RunResult};
 pub use model::{fused_dyn_mix, model_estimate, static_class_mix, ClassMix, DynMix};
 pub use occupancy::{blocks_per_sm, cost_estimate, OccupancyLimits};
+pub use race::parallel_map;
 pub use sanitizer::{ReportKind, Sanitizer, SanitizerReport};
 pub use timing::Gpu;
 

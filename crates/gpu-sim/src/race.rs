@@ -158,42 +158,63 @@ pub(crate) fn race(
     let mut horizon = 0u64;
     let m = loop {
         horizon = horizon.saturating_add(slice.max(1));
-        for_each_parallel(threads, &mut racers, |r| r.advance(horizon));
+        parallel_map(threads, &mut racers, |r| r.advance(horizon));
         let m = racers.iter().filter_map(Racer::completed).min();
         if m.is_some() || racers.iter().all(Racer::finished) {
             break m.unwrap_or(u64::MAX);
         }
     };
-    for_each_parallel(threads, &mut racers, |r| r.settle(base, m));
+    parallel_map(threads, &mut racers, |r| r.settle(base, m));
     racers
         .into_iter()
         .map(|r| r.last.expect("every racer advanced or failed to start"))
         .collect()
 }
 
-/// Calls `f` on every item on up to `threads` workers — the calling
-/// thread plus scoped ones — that each take the next item nobody took.
-fn for_each_parallel<T: Send>(threads: usize, items: &mut [T], f: impl Fn(&mut T) + Sync) {
+/// Maps `f` over `items` on up to `threads` workers — the calling thread
+/// plus scoped ones — that each take the next item nobody took, and
+/// returns the results in `items` order whichever worker ran what. One
+/// worker is the same loop on the calling thread. A panic in `f` is
+/// re-raised on the calling thread.
+///
+/// The search profiles its candidates through it, and [`Gpu::race`]
+/// advances its programs through it, so both share one work queue.
+pub fn parallel_map<I, R>(threads: usize, items: I, f: impl Fn(I::Item) -> R + Sync) -> Vec<R>
+where
+    I: IntoIterator,
+    I::IntoIter: ExactSizeIterator + Send,
+    I::Item: Send,
+    R: Send,
+{
+    let items = items.into_iter();
     let workers = threads.min(items.len());
-    let queue = Mutex::new(items.iter_mut());
-    let work = || loop {
-        let next = queue
-            .lock()
-            .expect("no worker panics while it holds the queue")
-            .next();
-        let Some(item) = next else { break };
-        f(item);
-    };
-    if workers <= 1 {
-        work();
-        return;
-    }
-    std::thread::scope(|scope| {
-        for _ in 1..workers {
-            scope.spawn(work);
+    let queue = Mutex::new(items.enumerate());
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let next = queue
+                .lock()
+                .expect("no worker panics while it holds the queue")
+                .next();
+            let Some((k, item)) = next else { break };
+            done.push((k, f(item)));
         }
-        work();
-    });
+        done
+    };
+    let mut done = if workers <= 1 {
+        work()
+    } else {
+        std::thread::scope(|scope| {
+            let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+            let mut done = work();
+            for h in helpers {
+                done.extend(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+            }
+            done
+        })
+    };
+    done.sort_unstable_by_key(|&(k, _)| k);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 #[cfg(test)]
@@ -305,5 +326,15 @@ mod tests {
         assert!(alone.is_err());
         assert_eq!(raced, vec![alone.clone(), alone]);
         assert!(gpu.race(&[], 2).is_empty());
+    }
+
+    #[test]
+    fn parallel_map_keeps_item_order_at_any_worker_count() {
+        let items: Vec<u64> = (0..37).collect();
+        let expected: Vec<u64> = items.iter().map(|x| x * x).collect();
+        for threads in [0, 1, 2, 8, 64] {
+            assert_eq!(parallel_map(threads, &items, |x| x * x), expected);
+        }
+        assert!(parallel_map(4, &[] as &[u64], |x| *x).is_empty());
     }
 }

@@ -23,7 +23,9 @@ use hfuse::fusion::{
 use hfuse::ir::printer::print_kernel_ir;
 use hfuse::ir::{lower_kernel, lower_kernel_unoptimized, parse_kernel_ir, AsmError, KernelIr};
 use hfuse::kernels::{all_pairs, family_pairs, AnyBenchmark};
-use hfuse::sim::{BudgetedRun, Gpu, GpuConfig, Launch, ParamValue, RunResult, SimError};
+use hfuse::sim::{
+    parallel_map, BudgetedRun, Gpu, GpuConfig, Launch, ParamValue, RunResult, SimError,
+};
 
 const SRC: &str = "__global__ void probe(float* x) { x[threadIdx.x] = 4.0f; }";
 
@@ -79,6 +81,8 @@ fn sim_root_runs_a_kernel() {
     let raced = gpu.race(&[vec![launch.clone()], vec![launch]], 2);
     let completed = Ok(BudgetedRun::Completed(r));
     assert_eq!(raced, vec![completed.clone(), completed]);
+    // The race's work queue, shared with the search.
+    assert_eq!(parallel_map(2, [1u64, 2, 3], |x| x * 10), vec![10, 20, 30]);
 
     let err: SimError = SimError::new("probe error");
     assert!(err.to_string().contains("probe error"));
