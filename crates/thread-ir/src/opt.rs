@@ -1188,6 +1188,152 @@ mod tests {
         );
     }
 
+    /// Runs one `local_cse` pass over an IR listing and returns the
+    /// resulting instructions, one per line.
+    fn cse_listing(listing: &str) -> String {
+        let mut k = crate::asm::parse_kernel_ir(listing).expect("listing parses");
+        let mut cfg = Cfg::build(&k);
+        local_cse(&mut cfg, k.num_regs);
+        k.insts = cfg.flatten();
+        let lines: Vec<String> = k.insts.iter().map(crate::printer::format_inst).collect();
+        lines.join("\n")
+    }
+
+    fn lines(text: &str) -> String {
+        let lines: Vec<&str> = text.lines().map(str::trim).filter(|l| !l.is_empty()).collect();
+        lines.join("\n")
+    }
+
+    #[test]
+    fn cse_repoints_an_alias_to_a_second_canonical() {
+        // r2 aliases r1, then r3; only r3's redefinition must save it.
+        let got = cse_listing(
+            "r0 = ld.param [0]
+             r1 = add.u32 r0, r0
+             r2 = add.u32 r0, r0
+             r3 = mul.u32 r0, r0
+             r2 = mul.u32 r0, r0
+             r1 = sub.u32 r0, r0
+             r3 = xor.u32 r0, r0
+             st.u32 [r0], r2
+             st.u32 [r0], r1
+             st.u32 [r0], r3
+             ret",
+        );
+        let want = "r0 = ld.param [0]
+                    r1 = add.u32 r0, r0
+                    r3 = mul.u32 r0, r0
+                    r1 = sub.u32 r0, r0
+                    r2 = mov r3
+                    r3 = xor.u32 r0, r0
+                    st.u32 [r0], r2
+                    st.u32 [r0], r1
+                    st.u32 [r0], r3
+                    ret";
+        assert_eq!(got, lines(want));
+    }
+
+    #[test]
+    fn cse_drops_an_alias_whose_register_is_redefined_first() {
+        // r2 aliases r1 until r2 is really redefined; r1's later
+        // redefinition must then emit no move into r2.
+        let got = cse_listing(
+            "r0 = ld.param [0]
+             r1 = add.u32 r0, r0
+             r2 = add.u32 r0, r0
+             st.u32 [r0], r2
+             r2 = mul.u32 r0, r0
+             st.u32 [r0], r2
+             r1 = sub.u32 r0, r0
+             st.u32 [r0], r1
+             st.u32 [r0], r2
+             ret",
+        );
+        let want = "r0 = ld.param [0]
+                    r1 = add.u32 r0, r0
+                    st.u32 [r0], r1
+                    r2 = mul.u32 r0, r0
+                    st.u32 [r0], r2
+                    r1 = sub.u32 r0, r0
+                    st.u32 [r0], r1
+                    st.u32 [r0], r2
+                    ret";
+        assert_eq!(got, lines(want));
+    }
+
+    #[test]
+    fn cse_saves_orphans_in_ascending_register_order() {
+        // r5 becomes an alias of r1 before r3 does; the compensation moves
+        // still come out in register order.
+        let got = cse_listing(
+            "r0 = ld.param [0]
+             r1 = add.u32 r0, r0
+             r5 = add.u32 r0, r0
+             r3 = add.u32 r0, r0
+             r1 = mul.u32 r0, r0
+             st.u32 [r0], r3
+             st.u32 [r0], r5
+             st.u32 [r0], r1
+             ret",
+        );
+        let want = "r0 = ld.param [0]
+                    r1 = add.u32 r0, r0
+                    r3 = mov r1
+                    r5 = mov r1
+                    r1 = mul.u32 r0, r0
+                    st.u32 [r0], r3
+                    st.u32 [r0], r5
+                    st.u32 [r0], r1
+                    ret";
+        assert_eq!(got, lines(want));
+    }
+
+    #[test]
+    fn cse_renames_a_branch_condition() {
+        let got = cse_listing(
+            "r0 = ld.param [0]
+             r1 = setp.lt.u32 r0, r0
+             r2 = setp.lt.u32 r0, r0
+             bra.nz r2, @5
+             st.u32 [r0], r0
+             ret",
+        );
+        let want = "r0 = ld.param [0]
+                    r1 = setp.lt.u32 r0, r0
+                    bra.nz r1, @4
+                    st.u32 [r0], r0
+                    ret";
+        assert_eq!(got, lines(want));
+    }
+
+    #[test]
+    fn cse_renames_stay_inside_their_block() {
+        // Block 1 renames r2 to r1 and makes r1 canonical for the add;
+        // block 2 reads the r2 block 0 computed, and recomputes the add.
+        let got = cse_listing(
+            "r0 = ld.param [0]
+             r2 = mul.u32 r0, r0
+             bra.nz r0, @6
+             r1 = add.u32 r0, r0
+             r2 = add.u32 r0, r0
+             ret
+             r3 = add.u32 r0, r0
+             st.u32 [r0], r3
+             st.u32 [r0], r2
+             ret",
+        );
+        let want = "r0 = ld.param [0]
+                    r2 = mul.u32 r0, r0
+                    bra.nz r0, @5
+                    r1 = add.u32 r0, r0
+                    ret
+                    r3 = add.u32 r0, r0
+                    st.u32 [r0], r3
+                    st.u32 [r0], r2
+                    ret";
+        assert_eq!(got, lines(want));
+    }
+
     #[test]
     fn pressure_is_recomputed() {
         let (k, _) = optimized("__global__ void k(float* p) { p[0] = 1.0f; }");
