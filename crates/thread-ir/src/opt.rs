@@ -16,6 +16,7 @@
 //! * **DCE** — removes pure instructions whose results are never used.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::cfg::{Bb, BlockId, Cfg, Term};
 use crate::ir::{Inst, KernelIr, Reg};
@@ -35,47 +36,6 @@ pub struct OptStats {
     /// `Bar` instructions dropped because no memory operation is reachable
     /// on any path before them, or on any path after them.
     pub barriers_removed: usize,
-}
-
-/// Like [`optimize`] but prints the listing after every pass (debugging
-/// aid; not part of the stable API).
-#[doc(hidden)]
-pub fn optimize_debug(kernel: &mut KernelIr) {
-    for round in 0..4 {
-        let mut cfg = Cfg::build(kernel);
-        let f = const_fold(&mut cfg, kernel.num_regs);
-        kernel.insts = cfg.flatten();
-        eprintln!(
-            "== round {round} after fold ({f}) ==\n{}",
-            crate::printer::print_kernel_ir(kernel)
-        );
-        let mut cfg = Cfg::build(kernel);
-        let p = peephole(&mut cfg, &mut kernel.num_regs);
-        kernel.insts = cfg.flatten();
-        eprintln!(
-            "== round {round} after peephole ({p}) ==\n{}",
-            crate::printer::print_kernel_ir(kernel)
-        );
-        let mut cfg = Cfg::build(kernel);
-        let c1 = local_cse(&mut cfg, kernel.num_regs);
-        kernel.insts = cfg.flatten();
-        eprintln!(
-            "== round {round} after cse1 ({c1}) ==\n{}",
-            crate::printer::print_kernel_ir(kernel)
-        );
-        let mut cfg = Cfg::build(kernel);
-        let h = licm(&mut cfg, kernel.num_regs);
-        let c2 = local_cse(&mut cfg, kernel.num_regs);
-        let d = dce(&mut cfg, kernel.num_regs);
-        kernel.insts = cfg.flatten();
-        eprintln!(
-            "== round {round} after licm/cse2/dce ({h}/{c2}/{d}) ==\n{}",
-            crate::printer::print_kernel_ir(kernel)
-        );
-        if f + p + c1 + h + c2 + d == 0 {
-            break;
-        }
-    }
 }
 
 /// True for instructions that have no side effects and cannot fault.
@@ -487,19 +447,21 @@ fn licm(cfg: &mut Cfg, num_regs: u32) -> usize {
     // Collect loops up front; preheader insertion appends blocks, so body
     // bitmaps must be padded when consulted later.
     let loops = cfg.natural_loops();
+    let mut def_count = vec![0u32; num_regs as usize];
+    let mut srcs = Vec::with_capacity(3);
     for (header, body) in loops {
         let (live_in, _) = block_liveness(cfg, num_regs);
         let in_body = |b: BlockId| body.get(b).copied().unwrap_or(false);
 
         // Count definitions of each register inside the loop.
-        let mut def_count: HashMap<Reg, u32> = HashMap::new();
+        def_count.fill(0);
         for (b, bb) in cfg.blocks.iter().enumerate() {
             if !in_body(b) {
                 continue;
             }
             for inst in &bb.insts {
                 if let Some(d) = inst.dst() {
-                    *def_count.entry(d).or_insert(0) += 1;
+                    def_count[d as usize] += 1;
                 }
             }
         }
@@ -507,9 +469,16 @@ fn licm(cfg: &mut Cfg, num_regs: u32) -> usize {
         // Iteratively mark invariant instructions: pure, single def in the
         // loop, destination not live into the header (its pre-loop value is
         // never observed), and all operands either defined outside the loop
-        // or by an already-invariant instruction.
+        // or by an already-invariant instruction. `hoist[b][i]` marks
+        // instruction `i` of body block `b`.
         let mut invariant_defs: RegSet = RegSet::new(num_regs);
-        let mut hoist: Vec<(BlockId, usize)> = Vec::new();
+        let mut hoist: Vec<Vec<bool>> = cfg
+            .blocks
+            .iter()
+            .enumerate()
+            .map(|(b, bb)| vec![false; if in_body(b) { bb.insts.len() } else { 0 }])
+            .collect();
+        let mut hoisted = 0;
         let mut changed = true;
         while changed {
             changed = false;
@@ -518,7 +487,7 @@ fn licm(cfg: &mut Cfg, num_regs: u32) -> usize {
                     continue;
                 }
                 for (i, inst) in bb.insts.iter().enumerate() {
-                    if hoist.contains(&(b, i)) || !is_pure(inst) {
+                    if hoist[b][i] || !is_pure(inst) {
                         continue;
                     }
                     // Constants are rematerializable (cost-free in the
@@ -534,54 +503,46 @@ fn licm(cfg: &mut Cfg, num_regs: u32) -> usize {
                         continue;
                     }
                     let Some(d) = inst.dst() else { continue };
-                    if def_count.get(&d).copied().unwrap_or(0) != 1 {
+                    if def_count[d as usize] != 1 || live_in[header].contains(d) {
                         continue;
                     }
-                    if live_in[header].contains(d) {
-                        continue;
-                    }
-                    let ok = inst.srcs().iter().all(|&s| {
-                        def_count.get(&s).copied().unwrap_or(0) == 0 || invariant_defs.contains(s)
-                    });
+                    srcs.clear();
+                    inst.srcs_into(&mut srcs);
+                    let ok = srcs
+                        .iter()
+                        .all(|&s| def_count[s as usize] == 0 || invariant_defs.contains(s));
                     if ok {
                         invariant_defs.insert(d);
-                        hoist.push((b, i));
+                        hoist[b][i] = true;
+                        hoisted += 1;
                         changed = true;
                     }
                 }
             }
         }
-        if hoist.is_empty() {
+        if hoisted == 0 {
             continue;
         }
-        // Move the instructions, preserving their program order: collect in
-        // (block-layout, index) order.
-        let layout_pos: HashMap<BlockId, usize> = cfg
-            .layout
-            .iter()
-            .enumerate()
-            .map(|(i, &b)| (b, i))
-            .collect();
-        hoist.sort_by_key(|&(b, i)| (layout_pos.get(&b).copied().unwrap_or(usize::MAX), i));
+        // Move the instructions, preserving their program order: blocks in
+        // layout order, each block's in index order.
+        let mut moved = Vec::with_capacity(hoisted);
+        for &b in &cfg.layout {
+            let Some(marks) = hoist.get(b).filter(|m| m.contains(&true)) else {
+                continue;
+            };
+            let mut i = 0;
+            let (up, keep): (Vec<Inst>, Vec<Inst>) = std::mem::take(&mut cfg.blocks[b].insts)
+                .into_iter()
+                .partition(|_| {
+                    i += 1;
+                    marks[i - 1]
+                });
+            moved.extend(up);
+            cfg.blocks[b].insts = keep;
+        }
         let pre = cfg.insert_preheader(header, &body);
-        let mut moved = Vec::with_capacity(hoist.len());
-        // Remove from the back of each block to keep indices valid.
-        let mut by_block: HashMap<BlockId, Vec<usize>> = HashMap::new();
-        for &(b, i) in &hoist {
-            by_block.entry(b).or_default().push(i);
-        }
-        let mut extracted: HashMap<(BlockId, usize), Inst> = HashMap::new();
-        for (b, mut idxs) in by_block {
-            idxs.sort_unstable_by(|a, c| c.cmp(a));
-            for i in idxs {
-                extracted.insert((b, i), cfg.blocks[b].insts.remove(i));
-            }
-        }
-        for key in &hoist {
-            moved.push(extracted.remove(key).expect("extracted above"));
-        }
-        hoisted_total += moved.len();
         cfg.blocks[pre].insts = moved;
+        hoisted_total += hoisted;
     }
     hoisted_total
 }
@@ -608,6 +569,36 @@ enum Key {
     LocalAddr(u32),
 }
 
+/// A multiply-rotate hasher (the FxHash mix) for [`Key`]s, whose fields are
+/// all small integers the compiler made itself, so no input can pick
+/// colliding keys; SipHash cost more than the rest of a CSE lookup.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.write_u64(u64::from(v));
+    }
+
+    fn write_usize(&mut self, v: usize) {
+        self.write_u64(v as u64);
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// Maximum reuse distance (in instructions) for non-constant CSE hits.
 /// Reusing a value computed far earlier keeps it live across the whole gap,
 /// which real compilers avoid (they rematerialize instead of inflating
@@ -615,44 +606,122 @@ enum Key {
 /// victim.
 const CSE_WINDOW: usize = 120;
 
+/// `CseRegs::rename` entry of a register that aliases nothing.
+const NO_ALIAS: Reg = Reg::MAX;
+
+/// Local CSE's per-block register state, in tables indexed by register.
+/// Every entry a block sets belongs to a register in `touched` (a rename's
+/// both sides were defined in the block), so [`CseRegs::reset`] costs what
+/// the block wrote, not `num_regs`.
+struct CseRegs {
+    /// Definitions of each register seen so far in the block.
+    version: Vec<u32>,
+    /// A deleted destination's canonical register, applied to later
+    /// operands; `NO_ALIAS` when none. An entry dies when either side is
+    /// redefined.
+    rename: Vec<Reg>,
+    /// For each canonical register, the registers renamed to it. Entries
+    /// whose `rename` has since moved or died are stale and skipped.
+    aliases: Vec<Vec<Reg>>,
+    /// Registers whose version left 0 in this block.
+    touched: Vec<Reg>,
+}
+
+impl CseRegs {
+    fn new(num_regs: u32) -> Self {
+        let n = num_regs as usize;
+        CseRegs {
+            version: vec![0; n],
+            rename: vec![NO_ALIAS; n],
+            aliases: vec![Vec::new(); n],
+            touched: Vec::new(),
+        }
+    }
+
+    fn ver(&self, r: Reg) -> u32 {
+        self.version[r as usize]
+    }
+
+    fn bump(&mut self, r: Reg) {
+        let v = &mut self.version[r as usize];
+        if *v == 0 {
+            self.touched.push(r);
+        }
+        *v += 1;
+    }
+
+    fn resolve(&self, r: Reg) -> Reg {
+        match self.rename[r as usize] {
+            NO_ALIAS => r,
+            c => c,
+        }
+    }
+
+    /// Renames later reads of `d` (whose definition was deleted) to
+    /// `canonical`.
+    fn alias(&mut self, d: Reg, canonical: Reg) {
+        self.rename[d as usize] = canonical;
+        self.aliases[canonical as usize].push(d);
+    }
+
+    /// Handles an *actual* redefinition of `d`: every alias renamed to `d`
+    /// (its own defining instruction was deleted) would be orphaned by the
+    /// clobber, so materialize each with a compensation move first, in
+    /// ascending register order, then drop every entry involving `d`. Costs
+    /// the aliases `d` gathered, each of which it consumes.
+    fn on_redefine(&mut self, d: Reg, out: &mut Vec<Inst>) {
+        let mut orphans = std::mem::take(&mut self.aliases[d as usize]);
+        orphans.retain(|&k| self.rename[k as usize] == d);
+        orphans.sort_unstable();
+        orphans.dedup();
+        for &k in &orphans {
+            out.push(Inst::Mov { dst: k, src: d });
+            self.bump(k);
+            self.rename[k as usize] = NO_ALIAS;
+        }
+        orphans.clear();
+        self.aliases[d as usize] = orphans;
+        self.rename[d as usize] = NO_ALIAS;
+    }
+
+    /// Clears the block's state.
+    fn reset(&mut self) {
+        for r in self.touched.drain(..) {
+            self.version[r as usize] = 0;
+            self.rename[r as usize] = NO_ALIAS;
+            self.aliases[r as usize].clear();
+        }
+    }
+}
+
 fn local_cse(cfg: &mut Cfg, num_regs: u32) -> usize {
     let (_, live_out) = block_liveness(cfg, num_regs);
     let mut removed = 0;
+    let mut regs = CseRegs::new(num_regs);
     for (bi, bb) in cfg.blocks.iter_mut().enumerate() {
-        let mut version: HashMap<Reg, u32> = HashMap::new();
-        let ver = |version: &HashMap<Reg, u32>, r: Reg| version.get(&r).copied().unwrap_or(0);
+        regs.reset();
         // key → (canonical register, canonical's version at definition,
         // definition position). A hit is only valid while the canonical
         // register still holds that version — a redefinition of the
         // canonical (e.g. `b = 2; b = 3;` where `b` became canonical for
         // Imm(2)) silently invalidates the entry via the version check.
-        let mut avail: HashMap<Key, (Reg, u32, usize)> = HashMap::new();
-        // Map from a deleted destination to its canonical register, applied
-        // to subsequent operands; an entry dies when either side is
-        // redefined.
-        let mut rename: HashMap<Reg, Reg> = HashMap::new();
+        let mut avail: HashMap<Key, (Reg, u32, usize), BuildHasherDefault<KeyHasher>> =
+            HashMap::with_capacity_and_hasher(bb.insts.len(), BuildHasherDefault::default());
 
         let mut out: Vec<Inst> = Vec::with_capacity(bb.insts.len());
         // A redundant instruction whose destination is live out of the
         // block stays as a Mov from the canonical register; in-block uses
         // are renamed.
 
-        for (pos, mut inst) in std::mem::take(&mut bb.insts).into_iter().enumerate() {
-            // Apply operand renames.
-            remap_srcs(&mut inst, &rename);
+        for (pos, inst) in std::mem::take(&mut bb.insts).into_iter().enumerate() {
+            let inst = inst.map_srcs(|r| regs.resolve(r));
+            let ver = |r: Reg| (r, regs.ver(r));
             let key = match &inst {
                 Inst::Imm { value, .. } => Some(Key::Imm(*value)),
-                Inst::Mov { src, .. } => Some(Key::Mov(*src, ver(&version, *src))),
-                Inst::Bin { op, ty, a, b, .. } => Some(Key::Bin(
-                    *op,
-                    *ty,
-                    (*a, ver(&version, *a)),
-                    (*b, ver(&version, *b)),
-                )),
-                Inst::Un { op, ty, a, .. } => Some(Key::Un(*op, *ty, (*a, ver(&version, *a)))),
-                Inst::Cast { from, to, src, .. } => {
-                    Some(Key::Cast(*from, *to, (*src, ver(&version, *src))))
-                }
+                Inst::Mov { src, .. } => Some(Key::Mov(*src, regs.ver(*src))),
+                Inst::Bin { op, ty, a, b, .. } => Some(Key::Bin(*op, *ty, ver(*a), ver(*b))),
+                Inst::Un { op, ty, a, .. } => Some(Key::Un(*op, *ty, ver(*a))),
+                Inst::Cast { from, to, src, .. } => Some(Key::Cast(*from, *to, ver(*src))),
                 Inst::Special { reg, .. } => Some(Key::Special(*reg)),
                 Inst::LdParam { index, .. } => Some(Key::LdParam(*index)),
                 Inst::SharedAddr { offset, .. } => Some(Key::SharedAddr(*offset)),
@@ -671,14 +740,14 @@ fn local_cse(cfg: &mut Cfg, num_regs: u32) -> usize {
                 match avail.get(&key).copied() {
                     Some((canonical, def_ver, def_pos))
                         if canonical != d
-                            && def_ver == ver(&version, canonical)
+                            && def_ver == regs.ver(canonical)
                             && (windowless || pos - def_pos <= CSE_WINDOW) =>
                     {
                         if live_out[bi].contains(d) {
                             // `d` is really redefined on both live-out
                             // paths, so rescue its aliases first.
-                            on_redefine(d, &mut rename, &mut version, &mut out);
-                            bump(&mut version, d);
+                            regs.on_redefine(d, &mut out);
+                            regs.bump(d);
                             if windowless {
                                 // A live-out constant is cheaper re-issued
                                 // than kept alive through a move.
@@ -694,11 +763,10 @@ fn local_cse(cfg: &mut Cfg, num_regs: u32) -> usize {
                         } else {
                             // Deleted: `d`'s register is NOT clobbered, so
                             // aliases pointing at `d` stay valid — only
-                            // `d`'s own alias entry (if any) dies.
+                            // `d`'s own alias entry (if any) is replaced.
                             removed += 1;
-                            bump(&mut version, d);
-                            rename.remove(&d);
-                            rename.insert(d, canonical);
+                            regs.bump(d);
+                            regs.alias(d, canonical);
                         }
                         continue;
                     }
@@ -708,59 +776,23 @@ fn local_cse(cfg: &mut Cfg, num_regs: u32) -> usize {
                         // make this definition the new canonical. Its
                         // version becomes current-version + 1 because the
                         // bump below happens after this insert.
-                        avail.insert(key, (d, ver(&version, d) + 1, pos));
+                        avail.insert(key, (d, regs.ver(d) + 1, pos));
                     }
                 }
             }
             if let Some(d) = dst {
-                on_redefine(d, &mut rename, &mut version, &mut out);
-                bump(&mut version, d);
+                regs.on_redefine(d, &mut out);
+                regs.bump(d);
             }
             out.push(inst);
         }
         // Terminator condition may also need renaming.
         if let Term::Bra { cond, .. } = &mut bb.term {
-            if let Some(&c) = rename.get(cond) {
-                *cond = c;
-            }
+            *cond = regs.resolve(*cond);
         }
         bb.insts = out;
     }
     removed
-}
-
-fn bump(version: &mut HashMap<Reg, u32>, r: Reg) {
-    *version.entry(r).or_insert(0) += 1;
-}
-
-/// Handles an *actual* redefinition of `d` during CSE: every alias that was
-/// renamed to `d` (its own defining instruction was deleted) would be
-/// orphaned by the clobber, so materialize each with a compensation move
-/// first, then drop all entries involving `d`.
-fn on_redefine(
-    d: Reg,
-    rename: &mut HashMap<Reg, Reg>,
-    version: &mut HashMap<Reg, u32>,
-    out: &mut Vec<Inst>,
-) {
-    let mut orphans: Vec<Reg> = rename
-        .iter()
-        .filter(|(_, &v)| v == d)
-        .map(|(&k, _)| k)
-        .collect();
-    orphans.sort_unstable(); // deterministic emission order
-    for k in orphans {
-        out.push(Inst::Mov { dst: k, src: d });
-        bump(version, k);
-    }
-    rename.retain(|k, v| *k != d && *v != d);
-}
-
-fn remap_srcs(inst: &mut Inst, rename: &HashMap<Reg, Reg>) {
-    if rename.is_empty() {
-        return;
-    }
-    *inst = inst.map_srcs(|r| rename.get(&r).copied().unwrap_or(r));
 }
 
 // ---- DCE ---------------------------------------------------------------------
@@ -768,6 +800,7 @@ fn remap_srcs(inst: &mut Inst, rename: &HashMap<Reg, Reg>) {
 fn dce(cfg: &mut Cfg, num_regs: u32) -> usize {
     let (_, live_out) = block_liveness(cfg, num_regs);
     let mut removed = 0;
+    let mut srcs = Vec::with_capacity(3);
     for (bi, bb) in cfg.blocks.iter_mut().enumerate() {
         let mut live = live_out[bi].clone();
         if let Term::Bra { cond, .. } = &bb.term {
@@ -784,7 +817,9 @@ fn dce(cfg: &mut Cfg, num_regs: u32) -> usize {
             if let Some(d) = inst.dst() {
                 live.remove(d);
             }
-            for s in inst.srcs() {
+            srcs.clear();
+            inst.srcs_into(&mut srcs);
+            for &s in &srcs {
                 live.insert(s);
             }
         }
@@ -1200,7 +1235,11 @@ mod tests {
     }
 
     fn lines(text: &str) -> String {
-        let lines: Vec<&str> = text.lines().map(str::trim).filter(|l| !l.is_empty()).collect();
+        let lines: Vec<&str> = text
+            .lines()
+            .map(str::trim)
+            .filter(|l| !l.is_empty())
+            .collect();
         lines.join("\n")
     }
 
