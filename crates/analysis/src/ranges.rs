@@ -11,7 +11,8 @@
 //!   when both originals are already proven safe.
 //!
 //! Each runs the interpreter once per call (once per removal round in
-//! [`eliminate_redundant_barriers`]).
+//! [`eliminate_redundant_barriers`], whose last run also yields the
+//! summary of the function it leaves).
 
 use std::collections::BTreeMap;
 
@@ -189,10 +190,15 @@ fn remove_nth_sync(stmts: &mut Vec<Stmt>, k: &mut usize, n: usize) -> bool {
 /// loop; it is removed when every pair of accesses that becomes concurrent
 /// without it is proven conflict-free by `pair_safe`. Kernels containing
 /// `goto` are left untouched (the same-warp program-order argument assumes
-/// structured lowering). Returns the number of barriers removed.
-pub fn eliminate_redundant_barriers(f: &mut Function, block_threads: Option<u32>) -> u32 {
+/// structured lowering). Returns the number of barriers removed and the
+/// [`KernelRangeSummary`] of the function it leaves, derived from its last
+/// interpreter run (so it equals [`summarize_ranges`] of that function).
+pub fn eliminate_redundant_barriers(
+    f: &mut Function,
+    block_threads: Option<u32>,
+) -> (u32, KernelRangeSummary) {
     if contains_goto(f) {
-        return 0;
+        return (0, summarize_ranges(f, block_threads));
     }
     let mut removed = 0;
     // Re-derive everything after each removal: merging two phases changes
@@ -247,9 +253,8 @@ pub fn eliminate_redundant_barriers(f: &mut Function, block_threads: Option<u32>
                 continue 'outer;
             }
         }
-        break;
+        return (removed, summary_of(f, &a));
     }
-    removed
 }
 
 // ---------------------------------------------------------------------------
@@ -295,7 +300,11 @@ impl KernelRangeSummary {
 
 /// Computes the [`KernelRangeSummary`] for one kernel at one block width.
 pub fn summarize_ranges(f: &Function, block_threads: Option<u32>) -> KernelRangeSummary {
-    let a = Analysis::run(f, block_threads);
+    summary_of(f, &Analysis::run(f, block_threads))
+}
+
+/// The [`KernelRangeSummary`] of `f` from its analysis `a`.
+fn summary_of(f: &Function, a: &Analysis) -> KernelRangeSummary {
     let has_goto = contains_goto(f);
     let barriers = a
         .cfg
@@ -340,7 +349,7 @@ pub fn summarize_ranges(f: &Function, block_threads: Option<u32>) -> KernelRange
         accesses: a.accesses.len() as u32,
         unresolved,
         race_free_certain,
-        oob_clean: oob_lints(&a, None, None).is_empty(),
+        oob_clean: oob_lints(a, None, None).is_empty(),
     }
 }
 
@@ -380,8 +389,9 @@ mod tests {
                    out[t] = v;\n\
                    }";
         let mut f = parsed(src);
-        let removed = eliminate_redundant_barriers(&mut f, Some(64));
+        let (removed, summary) = eliminate_redundant_barriers(&mut f, Some(64));
         assert_eq!(removed, 1, "only the trailing barrier is redundant");
+        assert_eq!(summary, summarize_ranges(&f, Some(64)));
         let mut syncs = 0;
         cuda_frontend::diag::preorder_stmts(&f, &mut |s| {
             syncs += matches!(s, Stmt::SyncThreads) as u32;
@@ -399,7 +409,7 @@ mod tests {
                    out[t] = s[63 - t];\n\
                    }";
         let mut f = parsed(src);
-        assert_eq!(eliminate_redundant_barriers(&mut f, Some(64)), 0);
+        assert_eq!(eliminate_redundant_barriers(&mut f, Some(64)).0, 0);
     }
 
     #[test]
@@ -414,7 +424,7 @@ mod tests {
                    if (t < 32) { out[t] = s[31 - t]; }\n\
                    }";
         let mut f = parsed(src);
-        assert_eq!(eliminate_redundant_barriers(&mut f, Some(64)), 1);
+        assert_eq!(eliminate_redundant_barriers(&mut f, Some(64)).0, 1);
     }
 
     #[test]
@@ -429,7 +439,7 @@ mod tests {
                    out[t] = s[t];\n\
                    }";
         let mut f = parsed(src);
-        assert_eq!(eliminate_redundant_barriers(&mut f, Some(64)), 0);
+        assert_eq!(eliminate_redundant_barriers(&mut f, Some(64)).0, 0);
     }
 
     #[test]
@@ -442,7 +452,9 @@ mod tests {
                    out[t] = t;\n\
                    }";
         if let Ok((mut f, _)) = parse_kernel_with_spans(src) {
-            assert_eq!(eliminate_redundant_barriers(&mut f, Some(64)), 0);
+            let (removed, summary) = eliminate_redundant_barriers(&mut f, Some(64));
+            assert_eq!(removed, 0);
+            assert_eq!(summary, summarize_ranges(&f, Some(64)));
         }
     }
 

@@ -572,9 +572,9 @@ impl Session {
     /// race-freedom and bounds certificates, and the
     /// [`fast_gate_clean`](hfuse_analysis::KernelRangeSummary::fast_gate_clean)
     /// bit the fuse gate's fast path keys on. Memoized on the printed AST
-    /// (per `block_threads`), and backed by the same process-wide summary
-    /// cache the gate uses — summarizing here and fusing later analyzes the
-    /// kernel exactly once.
+    /// (per `block_threads`), and backed by the process-wide summary cache
+    /// (which the gate also uses on the paths that skip barrier
+    /// elimination).
     ///
     /// # Errors
     ///

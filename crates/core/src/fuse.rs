@@ -11,9 +11,10 @@
 //!    user among all members, and no raw `bar.sync` already in its body;
 //! 2. preprocesses it (renaming and declaration lifting) with one
 //!    [`NameGen`] shared by all members, so their names never collide;
-//! 3. drops the barriers the value-range analysis proves redundant
-//!    (skipped under [`FuseOptions::full_barriers`] and
-//!    `HFUSE_NO_BARRIER_ELIM`).
+//! 3. drops the barriers the value-range analysis proves redundant, and
+//!    keeps the member's range summary from that analysis (skipped under
+//!    [`FuseOptions::full_barriers`] and `HFUSE_NO_BARRIER_ELIM`, where the
+//!    summary comes from the memoized cache).
 //!
 //! The fused kernel then
 //!
@@ -195,21 +196,24 @@ pub(crate) fn fuse_members(
     // interleaving: every barrier removed here is one fewer partial barrier
     // in the fused kernel. Skipped for the full-barrier ablation (it wants
     // the naive coupling) and under the HFUSE_NO_BARRIER_ELIM hatch.
-    let mut barriers_eliminated = 0;
-    if !options.full_barriers && !gpu_sim::env::no_barrier_elim() {
-        for (f, &d) in prepped.iter_mut().zip(&partitions) {
-            barriers_eliminated += hfuse_analysis::eliminate_redundant_barriers(f, Some(d));
-        }
-    }
-
+    //
     // Range summaries of the (preprocessed, barrier-elided) members: when
     // all prove safe on their own, the gate can skip analyzing the fused
-    // function.
-    let gate_fast_path = !hfuse_analysis::static_check_disabled_by_env()
-        && prepped
-            .iter()
-            .zip(&partitions)
-            .all(|(f, &d)| hfuse_analysis::summarize_ranges_memoized(f, Some(d)).fast_gate_clean());
+    // function. Elimination yields each member's summary from its last
+    // analysis; the paths that skip it look the summaries up in the cache.
+    let elide = !options.full_barriers && !gpu_sim::env::no_barrier_elim();
+    let mut barriers_eliminated = 0;
+    let mut gate_fast_path = !hfuse_analysis::static_check_disabled_by_env();
+    for (f, &d) in prepped.iter_mut().zip(&partitions) {
+        gate_fast_path &= if elide {
+            let (removed, summary) = hfuse_analysis::eliminate_redundant_barriers(f, Some(d));
+            barriers_eliminated += removed;
+            summary.fast_gate_clean()
+        } else {
+            gate_fast_path
+                && hfuse_analysis::summarize_ranges_memoized(f, Some(d)).fast_gate_clean()
+        };
+    }
 
     let gtid = "__hf_gtid";
     let mut decls: Vec<Stmt> = Vec::new();
@@ -308,10 +312,12 @@ pub(crate) fn fuse_members(
 /// gate skips analyzing the (larger) fused function entirely.
 ///
 /// Goes through the process-wide memoized analysis cache, so re-fusing the
-/// same members at the same partition (the search sweeps each partition
-/// twice: unbounded and register-bounded) analyzes the fused function once,
-/// and a kernel already linted by `hfuse lint` is never re-analyzed by the
-/// gate.
+/// same members at the same partition (a `Session` edit that leaves the
+/// fused function's printed text unchanged, or a second search of the same
+/// pair) analyzes the fused function once, and a kernel already linted by
+/// `hfuse lint` is never re-analyzed by the gate. The search itself fuses
+/// each partition once and copies the lowered IR for its register-bounded
+/// variant.
 fn static_safety_check(fused: &MultiFusedKernel) -> Result<(), FrontendError> {
     if hfuse_analysis::static_check_disabled_by_env() || fused.gate_fast_path {
         return Ok(());

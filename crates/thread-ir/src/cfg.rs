@@ -34,12 +34,17 @@ pub enum Term {
 impl Term {
     /// Successor block ids.
     pub fn succs(&self) -> Vec<BlockId> {
-        match self {
+        self.succ_pair().into_iter().flatten().collect()
+    }
+
+    /// Successor block ids, without allocation.
+    pub(crate) fn succ_pair(&self) -> [Option<BlockId>; 2] {
+        match *self {
             Term::Bra {
                 taken, fallthrough, ..
-            } => vec![*fallthrough, *taken],
-            Term::Jmp(t) => vec![*t],
-            Term::Ret => vec![],
+            } => [Some(fallthrough), Some(taken)],
+            Term::Jmp(t) => [Some(t), None],
+            Term::Ret => [None, None],
         }
     }
 
@@ -84,6 +89,23 @@ pub struct Cfg {
     pub layout: Vec<BlockId>,
 }
 
+/// The first PC of every basic block of `insts`, in order, then
+/// `insts.len()`. Entry, branch targets, and whatever follows a terminator
+/// lead a block.
+pub(crate) fn block_starts(insts: &[Inst]) -> Vec<usize> {
+    let n = insts.len();
+    let mut leader = vec![false; n + 1];
+    leader[0] = true;
+    for (pc, inst) in insts.iter().enumerate() {
+        if let Inst::Bra { target, .. } | Inst::Jmp { target } = inst {
+            leader[*target] = true;
+        }
+        leader[pc + 1] |= matches!(inst, Inst::Bra { .. } | Inst::Jmp { .. } | Inst::Ret);
+    }
+    leader[n] = true;
+    (0..=n).filter(|&pc| leader[pc]).collect()
+}
+
 impl Cfg {
     /// Builds the CFG of a kernel's instruction stream.
     ///
@@ -93,48 +115,11 @@ impl Cfg {
     /// guarantees it does).
     pub fn build(kernel: &KernelIr) -> Cfg {
         let insts = &kernel.insts;
-        let n = insts.len();
-        // Find leaders.
-        let mut is_leader = vec![false; n];
-        if n > 0 {
-            is_leader[0] = true;
-        }
-        for (pc, inst) in insts.iter().enumerate() {
-            match inst {
-                Inst::Bra { target, .. } => {
-                    is_leader[*target] = true;
-                    if pc + 1 < n {
-                        is_leader[pc + 1] = true;
-                    }
-                }
-                Inst::Jmp { target } => {
-                    is_leader[*target] = true;
-                    if pc + 1 < n {
-                        is_leader[pc + 1] = true;
-                    }
-                }
-                Inst::Ret if pc + 1 < n => {
-                    is_leader[pc + 1] = true;
-                }
-                _ => {}
-            }
-        }
-        let leaders: Vec<usize> = (0..n).filter(|&i| is_leader[i]).collect();
-        let block_of_pc = {
-            let mut map = vec![0usize; n];
-            let mut b = 0;
-            for (pc, slot) in map.iter_mut().enumerate() {
-                if b + 1 < leaders.len() && pc >= leaders[b + 1] {
-                    b += 1;
-                }
-                *slot = b;
-            }
-            map
-        };
-
-        let mut blocks = Vec::with_capacity(leaders.len());
-        for (bi, &start) in leaders.iter().enumerate() {
-            let end = leaders.get(bi + 1).copied().unwrap_or(n);
+        let starts = block_starts(insts);
+        let block_of_pc = |pc: usize| starts.partition_point(|&s| s <= pc) - 1;
+        let mut blocks = Vec::with_capacity(starts.len() - 1);
+        for (bi, w) in starts.windows(2).enumerate() {
+            let (start, end) = (w[0], w[1]);
             let last = end - 1;
             let (body_end, term) = match &insts[last] {
                 Inst::Bra {
@@ -146,12 +131,12 @@ impl Cfg {
                     Term::Bra {
                         cond: *cond,
                         if_zero: *if_zero,
-                        taken: block_of_pc[*target],
+                        taken: block_of_pc(*target),
                         // Fallthrough: the next block in program order.
                         fallthrough: bi + 1,
                     },
                 ),
-                Inst::Jmp { target } => (last, Term::Jmp(block_of_pc[*target])),
+                Inst::Jmp { target } => (last, Term::Jmp(block_of_pc(*target))),
                 Inst::Ret => (last, Term::Ret),
                 // Fallthrough block (ends because the next pc is a leader).
                 _ => (end, Term::Jmp(bi + 1)),

@@ -92,20 +92,6 @@ impl RegSet {
         changed
     }
 
-    /// `self |= other & !minus`, a word at a time; returns true if `self`
-    /// changed.
-    pub(crate) fn union_with_difference(&mut self, other: &RegSet, minus: &RegSet) -> bool {
-        let mut changed = false;
-        for ((a, b), m) in self.words.iter_mut().zip(&other.words).zip(&minus.words) {
-            let next = *a | (*b & !*m);
-            if next != *a {
-                *a = next;
-                changed = true;
-            }
-        }
-        changed
-    }
-
     /// Inserts every register of `other`, and `extra` if given, calling
     /// `on_new` on each that was not yet present; a word at a time.
     fn insert_new(&mut self, other: &RegSet, extra: Option<Reg>, mut on_new: impl FnMut(Reg)) {
@@ -194,42 +180,187 @@ impl SmallSuccs {
     }
 }
 
-/// Per-instruction live-in sets (registers live immediately before each
-/// instruction executes), computed by iterative backward dataflow.
-pub fn live_in_sets(kernel: &KernelIr) -> Vec<RegSet> {
-    let insts = &kernel.insts;
-    let n = insts.len();
-    let mut live_in: Vec<RegSet> = vec![RegSet::new(kernel.num_regs); n];
-    let mut srcs_buf: Vec<Reg> = Vec::with_capacity(3);
-    let mut out = RegSet::new(kernel.num_regs);
+/// Marks a register outside [`BlockLiveness`]'s universe.
+const NONE: u32 = u32::MAX;
+/// [`BlockLiveness`]'s live-in and live-out rows.
+pub(crate) const LIVE_IN: usize = 2;
+pub(crate) const LIVE_OUT: usize = 3;
 
-    // Iterate to a fixed point. Reverse order converges quickly on mostly
-    // forward CFGs.
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for pc in (0..n).rev() {
-            // live_out = union of successors' live_in
-            out.clear();
-            for &s in successors(insts, pc).as_slice() {
-                out.union_with(&live_in[s]);
+/// Block-level liveness: the crate's one dataflow fixpoint.
+///
+/// A register is live across a block boundary only if some block reads it
+/// before writing it (it is *upward-exposed* there), so the universe is
+/// those registers, renumbered densely. Each block's sets are rows of flat
+/// word arrays that re-solving reuses, so the optimizer's many solves
+/// allocate nothing once the buffers have grown.
+#[derive(Debug, Default)]
+pub(crate) struct BlockLiveness {
+    /// Dense index of each register, or [`NONE`] outside the universe.
+    dense: Vec<u32>,
+    /// The universe's registers, by dense index.
+    universe: Vec<Reg>,
+    /// Words per block in each row.
+    words: usize,
+    /// Rows of upward-exposed uses, definitions, [`LIVE_IN`] and
+    /// [`LIVE_OUT`].
+    rows: [Vec<u64>; 4],
+    succs: Vec<[Option<usize>; 2]>,
+    /// Per register, one plus the last block that defined it.
+    defined_in: Vec<u32>,
+}
+
+impl BlockLiveness {
+    /// Solves liveness over `blocks` blocks, where `block(b)` gives block
+    /// `b`'s instructions, a register its terminator reads, and its
+    /// successor blocks.
+    pub(crate) fn solve<'a>(
+        &mut self,
+        num_regs: u32,
+        blocks: usize,
+        block: impl Fn(usize) -> (&'a [Inst], Option<Reg>, [Option<usize>; 2]),
+    ) {
+        self.dense.clear();
+        self.dense.resize(num_regs as usize, NONE);
+        self.universe.clear();
+        self.succs.clear();
+        // Two walks over the blocks: the first finds the universe, the
+        // second fills the use and def rows over it.
+        for pass in 0..2 {
+            self.defined_in.clear();
+            self.defined_in.resize(num_regs as usize, 0);
+            let w = self.universe.len().div_ceil(64);
+            if pass == 1 {
+                self.words = w;
+                for row in &mut self.rows {
+                    row.clear();
+                    row.resize(blocks * w, 0);
+                }
             }
-            // live_in = (live_out - def) | use
-            if let Some(d) = insts[pc].dst() {
-                out.remove(d);
+            for b in 0..blocks {
+                let (insts, cond, succs) = block(b);
+                let mark = b as u32 + 1;
+                let mut visit = |r: Reg, def: bool| {
+                    let r_ = r as usize;
+                    let exposed = !def && self.defined_in[r_] != mark;
+                    if def {
+                        self.defined_in[r_] = mark;
+                    }
+                    if pass == 0 && exposed && self.dense[r_] == NONE {
+                        self.dense[r_] = self.universe.len() as u32;
+                        self.universe.push(r);
+                    }
+                    let i = self.dense[r_] as usize;
+                    if pass == 1 && (def || exposed) && i != NONE as usize {
+                        self.rows[usize::from(def)][b * w + i / 64] |= 1 << (i % 64);
+                    }
+                };
+                let mut srcs = Vec::with_capacity(3);
+                for inst in insts {
+                    srcs.clear();
+                    inst.srcs_into(&mut srcs);
+                    srcs.iter().for_each(|&s| visit(s, false));
+                    inst.dst().into_iter().for_each(|d| visit(d, true));
+                }
+                cond.into_iter().for_each(|c| visit(c, false));
+                if pass == 0 {
+                    self.succs.push(succs);
+                }
             }
-            srcs_buf.clear();
-            insts[pc].srcs_into(&mut srcs_buf);
-            for &s in &srcs_buf {
-                out.insert(s);
-            }
-            if out != live_in[pc] {
-                std::mem::swap(&mut live_in[pc], &mut out);
-                changed = true;
+        }
+        // in = uses | (out - defs), out = the union of the successors' ins;
+        // reverse order converges quickly on mostly forward CFGs.
+        let w = self.words;
+        let [uses, defs, live_in, live_out] = &mut self.rows;
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for b in (0..blocks).rev() {
+                let row = b * w..(b + 1) * w;
+                let out = &mut live_out[row.clone()];
+                out.fill(0);
+                for s in self.succs[b].into_iter().flatten() {
+                    for (o, i) in out.iter_mut().zip(&live_in[s * w..]) {
+                        *o |= i;
+                    }
+                }
+                let ud = uses[row.clone()].iter().zip(&defs[row.clone()]);
+                for ((inn, o), (u, d)) in live_in[row].iter_mut().zip(&*out).zip(ud) {
+                    let next = u | (o & !d);
+                    changed |= next != *inn;
+                    *inn = next;
+                }
             }
         }
     }
-    live_in
+
+    /// Whether `r` is in block `b`'s [`LIVE_IN`] or [`LIVE_OUT`] `row`.
+    pub(crate) fn has(&self, row: usize, b: usize, r: Reg) -> bool {
+        let i = self.dense[r as usize] as usize;
+        i != NONE as usize && self.rows[row][b * self.words + i / 64] & (1 << (i % 64)) != 0
+    }
+
+    /// Sets `set` to block `b`'s [`LIVE_IN`] or [`LIVE_OUT`] `row`.
+    pub(crate) fn expand(&self, row: usize, b: usize, set: &mut RegSet) {
+        set.clear();
+        let words = &self.rows[row][b * self.words..(b + 1) * self.words];
+        for (wi, &word) in words.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                set.insert(self.universe[wi * 64 + bits.trailing_zeros() as usize]);
+                bits &= bits - 1;
+            }
+        }
+    }
+}
+
+/// Solves [`BlockLiveness`] on the flat instruction stream, then sweeps each
+/// block backward from its live-out: `at(pc, live, counted)` receives the
+/// registers live into instruction `pc` and how many of them are not in
+/// `skip`.
+fn sweep(kernel: &KernelIr, skip: &RegSet, mut at: impl FnMut(usize, &RegSet, u32)) {
+    let insts = &kernel.insts;
+    let starts = crate::cfg::block_starts(insts);
+    let blocks = starts.len() - 1;
+    let block_of = |pc: usize| starts.partition_point(|&s| s <= pc) - 1;
+    let mut live = BlockLiveness::default();
+    live.solve(kernel.num_regs, blocks, |b| {
+        let range = starts[b]..starts[b + 1];
+        let succs = successors(insts, range.end - 1);
+        let succ = |i: usize| succs.as_slice().get(i).map(|&pc| block_of(pc));
+        (&insts[range], None, [succ(0), succ(1)])
+    });
+    let mut set = RegSet::new(kernel.num_regs);
+    let mut srcs = Vec::with_capacity(3);
+    for b in 0..blocks {
+        live.expand(LIVE_OUT, b, &mut set);
+        let mut counted = set.count_excluding(Some(skip));
+        for pc in (starts[b]..starts[b + 1]).rev() {
+            if let Some(d) = insts[pc].dst() {
+                if set.contains(d) && !skip.contains(d) {
+                    counted -= 1;
+                }
+                set.remove(d);
+            }
+            srcs.clear();
+            insts[pc].srcs_into(&mut srcs);
+            for &s in &srcs {
+                if set.insert(s) && !skip.contains(s) {
+                    counted += 1;
+                }
+            }
+            at(pc, &set, counted);
+        }
+    }
+}
+
+/// Per-instruction live-in sets (registers live immediately before each
+/// instruction executes), from one backward sweep per block.
+pub fn live_in_sets(kernel: &KernelIr) -> Vec<RegSet> {
+    let mut live = vec![RegSet::new(0); kernel.insts.len()];
+    sweep(kernel, &RegSet::new(kernel.num_regs), |pc, set, _| {
+        live[pc] = set.clone();
+    });
+    live
 }
 
 /// A storage slot for every virtual register of a kernel: registers whose
@@ -359,16 +490,14 @@ pub fn rematerializable_regs(kernel: &KernelIr) -> RegSet {
 /// registers (excluding `excluded` and rematerializable constants), plus
 /// [`REG_OVERHEAD`], clamped to `[MIN_REGS, MAX_REGS]`.
 pub fn pressure_excluding(kernel: &KernelIr, excluded: Option<&RegSet>) -> u32 {
-    let live = live_in_sets(kernel);
     let mut skip = rematerializable_regs(kernel);
     if let Some(ex) = excluded {
         skip.union_with(ex);
     }
-    let max_live = live
-        .iter()
-        .map(|s| s.count_excluding(Some(&skip)))
-        .max()
-        .unwrap_or(0);
+    let mut max_live = 0;
+    sweep(kernel, &skip, |_, _, counted| {
+        max_live = max_live.max(counted)
+    });
     pressure_of_max_live(max_live)
 }
 
@@ -466,30 +595,6 @@ mod tests {
         s.clear();
         assert!(s.is_empty());
         assert_eq!(s.iter().next(), None);
-    }
-
-    #[test]
-    fn regset_union_with_difference() {
-        let n = 130;
-        let set = |regs: &[Reg]| {
-            let mut s = RegSet::new(n);
-            for &r in regs {
-                s.insert(r);
-            }
-            s
-        };
-        let uses = set(&[1, 64]);
-        let out = set(&[0, 1, 63, 64, 127, 129]);
-        let defs = set(&[0, 64, 127]);
-        let mut inn = uses.clone();
-        assert!(inn.union_with_difference(&out, &defs));
-        let expected: Vec<Reg> = (0..n)
-            .filter(|&r| uses.contains(r) || (out.contains(r) && !defs.contains(r)))
-            .collect();
-        assert_eq!(expected, vec![1, 63, 64, 129]);
-        assert_eq!(probed(&inn, n), expected);
-        assert_eq!(inn.iter().collect::<Vec<_>>(), expected);
-        assert!(!inn.union_with_difference(&out, &defs));
     }
 
     #[test]

@@ -18,9 +18,9 @@
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-use crate::cfg::{Bb, BlockId, Cfg, Term};
+use crate::cfg::{BlockId, Cfg, Term};
 use crate::ir::{Inst, KernelIr, Reg};
-use crate::liveness::RegSet;
+use crate::liveness::{BlockLiveness, RegSet, LIVE_IN, LIVE_OUT};
 
 /// Counters describing what [`optimize`] did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -58,6 +58,7 @@ fn is_pure(inst: &Inst) -> bool {
 /// estimate. Returns the pass statistics.
 pub fn optimize(kernel: &mut KernelIr) -> OptStats {
     let mut stats = OptStats::default();
+    let mut live = BlockLiveness::default();
     for _round in 0..4 {
         let mut cfg = Cfg::build(kernel);
         let folded =
@@ -65,10 +66,10 @@ pub fn optimize(kernel: &mut KernelIr) -> OptStats {
         // CSE must run before LICM: folding can leave many copies of the
         // same constant in a loop body, and hoisting them individually
         // would turn each into a loop-long live range.
-        let cse_removed = local_cse(&mut cfg, kernel.num_regs);
-        let hoisted = licm(&mut cfg, kernel.num_regs);
-        let cse_removed = cse_removed + local_cse(&mut cfg, kernel.num_regs);
-        let dce_removed = dce(&mut cfg, kernel.num_regs);
+        let cse_removed = local_cse(&mut cfg, kernel.num_regs, &mut live);
+        let hoisted = licm(&mut cfg, kernel.num_regs, &mut live);
+        let cse_removed = cse_removed + local_cse(&mut cfg, kernel.num_regs, &mut live);
+        let dce_removed = dce(&mut cfg, kernel.num_regs, &mut live);
         kernel.insts = cfg.flatten();
         stats.folded += folded;
         stats.hoisted += hoisted;
@@ -186,59 +187,60 @@ fn redundant_barrier_elim(kernel: &mut KernelIr) -> usize {
 
 // ---- liveness over the CFG --------------------------------------------------
 
-fn block_uses_defs(bb: &Bb, num_regs: u32) -> (RegSet, RegSet) {
-    let mut uses = RegSet::new(num_regs);
-    let mut defs = RegSet::new(num_regs);
-    let mut srcs = Vec::with_capacity(3);
-    for inst in &bb.insts {
-        srcs.clear();
-        inst.srcs_into(&mut srcs);
-        for &s in &srcs {
-            if !defs.contains(s) {
-                uses.insert(s);
-            }
-        }
-        if let Some(d) = inst.dst() {
-            defs.insert(d);
-        }
-    }
-    if let Term::Bra { cond, .. } = &bb.term {
-        if !defs.contains(*cond) {
-            uses.insert(*cond);
-        }
-    }
-    (uses, defs)
+/// Solves `live` for the blocks of `cfg`. In the dev profile, checks the
+/// result against [`plain_block_liveness`].
+fn block_liveness(live: &mut BlockLiveness, cfg: &Cfg, num_regs: u32) {
+    live.solve(num_regs, cfg.blocks.len(), |b| {
+        let bb = &cfg.blocks[b];
+        let cond = match bb.term {
+            Term::Bra { cond, .. } => Some(cond),
+            _ => None,
+        };
+        (&bb.insts, cond, bb.term.succ_pair())
+    });
+    debug_assert!({
+        let plain = plain_block_liveness(cfg, num_regs);
+        let mut set = RegSet::new(num_regs);
+        plain.iter().enumerate().all(|(b, (inn, out))| {
+            live.expand(LIVE_IN, b, &mut set);
+            let in_ok = set == *inn;
+            live.expand(LIVE_OUT, b, &mut set);
+            in_ok && set == *out
+        })
+    });
 }
 
-/// Per-block live-in / live-out sets.
-fn block_liveness(cfg: &Cfg, num_regs: u32) -> (Vec<RegSet>, Vec<RegSet>) {
-    let n = cfg.blocks.len();
-    let mut live_in = vec![RegSet::new(num_regs); n];
-    let mut live_out = vec![RegSet::new(num_regs); n];
-    let ud: Vec<(RegSet, RegSet)> = cfg
-        .blocks
-        .iter()
-        .map(|b| block_uses_defs(b, num_regs))
-        .collect();
+/// Per-block live-in and live-out sets by a plain fixpoint over full-width
+/// sets: the reference [`block_liveness`] is checked against.
+fn plain_block_liveness(cfg: &Cfg, num_regs: u32) -> Vec<(RegSet, RegSet)> {
+    let mut live = vec![(RegSet::new(num_regs), RegSet::new(num_regs)); cfg.blocks.len()];
+    let mut srcs = Vec::with_capacity(3);
     let mut changed = true;
     while changed {
         changed = false;
-        for b in (0..n).rev() {
-            let mut out = RegSet::new(num_regs);
-            for s in cfg.blocks[b].term.succs() {
-                out.union_with(&live_in[s]);
+        for (b, bb) in cfg.blocks.iter().enumerate().rev() {
+            let mut set = RegSet::new(num_regs);
+            for s in bb.term.succs() {
+                set.union_with(&live[s].0);
             }
-            // in = use | (out - def)
-            let mut inn = ud[b].0.clone();
-            inn.union_with_difference(&out, &ud[b].1);
-            if out != live_out[b] || inn != live_in[b] {
-                live_out[b] = out;
-                live_in[b] = inn;
-                changed = true;
+            live[b].1 = set.clone();
+            if let Term::Bra { cond, .. } = bb.term {
+                set.insert(cond);
             }
+            for inst in bb.insts.iter().rev() {
+                if let Some(d) = inst.dst() {
+                    set.remove(d);
+                }
+                srcs.clear();
+                inst.srcs_into(&mut srcs);
+                for &s in &srcs {
+                    set.insert(s);
+                }
+            }
+            changed |= live[b].0.union_with(&set);
         }
     }
-    (live_in, live_out)
+    live
 }
 
 // ---- constant folding ---------------------------------------------------------
@@ -442,7 +444,7 @@ fn peephole(cfg: &mut Cfg, num_regs: &mut u32) -> usize {
 
 // ---- LICM -------------------------------------------------------------------
 
-fn licm(cfg: &mut Cfg, num_regs: u32) -> usize {
+fn licm(cfg: &mut Cfg, num_regs: u32, live: &mut BlockLiveness) -> usize {
     let mut hoisted_total = 0;
     // Collect loops up front; preheader insertion appends blocks, so body
     // bitmaps must be padded when consulted later.
@@ -450,7 +452,7 @@ fn licm(cfg: &mut Cfg, num_regs: u32) -> usize {
     let mut def_count = vec![0u32; num_regs as usize];
     let mut srcs = Vec::with_capacity(3);
     for (header, body) in loops {
-        let (live_in, _) = block_liveness(cfg, num_regs);
+        block_liveness(live, cfg, num_regs);
         let in_body = |b: BlockId| body.get(b).copied().unwrap_or(false);
 
         // Count definitions of each register inside the loop.
@@ -503,7 +505,7 @@ fn licm(cfg: &mut Cfg, num_regs: u32) -> usize {
                         continue;
                     }
                     let Some(d) = inst.dst() else { continue };
-                    if def_count[d as usize] != 1 || live_in[header].contains(d) {
+                    if def_count[d as usize] != 1 || live.has(LIVE_IN, header, d) {
                         continue;
                     }
                     srcs.clear();
@@ -694,8 +696,8 @@ impl CseRegs {
     }
 }
 
-fn local_cse(cfg: &mut Cfg, num_regs: u32) -> usize {
-    let (_, live_out) = block_liveness(cfg, num_regs);
+fn local_cse(cfg: &mut Cfg, num_regs: u32, live: &mut BlockLiveness) -> usize {
+    block_liveness(live, cfg, num_regs);
     let mut removed = 0;
     let mut regs = CseRegs::new(num_regs);
     for (bi, bb) in cfg.blocks.iter_mut().enumerate() {
@@ -743,7 +745,7 @@ fn local_cse(cfg: &mut Cfg, num_regs: u32) -> usize {
                             && def_ver == regs.ver(canonical)
                             && (windowless || pos - def_pos <= CSE_WINDOW) =>
                     {
-                        if live_out[bi].contains(d) {
+                        if live.has(LIVE_OUT, bi, d) {
                             // `d` is really redefined on both live-out
                             // paths, so rescue its aliases first.
                             regs.on_redefine(d, &mut out);
@@ -797,12 +799,13 @@ fn local_cse(cfg: &mut Cfg, num_regs: u32) -> usize {
 
 // ---- DCE ---------------------------------------------------------------------
 
-fn dce(cfg: &mut Cfg, num_regs: u32) -> usize {
-    let (_, live_out) = block_liveness(cfg, num_regs);
+fn dce(cfg: &mut Cfg, num_regs: u32, block_live: &mut BlockLiveness) -> usize {
+    block_liveness(block_live, cfg, num_regs);
     let mut removed = 0;
     let mut srcs = Vec::with_capacity(3);
+    let mut live = RegSet::new(num_regs);
     for (bi, bb) in cfg.blocks.iter_mut().enumerate() {
-        let mut live = live_out[bi].clone();
+        block_live.expand(LIVE_OUT, bi, &mut live);
         if let Term::Bra { cond, .. } = &bb.term {
             live.insert(*cond);
         }
@@ -1228,7 +1231,7 @@ mod tests {
     fn cse_listing(listing: &str) -> String {
         let mut k = crate::asm::parse_kernel_ir(listing).expect("listing parses");
         let mut cfg = Cfg::build(&k);
-        local_cse(&mut cfg, k.num_regs);
+        local_cse(&mut cfg, k.num_regs, &mut BlockLiveness::default());
         k.insts = cfg.flatten();
         let lines: Vec<String> = k.insts.iter().map(crate::printer::format_inst).collect();
         lines.join("\n")
