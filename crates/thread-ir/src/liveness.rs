@@ -180,8 +180,6 @@ impl SmallSuccs {
     }
 }
 
-/// Marks a register outside [`BlockLiveness`]'s universe.
-const NONE: u32 = u32::MAX;
 /// [`BlockLiveness`]'s live-in and live-out rows.
 pub(crate) const LIVE_IN: usize = 2;
 pub(crate) const LIVE_OUT: usize = 3;
@@ -191,21 +189,21 @@ pub(crate) const LIVE_OUT: usize = 3;
 /// A register is live across a block boundary only if some block reads it
 /// before writing it (it is *upward-exposed* there), so the universe is
 /// those registers, renumbered densely. Each block's sets are rows of flat
-/// word arrays that re-solving reuses, so the optimizer's many solves
-/// allocate nothing once the buffers have grown.
+/// word arrays that the next solve reuses.
 #[derive(Debug, Default)]
 pub(crate) struct BlockLiveness {
-    /// Dense index of each register, or [`NONE`] outside the universe.
+    /// One plus each register's index in `universe`, or 0 outside it.
     dense: Vec<u32>,
-    /// The universe's registers, by dense index.
     universe: Vec<Reg>,
     /// Words per block in each row.
     words: usize,
-    /// Rows of upward-exposed uses, definitions, [`LIVE_IN`] and
-    /// [`LIVE_OUT`].
+    /// Rows of upward-exposed uses, definitions, [`LIVE_IN`], [`LIVE_OUT`].
     rows: [Vec<u64>; 4],
     succs: Vec<[Option<usize>; 2]>,
-    /// Per register, one plus the last block that defined it.
+    /// `(block, register, is a definition)` of every upward-exposed use
+    /// and every definition.
+    events: Vec<(usize, Reg, bool)>,
+    /// One plus the last block that defined each register.
     defined_in: Vec<u32>,
 }
 
@@ -219,57 +217,51 @@ impl BlockLiveness {
         blocks: usize,
         block: impl Fn(usize) -> (&'a [Inst], Option<Reg>, [Option<usize>; 2]),
     ) {
-        self.dense.clear();
-        self.dense.resize(num_regs as usize, NONE);
+        for v in [&mut self.dense, &mut self.defined_in] {
+            v.clear();
+            v.resize(num_regs as usize, 0);
+        }
         self.universe.clear();
         self.succs.clear();
-        // Two walks over the blocks: the first finds the universe, the
-        // second fills the use and def rows over it.
-        for pass in 0..2 {
-            self.defined_in.clear();
-            self.defined_in.resize(num_regs as usize, 0);
-            let w = self.universe.len().div_ceil(64);
-            if pass == 1 {
-                self.words = w;
-                for row in &mut self.rows {
-                    row.clear();
-                    row.resize(blocks * w, 0);
+        self.events.clear();
+        let mut srcs = Vec::with_capacity(3);
+        for b in 0..blocks {
+            let (insts, cond, succs) = block(b);
+            self.succs.push(succs);
+            let mark = b as u32 + 1;
+            let mut visit = |r: Reg, def: bool| {
+                let r_ = r as usize;
+                if def {
+                    self.defined_in[r_] = mark;
+                } else if self.defined_in[r_] == mark {
+                    return;
+                } else if self.dense[r_] == 0 {
+                    self.universe.push(r);
+                    self.dense[r_] = self.universe.len() as u32;
                 }
+                self.events.push((b, r, def));
+            };
+            for inst in insts {
+                srcs.clear();
+                inst.srcs_into(&mut srcs);
+                srcs.iter().for_each(|&s| visit(s, false));
+                inst.dst().into_iter().for_each(|d| visit(d, true));
             }
-            for b in 0..blocks {
-                let (insts, cond, succs) = block(b);
-                let mark = b as u32 + 1;
-                let mut visit = |r: Reg, def: bool| {
-                    let r_ = r as usize;
-                    let exposed = !def && self.defined_in[r_] != mark;
-                    if def {
-                        self.defined_in[r_] = mark;
-                    }
-                    if pass == 0 && exposed && self.dense[r_] == NONE {
-                        self.dense[r_] = self.universe.len() as u32;
-                        self.universe.push(r);
-                    }
-                    let i = self.dense[r_] as usize;
-                    if pass == 1 && (def || exposed) && i != NONE as usize {
-                        self.rows[usize::from(def)][b * w + i / 64] |= 1 << (i % 64);
-                    }
-                };
-                let mut srcs = Vec::with_capacity(3);
-                for inst in insts {
-                    srcs.clear();
-                    inst.srcs_into(&mut srcs);
-                    srcs.iter().for_each(|&s| visit(s, false));
-                    inst.dst().into_iter().for_each(|d| visit(d, true));
-                }
-                cond.into_iter().for_each(|c| visit(c, false));
-                if pass == 0 {
-                    self.succs.push(succs);
-                }
+            cond.into_iter().for_each(|c| visit(c, false));
+        }
+        let w = self.universe.len().div_ceil(64);
+        self.words = w;
+        for row in &mut self.rows {
+            row.clear();
+            row.resize(blocks * w, 0);
+        }
+        for &(b, r, def) in &self.events {
+            if let Some(i) = self.dense[r as usize].checked_sub(1) {
+                self.rows[usize::from(def)][b * w + i as usize / 64] |= 1 << (i % 64);
             }
         }
         // in = uses | (out - defs), out = the union of the successors' ins;
         // reverse order converges quickly on mostly forward CFGs.
-        let w = self.words;
         let [uses, defs, live_in, live_out] = &mut self.rows;
         let mut changed = true;
         while changed {
@@ -279,9 +271,9 @@ impl BlockLiveness {
                 let out = &mut live_out[row.clone()];
                 out.fill(0);
                 for s in self.succs[b].into_iter().flatten() {
-                    for (o, i) in out.iter_mut().zip(&live_in[s * w..]) {
-                        *o |= i;
-                    }
+                    out.iter_mut()
+                        .zip(&live_in[s * w..])
+                        .for_each(|(o, i)| *o |= i);
                 }
                 let ud = uses[row.clone()].iter().zip(&defs[row.clone()]);
                 for ((inn, o), (u, d)) in live_in[row].iter_mut().zip(&*out).zip(ud) {
@@ -295,8 +287,8 @@ impl BlockLiveness {
 
     /// Whether `r` is in block `b`'s [`LIVE_IN`] or [`LIVE_OUT`] `row`.
     pub(crate) fn has(&self, row: usize, b: usize, r: Reg) -> bool {
-        let i = self.dense[r as usize] as usize;
-        i != NONE as usize && self.rows[row][b * self.words + i / 64] & (1 << (i % 64)) != 0
+        let bit = |i: u32| self.rows[row][b * self.words + i as usize / 64] & (1 << (i % 64)) != 0;
+        self.dense[r as usize].checked_sub(1).is_some_and(bit)
     }
 
     /// Sets `set` to block `b`'s [`LIVE_IN`] or [`LIVE_OUT`] `row`.
@@ -313,40 +305,33 @@ impl BlockLiveness {
     }
 }
 
-/// Solves [`BlockLiveness`] on the flat instruction stream, then sweeps each
+/// Solves [`BlockLiveness`] on the instruction stream, then sweeps each
 /// block backward from its live-out: `at(pc, live, counted)` receives the
-/// registers live into instruction `pc` and how many of them are not in
-/// `skip`.
+/// registers live into instruction `pc` and how many of them `skip` lacks.
 fn sweep(kernel: &KernelIr, skip: &RegSet, mut at: impl FnMut(usize, &RegSet, u32)) {
     let insts = &kernel.insts;
     let starts = crate::cfg::block_starts(insts);
-    let blocks = starts.len() - 1;
     let block_of = |pc: usize| starts.partition_point(|&s| s <= pc) - 1;
     let mut live = BlockLiveness::default();
-    live.solve(kernel.num_regs, blocks, |b| {
-        let range = starts[b]..starts[b + 1];
-        let succs = successors(insts, range.end - 1);
+    live.solve(kernel.num_regs, starts.len() - 1, |b| {
+        let succs = successors(insts, starts[b + 1] - 1);
         let succ = |i: usize| succs.as_slice().get(i).map(|&pc| block_of(pc));
-        (&insts[range], None, [succ(0), succ(1)])
+        (&insts[starts[b]..starts[b + 1]], None, [succ(0), succ(1)])
     });
     let mut set = RegSet::new(kernel.num_regs);
     let mut srcs = Vec::with_capacity(3);
-    for b in 0..blocks {
+    for (b, range) in starts.windows(2).enumerate() {
         live.expand(LIVE_OUT, b, &mut set);
         let mut counted = set.count_excluding(Some(skip));
-        for pc in (starts[b]..starts[b + 1]).rev() {
+        for pc in (range[0]..range[1]).rev() {
             if let Some(d) = insts[pc].dst() {
-                if set.contains(d) && !skip.contains(d) {
-                    counted -= 1;
-                }
+                counted -= u32::from(set.contains(d) && !skip.contains(d));
                 set.remove(d);
             }
             srcs.clear();
             insts[pc].srcs_into(&mut srcs);
             for &s in &srcs {
-                if set.insert(s) && !skip.contains(s) {
-                    counted += 1;
-                }
+                counted += u32::from(set.insert(s) && !skip.contains(s));
             }
             at(pc, &set, counted);
         }
@@ -358,7 +343,7 @@ fn sweep(kernel: &KernelIr, skip: &RegSet, mut at: impl FnMut(usize, &RegSet, u3
 pub fn live_in_sets(kernel: &KernelIr) -> Vec<RegSet> {
     let mut live = vec![RegSet::new(0); kernel.insts.len()];
     sweep(kernel, &RegSet::new(kernel.num_regs), |pc, set, _| {
-        live[pc] = set.clone();
+        live[pc] = set.clone()
     });
     live
 }

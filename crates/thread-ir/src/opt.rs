@@ -214,7 +214,6 @@ fn block_liveness(live: &mut BlockLiveness, cfg: &Cfg, num_regs: u32) {
 /// sets: the reference [`block_liveness`] is checked against.
 fn plain_block_liveness(cfg: &Cfg, num_regs: u32) -> Vec<(RegSet, RegSet)> {
     let mut live = vec![(RegSet::new(num_regs), RegSet::new(num_regs)); cfg.blocks.len()];
-    let mut srcs = Vec::with_capacity(3);
     let mut changed = true;
     while changed {
         changed = false;
@@ -231,11 +230,7 @@ fn plain_block_liveness(cfg: &Cfg, num_regs: u32) -> Vec<(RegSet, RegSet)> {
                 if let Some(d) = inst.dst() {
                     set.remove(d);
                 }
-                srcs.clear();
-                inst.srcs_into(&mut srcs);
-                for &s in &srcs {
-                    set.insert(s);
-                }
+                inst.srcs().into_iter().for_each(|s| _ = set.insert(s));
             }
             changed |= live[b].0.union_with(&set);
         }
