@@ -20,12 +20,10 @@
 //!
 //! A second table memoizes [`summarize_ranges`] the same way (extents do
 //! not feed summaries, so that key is just content × block width); its
-//! counters are surfaced separately in [`AnalysisCacheStats`]. It serves
-//! the `Session::ranges` query and the fusion paths that skip barrier
-//! elimination (the full-barrier ablation and `HFUSE_NO_BARRIER_ELIM`).
-//! Default fusion takes each member's summary from
-//! [`eliminate_redundant_barriers`](crate::eliminate_redundant_barriers)'s
-//! last analysis instead, so it neither prints nor hashes the member.
+//! counters are surfaced separately in [`AnalysisCacheStats`]. Fusion takes
+//! member summaries from [`eliminate_redundant_barriers`](crate::eliminate_redundant_barriers)
+//! instead, so this table serves `Session::ranges` and the fusion paths that
+//! skip elimination (the full-barrier ablation, `HFUSE_NO_BARRIER_ELIM`).
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};

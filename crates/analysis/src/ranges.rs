@@ -191,8 +191,7 @@ fn remove_nth_sync(stmts: &mut Vec<Stmt>, k: &mut usize, n: usize) -> bool {
 /// without it is proven conflict-free by `pair_safe`. Kernels containing
 /// `goto` are left untouched (the same-warp program-order argument assumes
 /// structured lowering). Returns the number of barriers removed and the
-/// [`KernelRangeSummary`] of the function it leaves, derived from its last
-/// interpreter run (so it equals [`summarize_ranges`] of that function).
+/// [`summarize_ranges`] of the function it leaves, from its last analysis.
 pub fn eliminate_redundant_barriers(
     f: &mut Function,
     block_threads: Option<u32>,

@@ -32,13 +32,8 @@ pub enum Term {
 }
 
 impl Term {
-    /// Successor block ids.
-    pub fn succs(&self) -> Vec<BlockId> {
-        self.succ_pair().into_iter().flatten().collect()
-    }
-
-    /// Successor block ids, without allocation.
-    pub(crate) fn succ_pair(&self) -> [Option<BlockId>; 2] {
+    /// Successor block ids, the fallthrough first.
+    pub fn succs(&self) -> impl Iterator<Item = BlockId> {
         match *self {
             Term::Bra {
                 taken, fallthrough, ..
@@ -46,6 +41,8 @@ impl Term {
             Term::Jmp(t) => [Some(t), None],
             Term::Ret => [None, None],
         }
+        .into_iter()
+        .flatten()
     }
 
     fn retarget(&mut self, from: BlockId, to: BlockId) {

@@ -117,66 +117,42 @@ impl RegSet {
 
     /// Iterates over the registers in the set, in increasing order.
     pub fn iter(&self) -> impl Iterator<Item = Reg> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            let mut bits = w;
-            std::iter::from_fn(move || {
-                if bits == 0 {
-                    return None;
-                }
+        set_bits(&self.words)
+    }
+}
+
+/// The indices of the set bits of `words`, in increasing order.
+fn set_bits(words: &[u64]) -> impl Iterator<Item = u32> + '_ {
+    words.iter().enumerate().flat_map(|(wi, &w)| {
+        let mut bits = w;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
                 let b = bits.trailing_zeros();
                 bits &= bits - 1;
-                Some(wi as Reg * 64 + b)
+                wi as u32 * 64 + b
             })
         })
-    }
+    })
 }
 
 /// Successor program counters of the instruction at `pc`.
 pub fn successors(insts: &[Inst], pc: usize) -> SmallSuccs {
     match &insts[pc] {
-        Inst::Ret => SmallSuccs::none(),
-        Inst::Jmp { target } => SmallSuccs::one(*target),
-        Inst::Bra { target, .. } => SmallSuccs::two(pc + 1, *target),
-        _ => {
-            if pc + 1 < insts.len() {
-                SmallSuccs::one(pc + 1)
-            } else {
-                SmallSuccs::none()
-            }
-        }
+        Inst::Jmp { target } => SmallSuccs([*target, 0], 1),
+        Inst::Bra { target, .. } => SmallSuccs([pc + 1, *target], 2),
+        Inst::Ret => SmallSuccs([0; 2], 0),
+        _ => SmallSuccs([pc + 1, 0], usize::from(pc + 1 < insts.len())),
     }
 }
 
 /// Up to two successor PCs, without allocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SmallSuccs {
-    items: [usize; 2],
-    len: u8,
-}
+pub struct SmallSuccs([usize; 2], usize);
 
 impl SmallSuccs {
-    fn none() -> Self {
-        Self {
-            items: [0; 2],
-            len: 0,
-        }
-    }
-    fn one(a: usize) -> Self {
-        Self {
-            items: [a, 0],
-            len: 1,
-        }
-    }
-    fn two(a: usize, b: usize) -> Self {
-        Self {
-            items: [a, b],
-            len: 2,
-        }
-    }
-
     /// The successors as a slice.
     pub fn as_slice(&self) -> &[usize] {
-        &self.items[..self.len as usize]
+        &self.0[..self.1]
     }
 }
 
@@ -200,8 +176,7 @@ pub(crate) struct BlockLiveness {
     /// Rows of upward-exposed uses, definitions, [`LIVE_IN`], [`LIVE_OUT`].
     rows: [Vec<u64>; 4],
     succs: Vec<[Option<usize>; 2]>,
-    /// `(block, register, is a definition)` of every upward-exposed use
-    /// and every definition.
+    /// `(block, register, is a definition)` of each upward-exposed use and def.
     events: Vec<(usize, Reg, bool)>,
     /// One plus the last block that defined each register.
     defined_in: Vec<u32>,
@@ -209,13 +184,13 @@ pub(crate) struct BlockLiveness {
 
 impl BlockLiveness {
     /// Solves liveness over `blocks` blocks, where `block(b)` gives block
-    /// `b`'s instructions, a register its terminator reads, and its
-    /// successor blocks.
-    pub(crate) fn solve<'a>(
+    /// `b`'s instructions, a register its terminator reads, and its (at
+    /// most two) successor blocks.
+    pub(crate) fn solve<'a, S: IntoIterator<Item = usize>>(
         &mut self,
         num_regs: u32,
         blocks: usize,
-        block: impl Fn(usize) -> (&'a [Inst], Option<Reg>, [Option<usize>; 2]),
+        block: impl Fn(usize) -> (&'a [Inst], Option<Reg>, S),
     ) {
         for v in [&mut self.dense, &mut self.defined_in] {
             v.clear();
@@ -227,7 +202,8 @@ impl BlockLiveness {
         let mut srcs = Vec::with_capacity(3);
         for b in 0..blocks {
             let (insts, cond, succs) = block(b);
-            self.succs.push(succs);
+            let mut succs = succs.into_iter();
+            self.succs.push([succs.next(), succs.next()]);
             let mark = b as u32 + 1;
             let mut visit = |r: Reg, def: bool| {
                 let r_ = r as usize;
@@ -295,13 +271,7 @@ impl BlockLiveness {
     pub(crate) fn expand(&self, row: usize, b: usize, set: &mut RegSet) {
         set.clear();
         let words = &self.rows[row][b * self.words..(b + 1) * self.words];
-        for (wi, &word) in words.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                set.insert(self.universe[wi * 64 + bits.trailing_zeros() as usize]);
-                bits &= bits - 1;
-            }
-        }
+        set_bits(words).for_each(|i| _ = set.insert(self.universe[i as usize]));
     }
 }
 
@@ -314,9 +284,9 @@ fn sweep(kernel: &KernelIr, skip: &RegSet, mut at: impl FnMut(usize, &RegSet, u3
     let block_of = |pc: usize| starts.partition_point(|&s| s <= pc) - 1;
     let mut live = BlockLiveness::default();
     live.solve(kernel.num_regs, starts.len() - 1, |b| {
-        let succs = successors(insts, starts[b + 1] - 1);
-        let succ = |i: usize| succs.as_slice().get(i).map(|&pc| block_of(pc));
-        (&insts[starts[b]..starts[b + 1]], None, [succ(0), succ(1)])
+        let SmallSuccs(pcs, len) = successors(insts, starts[b + 1] - 1);
+        let succs = pcs.into_iter().take(len).map(&block_of);
+        (&insts[starts[b]..starts[b + 1]], None, succs)
     });
     let mut set = RegSet::new(kernel.num_regs);
     let mut srcs = Vec::with_capacity(3);

@@ -20,7 +20,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::cfg::{BlockId, Cfg, Term};
 use crate::ir::{Inst, KernelIr, Reg};
-use crate::liveness::{BlockLiveness, RegSet, LIVE_IN, LIVE_OUT};
+use crate::liveness::{successors, BlockLiveness, RegSet, LIVE_IN, LIVE_OUT};
 
 /// Counters describing what [`optimize`] did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -110,14 +110,6 @@ fn redundant_barrier_elim(kernel: &mut KernelIr) -> usize {
     if !insts.iter().any(|i| matches!(i, Inst::Bar { .. })) {
         return 0;
     }
-    let succs = |i: usize| -> [Option<usize>; 2] {
-        match &insts[i] {
-            Inst::Jmp { target } => [Some(*target), None],
-            Inst::Bra { target, .. } => [Some(*target), (i + 1 < n).then_some(i + 1)],
-            Inst::Ret => [None, None],
-            _ => [(i + 1 < n).then_some(i + 1), None],
-        }
-    };
     // mem_before[i]: some path from entry to i executes a memory op first.
     let mut mem_before = vec![false; n];
     let mut changed = true;
@@ -125,7 +117,7 @@ fn redundant_barrier_elim(kernel: &mut KernelIr) -> usize {
         changed = false;
         for i in 0..n {
             let reaches = mem_before[i] || insts[i].is_memory();
-            for j in succs(i).into_iter().flatten() {
+            for &j in successors(insts, i).as_slice() {
                 if reaches && !mem_before[j] {
                     mem_before[j] = true;
                     changed = true;
@@ -139,10 +131,10 @@ fn redundant_barrier_elim(kernel: &mut KernelIr) -> usize {
     while changed {
         changed = false;
         for i in (0..n).rev() {
-            let after = succs(i)
-                .into_iter()
-                .flatten()
-                .any(|j| insts[j].is_memory() || mem_after[j]);
+            let after = successors(insts, i)
+                .as_slice()
+                .iter()
+                .any(|&j| insts[j].is_memory() || mem_after[j]);
             if after && !mem_after[i] {
                 mem_after[i] = true;
                 changed = true;
@@ -188,7 +180,7 @@ fn redundant_barrier_elim(kernel: &mut KernelIr) -> usize {
 // ---- liveness over the CFG --------------------------------------------------
 
 /// Solves `live` for the blocks of `cfg`. In the dev profile, checks the
-/// result against [`plain_block_liveness`].
+/// result against [`matches_plain_liveness`].
 fn block_liveness(live: &mut BlockLiveness, cfg: &Cfg, num_regs: u32) {
     live.solve(num_regs, cfg.blocks.len(), |b| {
         let bb = &cfg.blocks[b];
@@ -196,33 +188,24 @@ fn block_liveness(live: &mut BlockLiveness, cfg: &Cfg, num_regs: u32) {
             Term::Bra { cond, .. } => Some(cond),
             _ => None,
         };
-        (&bb.insts, cond, bb.term.succ_pair())
+        (&bb.insts, cond, bb.term.succs())
     });
-    debug_assert!({
-        let plain = plain_block_liveness(cfg, num_regs);
-        let mut set = RegSet::new(num_regs);
-        plain.iter().enumerate().all(|(b, (inn, out))| {
-            live.expand(LIVE_IN, b, &mut set);
-            let in_ok = set == *inn;
-            live.expand(LIVE_OUT, b, &mut set);
-            in_ok && set == *out
-        })
-    });
+    debug_assert!(matches_plain_liveness(live, cfg, num_regs));
 }
 
-/// Per-block live-in and live-out sets by a plain fixpoint over full-width
-/// sets: the reference [`block_liveness`] is checked against.
-fn plain_block_liveness(cfg: &Cfg, num_regs: u32) -> Vec<(RegSet, RegSet)> {
-    let mut live = vec![(RegSet::new(num_regs), RegSet::new(num_regs)); cfg.blocks.len()];
+/// Whether `live` holds the per-block live-in and live-out sets of a plain
+/// fixpoint over full-width sets.
+fn matches_plain_liveness(live: &BlockLiveness, cfg: &Cfg, num_regs: u32) -> bool {
+    let mut plain = vec![(RegSet::new(num_regs), RegSet::new(num_regs)); cfg.blocks.len()];
     let mut changed = true;
     while changed {
         changed = false;
         for (b, bb) in cfg.blocks.iter().enumerate().rev() {
             let mut set = RegSet::new(num_regs);
             for s in bb.term.succs() {
-                set.union_with(&live[s].0);
+                set.union_with(&plain[s].0);
             }
-            live[b].1 = set.clone();
+            plain[b].1 = set.clone();
             if let Term::Bra { cond, .. } = bb.term {
                 set.insert(cond);
             }
@@ -232,10 +215,16 @@ fn plain_block_liveness(cfg: &Cfg, num_regs: u32) -> Vec<(RegSet, RegSet)> {
                 }
                 inst.srcs().into_iter().for_each(|s| _ = set.insert(s));
             }
-            changed |= live[b].0.union_with(&set);
+            changed |= plain[b].0.union_with(&set);
         }
     }
-    live
+    let mut set = RegSet::new(num_regs);
+    plain.iter().enumerate().all(|(b, (inn, out))| {
+        live.expand(LIVE_IN, b, &mut set);
+        let in_ok = set == *inn;
+        live.expand(LIVE_OUT, b, &mut set);
+        in_ok && set == *out
+    })
 }
 
 // ---- constant folding ---------------------------------------------------------
@@ -821,12 +810,8 @@ fn dce(cfg: &mut Cfg, num_regs: u32, block_live: &mut BlockLiveness) -> usize {
                 live.insert(s);
             }
         }
-        let mut idx = 0;
-        bb.insts.retain(|_| {
-            let k = keep[idx];
-            idx += 1;
-            k
-        });
+        let mut keep = keep.into_iter();
+        bb.insts.retain(|_| keep.next() == Some(true));
     }
     removed
 }
